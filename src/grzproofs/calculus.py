@@ -123,9 +123,8 @@ def refl(concl, principal):
     return RuleInstance(Rule.REFL, concl, (prem,), principal)
 
 
-def box_inf(concl, principal, pi):
-    """The two-premise box rule.  ``pi`` is the multiset of boxed
-    antecedent formulas retained in the right premise."""
+def _box_context(concl, principal, pi):
+    """The boxed context ``pi`` of a box rule on ``principal``, checked."""
     if not (isinstance(principal, Box) and principal in concl.suc):
         raise CalculusError('box principal %s not in succedent of %s'
                             % (principal, concl))
@@ -135,6 +134,13 @@ def box_inf(concl, principal, pi):
         raise CalculusError('box context must be boxed: %s' % pi)
     if not pi.is_subset(concl.ant):
         raise CalculusError('box context %s not contained in %s' % (pi, concl))
+    return pi
+
+
+def box_inf(concl, principal, pi):
+    """The two-premise box rule.  ``pi`` is the multiset of boxed
+    antecedent formulas retained in the right premise."""
+    pi = _box_context(concl, principal, pi)
     a = principal.inner
     left = Sequent(concl.ant, concl.suc.remove(principal).add(a))
     right = Sequent(pi, mset(a))
@@ -143,15 +149,7 @@ def box_inf(concl, principal, pi):
 
 def box_grz(concl, principal, pi):
     """The finitary box rule with premise []Pi, [](A -> []A) => A."""
-    if not (isinstance(principal, Box) and principal in concl.suc):
-        raise CalculusError('box principal %s not in succedent of %s'
-                            % (principal, concl))
-    if not isinstance(pi, Multiset):
-        pi = Multiset(pi)
-    if not all(isinstance(f, Box) for f in pi):
-        raise CalculusError('box context must be boxed: %s' % pi)
-    if not pi.is_subset(concl.ant):
-        raise CalculusError('box context %s not contained in %s' % (pi, concl))
+    pi = _box_context(concl, principal, pi)
     a = principal.inner
     prem = Sequent(pi.add(Box(Implies(a, principal))), mset(a))
     return RuleInstance(Rule.BOX_GRZ, concl, (prem,), principal)
@@ -161,6 +159,36 @@ def cut(concl, cut_formula):
     left = Sequent(concl.ant, concl.suc.add(cut_formula))
     right = Sequent(concl.ant.add(cut_formula), concl.suc)
     return RuleInstance(Rule.CUT, concl, (left, right), None, cut_formula)
+
+
+# Rules whose step is fixed by its conclusion and principal formula.
+_BY_PRINCIPAL = {Rule.IMP_R: imp_r, Rule.IMP_L: imp_l, Rule.REFL: refl}
+
+
+def reinstance(inst, concl):
+    """The step ``inst`` at conclusion ``concl``: the same rule, principal
+    formula, cut formula and boxed context, with the premises rebuilt from
+    ``concl``.  Axioms are rebuilt unchecked."""
+    r = inst.rule
+    p = inst.principal
+    if r in AXIOM_RULES:
+        return RuleInstance(r, concl, (), p)
+    if r == Rule.CUT:
+        return cut(concl, inst.cut_formula)
+    if r == Rule.BOX_INF:
+        return box_inf(concl, p, inst.premises[1].ant)
+    if r == Rule.BOX_GRZ:
+        return box_grz(concl, p, inst.premises[0].ant.difference(
+            mset(Box(Implies(p.inner, p)))))
+    return _BY_PRINCIPAL[r](concl, p)
+
+
+def fixed_premise(rule, k):
+    """Is premise ``k`` of a ``rule`` step independent of the side formulas
+    of the conclusion?  So are the right premise of the two-premise box
+    rule and the premise of the finitary box rule: both hold only the boxed
+    context."""
+    return rule == Rule.BOX_GRZ or (rule == Rule.BOX_INF and k == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -185,66 +213,55 @@ def step_violations(inst, system):
             bad('axiom must have no premises')
         if not (isinstance(p, Atom) and p in c.ant and p in c.suc):
             bad('principal atom must occur on both sides')
-    elif r == Rule.AX_BOTTOM:
+        return out
+    if r == Rule.AX_BOTTOM:
         if inst.premises:
             bad('axiom must have no premises')
         if BOT not in c.ant:
             bad('false must occur in the antecedent')
-    elif r == Rule.AX_GENERAL:
+        return out
+    if r == Rule.AX_GENERAL:
         if not system.is_finitary:
             bad('general axiom not available in a non-well-founded system')
         if inst.premises:
             bad('axiom must have no premises')
         if p is None or p not in c.ant or p not in c.suc:
             bad('principal formula must occur on both sides')
-    elif r == Rule.IMP_R:
-        _expect(out, inst, lambda: imp_r(c, p))
-    elif r == Rule.IMP_L:
-        _expect(out, inst, lambda: imp_l(c, p))
-    elif r == Rule.REFL:
-        _expect(out, inst, lambda: refl(c, p))
-    elif r == Rule.BOX_INF:
+        return out
+    if r == Rule.BOX_INF:
         if not system.is_nwf:
             bad('two-premise box rule not available in a finitary system')
         if len(inst.premises) != 2:
             bad('box needs two premises')
-        else:
-            pi = inst.premises[1].ant
-            _expect(out, inst, lambda: box_inf(c, p, pi))
+            return out
     elif r == Rule.BOX_GRZ:
         if not system.is_finitary:
             bad('one-premise box rule not available here')
         if len(inst.premises) != 1:
             bad('box needs one premise')
-        elif not isinstance(p, Box):
+            return out
+        if not isinstance(p, Box):
             bad('principal must be boxed')
-        else:
-            pi = inst.premises[0].ant.difference(
-                mset(Box(Implies(p.inner, p))))
-            _expect(out, inst, lambda: box_grz(c, p, pi))
+            return out
     elif r == Rule.CUT:
         if not system.allows_cut:
             bad('cut not available in %s' % system.value)
         if inst.cut_formula is None:
             bad('cut needs a cut formula')
-        else:
-            _expect(out, inst, lambda: cut(c, inst.cut_formula))
-    else:
+            return out
+    elif r not in _BY_PRINCIPAL:
         bad('unknown rule')
-    return out
-
-
-def _expect(out, inst, make):
+        return out
     try:
-        canonical = make()
+        canonical = reinstance(inst, c)
     except CalculusError as e:
         out.append(str(e))
-        return
+        return out
     if canonical.premises != inst.premises:
         out.append('%s: premises %s do not match the rule schema (expected '
-                   '%s)' % (inst.rule.value,
-                            [str(s) for s in inst.premises],
+                   '%s)' % (r.value, [str(s) for s in inst.premises],
                             [str(s) for s in canonical.premises]))
+    return out
 
 
 def check_step(inst, system):

@@ -44,7 +44,8 @@ from .calculus import (
 class LazyProof:
     """A node of a (possibly infinite) proof, identified with the proof
     rooted at it.  ``thunks`` are nullary callables producing the child
-    nodes; they run at most once."""
+    nodes; they run at most once and are dropped once they have run, so
+    a forced node does not keep the transformer state they close over."""
 
     __slots__ = ('inst', '_thunks', '_children')
 
@@ -53,7 +54,7 @@ class LazyProof:
             raise ValueError('arity mismatch: %d thunks for %d premises'
                              % (len(thunks), len(inst.premises)))
         self.inst = inst
-        self._thunks = tuple(thunks)
+        self._thunks = list(thunks)
         self._children = [None] * len(thunks)
 
     @property
@@ -74,6 +75,7 @@ class LazyProof:
                     % (i, c.root, self.inst.premises[i],
                        self.inst.rule.value, self.root))
             self._children[i] = c
+            self._thunks[i] = None
         return c
 
     @property
@@ -218,17 +220,7 @@ def distance(a, b, max_n):
 
 def cutfree_to_depth(proof, n):
     """Is the n-fragment free of cut?"""
-    stack = [(proof, 0)]
-    while stack:
-        p, count = stack.pop()
-        if count >= n:
-            continue
-        if p.rule == Rule.CUT:
-            return False
-        for i in range(p.inst.arity):
-            cc = count + 1 if _crossing_child(p.rule, i) else count
-            stack.append((p.child(i), cc))
-    return True
+    return not any(p.rule == Rule.CUT for p, _ in walk_to_depth(proof, n))
 
 
 def validate_to_depth(proof, system, n):

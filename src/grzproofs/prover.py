@@ -24,9 +24,9 @@ from .syntax import (
     sequent_to_formula,
 )
 from .calculus import (
-    Rule, System, ax_atom, ax_bottom, imp_r, imp_l, refl, box_inf,
+    System, ax_atom, ax_bottom, imp_r, imp_l, refl, box_inf,
 )
-from .proofs import CyclicProof, CyclicNode
+from .proofs import CyclicProof, CyclicNode, _crossing_child
 
 
 class ProverError(Exception):
@@ -278,7 +278,7 @@ def _to_cyclic(snode):
             return i
         kids = []
         for k, ch in enumerate(sn.children):
-            if sn.inst.rule == Rule.BOX_INF and k == 1 and ch.inst is not None:
+            if _crossing_child(sn.inst.rule, k) and ch.inst is not None:
                 # A fresh crossing: its id joins the branch history.
                 ci = counter[0]
                 kids.append(build(ch, crossing_ids + (ci,)))

@@ -18,7 +18,7 @@ from .syntax import (
     Atom, Bottom, Box, Implies, BOT, Multiset, Sequent, EMPTY, mset,
 )
 from .calculus import (
-    Rule, RuleInstance, System, AXIOM_RULES,
+    Rule, System, reinstance, fixed_premise,
     ax_atom, ax_bottom, ax_general, imp_r, imp_l, refl, box_inf, box_grz, cut,
 )
 from .proofs import (
@@ -48,32 +48,10 @@ def wk(p, extra_ant=EMPTY, extra_suc=EMPTY):
         extra_suc = Multiset(extra_suc)
     if not extra_ant and not extra_suc:
         return p
-    inst = p.inst
-    c = inst.conclusion
-    nc = Sequent(c.ant.union(extra_ant), c.suc.union(extra_suc))
-    r = inst.rule
-    pr = inst.principal
-    if r in AXIOM_RULES:
-        return leaf(RuleInstance(r, nc, (), pr))
-    if r == Rule.IMP_R:
-        return node(imp_r(nc, pr), lambda: wk(p.child(0), extra_ant, extra_suc))
-    if r == Rule.IMP_L:
-        return node(imp_l(nc, pr),
-                    lambda: wk(p.child(0), extra_ant, extra_suc),
-                    lambda: wk(p.child(1), extra_ant, extra_suc))
-    if r == Rule.REFL:
-        return node(refl(nc, pr), lambda: wk(p.child(0), extra_ant, extra_suc))
-    if r == Rule.CUT:
-        a = inst.cut_formula
-        return node(cut(nc, a),
-                    lambda: wk(p.child(0), extra_ant, extra_suc),
-                    lambda: wk(p.child(1), extra_ant, extra_suc))
-    if r == Rule.BOX_INF:
-        pi = inst.premises[1].ant
-        return node(box_inf(nc, pr, pi),
-                    lambda: wk(p.child(0), extra_ant, extra_suc),
-                    lambda: p.child(1))
-    raise TransformError('cannot weaken a %s step' % r.value)
+    c = p.root
+    return _homomorphic(
+        p, Sequent(c.ant.union(extra_ant), c.suc.union(extra_suc)),
+        lambda k: wk(p.child(k), extra_ant, extra_suc))
 
 
 # ---------------------------------------------------------------------------
@@ -81,31 +59,14 @@ def wk(p, extra_ant=EMPTY, extra_suc=EMPTY):
 # recursion stays within the main fragment, so it terminates.
 
 
-def _homomorphic(p, remap, rec):
-    """Rebuild the root of ``p`` with conclusion remapped by ``remap``
-    (a function on sequents) and the sub-proofs transformed by ``rec``,
-    leaving box right premises alone."""
-    inst = p.inst
-    nc = remap(inst.conclusion)
-    r = inst.rule
-    pr = inst.principal
-    if r in AXIOM_RULES:
-        return leaf(RuleInstance(r, nc, (), pr))
-    if r == Rule.IMP_R:
-        return node(imp_r(nc, pr), lambda: rec(p.child(0)))
-    if r == Rule.IMP_L:
-        return node(imp_l(nc, pr), lambda: rec(p.child(0)),
-                    lambda: rec(p.child(1)))
-    if r == Rule.REFL:
-        return node(refl(nc, pr), lambda: rec(p.child(0)))
-    if r == Rule.CUT:
-        return node(cut(nc, inst.cut_formula), lambda: rec(p.child(0)),
-                    lambda: rec(p.child(1)))
-    if r == Rule.BOX_INF:
-        pi = inst.premises[1].ant
-        return node(box_inf(nc, pr, pi), lambda: rec(p.child(0)),
-                    lambda: p.child(1))
-    raise TransformError('unexpected %s step' % r.value)
+def _homomorphic(p, concl, rec):
+    """The root step of ``p`` rebuilt at ``concl``.  Premise ``k`` gets the
+    proof ``rec(k)``, built on demand; a fixed premise keeps its proof."""
+    inst = reinstance(p.inst, concl)
+    return LazyProof(inst, tuple(
+        (lambda k=k: p.child(k)) if fixed_premise(inst.rule, k)
+        else (lambda k=k: rec(k))
+        for k in range(inst.arity)))
 
 
 def invert_imp_right(p, t):
@@ -115,9 +76,10 @@ def invert_imp_right(p, t):
                              % (t, p.root))
     if p.rule == Rule.IMP_R and p.inst.principal == t:
         return p.child(0)
-    remap = lambda s: Sequent(s.ant.add(t.left),
-                              s.suc.remove(t).add(t.right))
-    return _homomorphic(p, remap, lambda q: invert_imp_right(q, t))
+    s = p.root
+    return _homomorphic(p, Sequent(s.ant.add(t.left),
+                                   s.suc.remove(t).add(t.right)),
+                        lambda k: invert_imp_right(p.child(k), t))
 
 
 def invert_imp_left(p, t):
@@ -127,8 +89,9 @@ def invert_imp_left(p, t):
                              % (t, p.root))
     if p.rule == Rule.IMP_L and p.inst.principal == t:
         return p.child(0)
-    remap = lambda s: Sequent(s.ant.remove(t).add(t.right), s.suc)
-    return _homomorphic(p, remap, lambda q: invert_imp_left(q, t))
+    s = p.root
+    return _homomorphic(p, Sequent(s.ant.remove(t).add(t.right), s.suc),
+                        lambda k: invert_imp_left(p.child(k), t))
 
 
 def invert_imp_antecedent(p, t):
@@ -138,16 +101,18 @@ def invert_imp_antecedent(p, t):
                              % (t, p.root))
     if p.rule == Rule.IMP_L and p.inst.principal == t:
         return p.child(1)
-    remap = lambda s: Sequent(s.ant.remove(t), s.suc.add(t.left))
-    return _homomorphic(p, remap, lambda q: invert_imp_antecedent(q, t))
+    s = p.root
+    return _homomorphic(p, Sequent(s.ant.remove(t), s.suc.add(t.left)),
+                        lambda k: invert_imp_antecedent(p.child(k), t))
 
 
 def invert_bottom(p):
     """From Gamma => false, Delta derive Gamma => Delta."""
     if BOT not in p.root.suc:
         raise TransformError('no false in the succedent of %s' % p.root)
-    remap = lambda s: Sequent(s.ant, s.suc.remove(BOT))
-    return _homomorphic(p, remap, invert_bottom)
+    s = p.root
+    return _homomorphic(p, Sequent(s.ant, s.suc.remove(BOT)),
+                        lambda k: invert_bottom(p.child(k)))
 
 
 def invert_box_right(p, t):
@@ -157,8 +122,9 @@ def invert_box_right(p, t):
                              % (t, p.root))
     if p.rule == Rule.BOX_INF and p.inst.principal == t:
         return p.child(0)
-    remap = lambda s: Sequent(s.ant, s.suc.remove(t).add(t.inner))
-    return _homomorphic(p, remap, lambda q: invert_box_right(q, t))
+    s = p.root
+    return _homomorphic(p, Sequent(s.ant, s.suc.remove(t).add(t.inner)),
+                        lambda k: invert_box_right(p.child(k), t))
 
 
 def contract_atom_left(p, q):
@@ -166,8 +132,9 @@ def contract_atom_left(p, q):
     if not isinstance(q, Atom) or p.root.ant.count(q) < 2:
         raise TransformError('need two antecedent copies of %s in %s'
                              % (q, p.root))
-    remap = lambda s: Sequent(s.ant.remove(q), s.suc)
-    return _homomorphic(p, remap, lambda r: contract_atom_left(r, q))
+    s = p.root
+    return _homomorphic(p, Sequent(s.ant.remove(q), s.suc),
+                        lambda k: contract_atom_left(p.child(k), q))
 
 
 def contract_atom_right(p, q):
@@ -175,8 +142,9 @@ def contract_atom_right(p, q):
     if not isinstance(q, Atom) or p.root.suc.count(q) < 2:
         raise TransformError('need two succedent copies of %s in %s'
                              % (q, p.root))
-    remap = lambda s: Sequent(s.ant, s.suc.remove(q))
-    return _homomorphic(p, remap, lambda r: contract_atom_right(r, q))
+    s = p.root
+    return _homomorphic(p, Sequent(s.ant, s.suc.remove(q)),
+                        lambda k: contract_atom_right(p.child(k), q))
 
 
 # ---------------------------------------------------------------------------
@@ -262,35 +230,30 @@ def _axiom_leaf(s):
     raise TransformError('sequent %s is not initial' % s)
 
 
+def _side(inst, k, q):
+    """Carry a proof ``q`` of the conclusion of ``inst`` plus a cut formula
+    to a proof of premise ``k`` plus that formula, by the inversion or
+    weakening that matches the rule of ``inst``."""
+    r = inst.rule
+    pr = inst.principal
+    if r == Rule.IMP_R:
+        return invert_imp_right(q, pr)
+    if r == Rule.IMP_L:
+        return (invert_imp_left, invert_imp_antecedent)[k](q, pr)
+    if r == Rule.REFL:
+        return wk(q, mset(pr.inner), EMPTY)
+    if r == Rule.BOX_INF:
+        return invert_box_right(q, pr)
+    c = mset(inst.cut_formula)
+    return wk(q, EMPTY, c) if k == 0 else wk(q, c, EMPTY)
+
+
 def _re_step(a, p, t, rec):
     """The homomorphic-on-``p`` cases of cut reduction: rebuild the root
     rule of ``p`` and push the cut into its premises, adapting ``t`` with
     an inversion or weakening."""
-    inst = p.inst
-    r = inst.rule
-    pr = inst.principal
-    res = _cut_result(a, p)
-    if r == Rule.IMP_R:
-        return node(imp_r(res, pr),
-                    lambda: rec(a, p.child(0), invert_imp_right(t, pr)))
-    if r == Rule.IMP_L:
-        return node(imp_l(res, pr),
-                    lambda: rec(a, p.child(0), invert_imp_left(t, pr)),
-                    lambda: rec(a, p.child(1), invert_imp_antecedent(t, pr)))
-    if r == Rule.REFL:
-        return node(refl(res, pr),
-                    lambda: rec(a, p.child(0), wk(t, mset(pr.inner), EMPTY)))
-    if r == Rule.CUT:
-        c = inst.cut_formula
-        return node(cut(res, c),
-                    lambda: rec(a, p.child(0), wk(t, EMPTY, mset(c))),
-                    lambda: rec(a, p.child(1), wk(t, mset(c), EMPTY)))
-    if r == Rule.BOX_INF:
-        pi = inst.premises[1].ant
-        return node(box_inf(res, pr, pi),
-                    lambda: rec(a, p.child(0), invert_box_right(t, pr)),
-                    lambda: p.child(1))
-    raise TransformError('unexpected %s step in cut reduction' % r.value)
+    return _homomorphic(p, _cut_result(a, p),
+                        lambda k: rec(a, p.child(k), _side(p.inst, k, t)))
 
 
 def _re_atom(a, p, t):
@@ -316,53 +279,29 @@ def _re_box(a, p, t):
 def _re_box_tau(a, p, t):
     """Cut on []B where ``p`` ends in the box rule on the cut occurrence:
     descend into ``t`` until its own box rule on []B is met."""
-    b = a.inner
     inst = t.inst
-    r = inst.rule
     pr = inst.principal
+    if inst.rule == Rule.REFL and pr == a:
+        inner = _re_box(a, wk(p, mset(a.inner), EMPTY), t.child(0))
+        return reduce_cut(a.inner, p.child(0), inner)
     res = _cut_result(a, p)
-    if r == Rule.IMP_R:
-        return node(imp_r(res, pr),
-                    lambda: _re_box(a, invert_imp_right(p, pr), t.child(0)))
-    if r == Rule.IMP_L:
-        return node(imp_l(res, pr),
-                    lambda: _re_box(a, invert_imp_left(p, pr), t.child(0)),
-                    lambda: _re_box(a, invert_imp_antecedent(p, pr),
-                                    t.child(1)))
-    if r == Rule.REFL:
-        if pr == a:
-            inner = _re_box(a, wk(p, mset(b), EMPTY), t.child(0))
-            return reduce_cut(b, p.child(0), inner)
-        return node(refl(res, pr),
-                    lambda: _re_box(a, wk(p, mset(pr.inner), EMPTY),
-                                    t.child(0)))
-    if r == Rule.CUT:
-        c = inst.cut_formula
-        return node(cut(res, c),
-                    lambda: _re_box(a, wk(p, EMPTY, mset(c)), t.child(0)),
-                    lambda: _re_box(a, wk(p, mset(c), EMPTY), t.child(1)))
-    if r == Rule.BOX_INF:
-        pi_t = inst.premises[1].ant
-        if a not in pi_t:
-            return node(box_inf(res, pr, pi_t),
-                        lambda: _re_box(a, invert_box_right(p, pr),
-                                        t.child(0)),
-                        lambda: t.child(1))
+    if inst.rule == Rule.BOX_INF and a in inst.premises[1].ant:
         # Both box rules keep the cut formula: merge the boxed contexts.
         pi_p = p.inst.premises[1].ant
-        pi_t2 = pi_t.remove(a)
-        merged = pi_t2.difference(pi_p).union(pi_p)
+        pi_t = inst.premises[1].ant.remove(a)
+        merged = pi_t.difference(pi_p).union(pi_p)
         c = pr.inner
         p_side = eager(
             box_inf(Sequent(merged, mset(a, c)), a, pi_p),
-            wk(p.child(1), pi_t2.difference(pi_p), mset(c)),
+            wk(p.child(1), pi_t.difference(pi_p), mset(c)),
             p.child(1))
         return node(
             box_inf(res, pr, merged),
             lambda: _re_box(a, invert_box_right(p, pr), t.child(0)),
             lambda: _re_box(a, p_side,
-                            wk(t.child(1), pi_p.difference(pi_t2), EMPTY)))
-    raise TransformError('unexpected %s step in box cut reduction' % r.value)
+                            wk(t.child(1), pi_p.difference(pi_t), EMPTY)))
+    return _homomorphic(t, res,
+                        lambda k: _re_box(a, _side(inst, k, p), t.child(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -572,40 +511,21 @@ def grz_schema_proof(a):
 
 
 def wk_wf(p, extra_ant=EMPTY, extra_suc=EMPTY):
-    """Weakening for finite proofs in the finitary calculus (and for
-    finite non-well-founded trees without box right premises)."""
+    """Weakening for finite proofs; like ``wk``, fixed premises keep
+    their proofs."""
     if not isinstance(extra_ant, Multiset):
         extra_ant = Multiset(extra_ant)
     if not isinstance(extra_suc, Multiset):
         extra_suc = Multiset(extra_suc)
     if not extra_ant and not extra_suc:
         return p
-    inst = p.inst
-    c = inst.conclusion
-    nc = Sequent(c.ant.union(extra_ant), c.suc.union(extra_suc))
-    r = inst.rule
-    pr = inst.principal
-    if r in AXIOM_RULES:
-        return WfProof(RuleInstance(r, nc, (), pr))
-    if r == Rule.IMP_R:
-        return WfProof(imp_r(nc, pr),
-                       (wk_wf(p.children[0], extra_ant, extra_suc),))
-    if r == Rule.IMP_L:
-        return WfProof(imp_l(nc, pr),
-                       (wk_wf(p.children[0], extra_ant, extra_suc),
-                        wk_wf(p.children[1], extra_ant, extra_suc)))
-    if r == Rule.REFL:
-        return WfProof(refl(nc, pr),
-                       (wk_wf(p.children[0], extra_ant, extra_suc),))
-    if r == Rule.CUT:
-        return WfProof(cut(nc, inst.cut_formula),
-                       (wk_wf(p.children[0], extra_ant, extra_suc),
-                        wk_wf(p.children[1], extra_ant, extra_suc)))
-    if r == Rule.BOX_GRZ:
-        pi = inst.premises[0].ant.difference(
-            mset(Box(Implies(pr.inner, pr))))
-        return WfProof(box_grz(nc, pr, pi), (p.children[0],))
-    raise TransformError('cannot weaken a %s step' % r.value)
+    c = p.root
+    inst = reinstance(p.inst, Sequent(c.ant.union(extra_ant),
+                                      c.suc.union(extra_suc)))
+    return WfProof(inst, tuple(
+        p.children[k] if fixed_premise(inst.rule, k)
+        else wk_wf(p.children[k], extra_ant, extra_suc)
+        for k in range(inst.arity)))
 
 
 def build_cut(p1, p2, a):
@@ -625,6 +545,10 @@ def build_cut(p1, p2, a):
 # Translation: finitary proofs into the non-well-founded calculus
 
 
+# The rules both calculi share, step for step.
+_HOMOMORPHIC_RULES = (Rule.IMP_R, Rule.IMP_L, Rule.REFL, Rule.CUT)
+
+
 def seq_to_inf(p):
     """Compile a finite proof in the finitary calculus (with or without
     cut) into a lazy proof in the non-well-founded calculus with cut,
@@ -639,17 +563,10 @@ def seq_to_inf(p):
         return ax_proof(c.ant.remove(pr), pr, c.suc.remove(pr))
     if r == Rule.AX_BOTTOM:
         return leaf(ax_bottom(c))
-    if r == Rule.IMP_R:
-        return node(imp_r(c, pr), lambda: seq_to_inf(p.children[0]))
-    if r == Rule.IMP_L:
-        return node(imp_l(c, pr), lambda: seq_to_inf(p.children[0]),
-                    lambda: seq_to_inf(p.children[1]))
-    if r == Rule.REFL:
-        return node(refl(c, pr), lambda: seq_to_inf(p.children[0]))
-    if r == Rule.CUT:
-        return node(cut(c, inst.cut_formula),
-                    lambda: seq_to_inf(p.children[0]),
-                    lambda: seq_to_inf(p.children[1]))
+    if r in _HOMOMORPHIC_RULES:
+        return LazyProof(reinstance(inst, c), tuple(
+            (lambda k=k: seq_to_inf(p.children[k]))
+            for k in range(inst.arity)))
     if r == Rule.BOX_GRZ:
         a = pr.inner
         trace = Box(Implies(a, pr))
@@ -699,16 +616,10 @@ def inf_to_seq(p, lam=frozenset()):
             out = WfProof(ax_general(target, pr))
         elif r == Rule.AX_BOTTOM:
             out = WfProof(ax_bottom(target))
-        elif r == Rule.IMP_R:
-            out = WfProof(imp_r(target, pr), (go(q.child(0), lam),))
-        elif r == Rule.IMP_L:
-            out = WfProof(imp_l(target, pr),
-                          (go(q.child(0), lam), go(q.child(1), lam)))
-        elif r == Rule.REFL:
-            out = WfProof(refl(target, pr), (go(q.child(0), lam),))
-        elif r == Rule.CUT:
-            out = WfProof(cut(target, inst.cut_formula),
-                          (go(q.child(0), lam), go(q.child(1), lam)))
+        elif r in _HOMOMORPHIC_RULES:
+            out = WfProof(reinstance(inst, target),
+                          tuple(go(q.child(k), lam)
+                                for k in range(inst.arity)))
         elif r == Rule.BOX_INF:
             a = pr.inner
             trace = Box(Implies(a, pr))
@@ -742,9 +653,6 @@ def inf_to_seq(p, lam=frozenset()):
 # Named dispatchers matching the transformer taxonomy
 
 
-INVERSION_KINDS = ('li_imp', 'ri_imp', 'i_imp', 'i_bot', 'li_box')
-
-
 def invert(p, kind, target=None):
     """Apply one of the five inversions by name: ``li_imp`` / ``ri_imp`` /
     ``i_imp`` on an implication, ``i_bot`` on a succedent falsity, and
@@ -760,14 +668,6 @@ def invert(p, kind, target=None):
     if kind == 'li_box':
         return invert_box_right(p, target)
     raise TransformError('unknown inversion kind %r' % (kind,))
-
-
-def atomic_contract(p, side, atom):
-    if side == 'left':
-        return contract_atom_left(p, atom)
-    if side == 'right':
-        return contract_atom_right(p, atom)
-    raise TransformError('side must be left or right, not %r' % (side,))
 
 
 def contract(p, side, a):
