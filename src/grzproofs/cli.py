@@ -21,7 +21,8 @@ from .calculus import Rule, System, ax_general, ax_bottom, imp_r, imp_l, \
     refl, box_grz
 from .proofs import (
     WfProof, check_cyclic, check_wf, unravel, cyclic_from_wf, wf_from_cyclic,
-    dump_proof, load_proof, proof_to_dot, cutfree_to_depth, local_height,
+    dump_proof, load_proof, proof_to_dot, proof_to_json, cutfree_to_depth,
+    local_height,
 )
 from .transforms import (
     wk_wf, build_cut, seq_to_inf, inf_to_seq, eliminate_cuts, slim,
@@ -268,9 +269,7 @@ def _cmd_corpus(args):
     for _ in range(args.count):
         wf = random_wf_proof(rng, steps=args.steps)
         proofs.append(cyclic_from_wf(wf, System.GRZ_SEQ_CUT))
-    payload = [  # one JSON proof object per entry
-        json.loads(dump_proof(p)) for p in proofs
-    ]
+    payload = [proof_to_json(p) for p in proofs]
     _write(json.dumps(payload, indent=2) + '\n', args.output)
     return 0
 

@@ -428,7 +428,13 @@ def unravel(proof):
             return cache[i]
         n = proof.nodes[i]
         if n.inst is None:
-            return build(proof.backlinks[i])
+            if i not in proof.backlinks:
+                raise ValueError('node %s has no rule and no back-link' % i)
+            d = proof.backlinks[i]
+            if d not in proof.nodes:
+                raise ValueError('back-link %s -> %s references a missing '
+                                 'node' % (i, d))
+            return build(d)
         thunks = tuple((lambda c=c: build(c)) for c in n.children)
         p = LazyProof(n.inst, thunks)
         cache[i] = p
@@ -496,14 +502,36 @@ def proof_to_json(proof):
     }
 
 
+def _field(d, name, where):
+    """Field ``name`` of the JSON object ``d``; a missing field is an
+    input error naming ``where`` it is missing."""
+    if not isinstance(d, dict):
+        raise ValueError('%s is not a JSON object' % where)
+    if name not in d:
+        raise ValueError('%s has no %r field' % (where, name))
+    return d[name]
+
+
 def proof_from_json(data):
-    system = System(data['system'])
-    raw = {d['id']: d for d in data['nodes']}
+    system = System(_field(data, 'system', 'the proof'))
+    raw = {}
+    for k, d in enumerate(_field(data, 'nodes', 'the proof')):
+        raw[_field(d, 'id', 'entry %d of nodes' % k)] = d
     backlinks = {int(a): d for a, d in data.get('backlinks', {}).items()}
+    # A node's sequent is also its parent's premise: parse each text once.
+    parsed = {}
+
+    def sequent(i):
+        text = _field(raw[i], 'sequent', 'node %s' % i)
+        s = parsed.get(text)
+        if s is None:
+            s = parsed[text] = parse_sequent(text)
+        return s
+
     nodes = {}
     for i, d in raw.items():
-        s = parse_sequent(d['sequent'])
-        children = tuple(d['children'])
+        s = sequent(i)
+        children = tuple(_field(d, 'children', 'node %s' % i))
         if d.get('rule') is None:
             nodes[i] = CyclicNode(i, s, None, children)
             continue
@@ -512,10 +540,14 @@ def proof_from_json(data):
                      if d.get('principal') else None)
         cutf = (parse_formula(d['cut_formula'])
                 if d.get('cut_formula') else None)
-        premises = tuple(parse_sequent(raw[c]['sequent']) for c in children)
+        for c in children:
+            if c not in raw:
+                raise ValueError('node %s lists child %s, which has no node'
+                                 % (i, c))
+        premises = tuple(sequent(c) for c in children)
         inst = RuleInstance(rule, s, premises, principal, cutf)
         nodes[i] = CyclicNode(i, s, inst, children)
-    roots = set(nodes) - {c for d in raw.values() for c in d['children']}
+    roots = set(nodes) - {c for n in nodes.values() for c in n.children}
     if len(roots) != 1:
         raise ValueError('proof must have exactly one root, found %s'
                          % sorted(roots))

@@ -5,6 +5,12 @@ and box.  Negation, conjunction, disjunction, verum and diamond are sugar and
 are expanded away at construction time; the AST only ever contains the four
 core constructors.
 
+Formulas are hash-consed: building a formula equal to a live one returns
+that same object, so ``==`` is ``is``.  Each formula carries its hash and
+its structural order key, computed once when it is built.  The table of
+live formulas holds them weakly, so its size is bounded by the formulas
+in use.
+
 Sequents use multisets on both sides.  Multisets are kept in a canonical
 sorted order so that structural equality and hashing behave like genuine
 multiset equality.
@@ -12,7 +18,10 @@ multiset equality.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
+from operator import attrgetter
 
 
 # ---------------------------------------------------------------------------
@@ -20,45 +29,96 @@ from dataclasses import dataclass
 
 
 class Formula:
-    """Base class for formulas.  Instances are immutable and hashable."""
+    """Base class for formulas.  Instances are immutable and hash-consed:
+    building a formula equal to a live one returns that same object."""
 
-    __slots__ = ()
+    __slots__ = ('_hash', '_key', '__weakref__')
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError('formulas are immutable')
+
+    def __delattr__(self, name):
+        raise AttributeError('formulas are immutable')
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def __repr__(self):
+        return '%s(%s)' % (type(self).__name__, ', '.join(
+            '%s=%r' % (n, getattr(self, n)) for n in self._fields))
 
     def __str__(self):
         return format_formula(self)
 
 
-@dataclass(frozen=True)
+# The live formulas, keyed by (class, *fields).  Values are weak, so a
+# formula leaves the table when the last reference to it goes.  A miss
+# builds under the lock, so two threads building one formula get one object.
+_TABLE = weakref.WeakValueDictionary()
+_TABLE_LOCK = threading.Lock()
+
+
+def _intern(cls, fields):
+    """The live formula ``cls(*fields)``, built if there is none."""
+    ident = (cls,) + fields
+    f = _TABLE.get(ident)
+    if f is None:
+        with _TABLE_LOCK:
+            f = _TABLE.get(ident)
+            if f is None:
+                f = object.__new__(cls)
+                for name, value in zip(cls._fields, fields):
+                    object.__setattr__(f, name, value)
+                # The hash a frozen dataclass of these fields would have,
+                # so set and dict iteration orders follow the fields.
+                object.__setattr__(f, '_hash', hash(fields))
+                object.__setattr__(f, '_key', f._order_key())
+                _TABLE[ident] = f
+    return f
+
+
 class Bottom(Formula):
     __slots__ = ()
 
-    def __str__(self):
-        return format_formula(self)
+    def __new__(cls):
+        return _intern(cls, ())
+
+    def _order_key(self):
+        return (0,)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = _fields = ('name',)
 
-    def __str__(self):
-        return format_formula(self)
+    def __new__(cls, name):
+        return _intern(cls, (name,))
+
+    def _order_key(self):
+        return (1, self.name)
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ('left', 'right')
 
-    def __str__(self):
-        return format_formula(self)
+    def __new__(cls, left, right):
+        return _intern(cls, (left, right))
+
+    def _order_key(self):
+        return (2, self.left._key, self.right._key)
 
 
-@dataclass(frozen=True)
 class Box(Formula):
-    inner: Formula
+    __slots__ = _fields = ('inner',)
 
-    def __str__(self):
-        return format_formula(self)
+    def __new__(cls, inner):
+        return _intern(cls, (inner,))
+
+    def _order_key(self):
+        return (3, self.inner._key)
 
 
 BOT = Bottom()
@@ -96,23 +156,10 @@ def formula_size(f):
     return 1 + formula_size(f.left) + formula_size(f.right)
 
 
-_KEY_CACHE = {}
-
-
 def formula_key(f):
-    """A total order key for formulas, used to canonicalize multisets."""
-    k = _KEY_CACHE.get(f)
-    if k is None:
-        if isinstance(f, Bottom):
-            k = (0,)
-        elif isinstance(f, Atom):
-            k = (1, f.name)
-        elif isinstance(f, Implies):
-            k = (2, formula_key(f.left), formula_key(f.right))
-        else:
-            k = (3, formula_key(f.inner))
-        _KEY_CACHE[f] = k
-    return k
+    """A total order key for formulas, used to canonicalize multisets:
+    structural, so the order does not depend on when a formula was built."""
+    return f._key
 
 
 def subformulas(f):
@@ -185,6 +232,9 @@ def atom_polarities(f, positive=True, out=None):
 # Multisets
 
 
+_KEY = attrgetter('_key')
+
+
 class Multiset:
     """An immutable multiset of formulas with canonical ordering.
 
@@ -196,7 +246,7 @@ class Multiset:
 
     def __init__(self, items=()):
         object.__setattr__(self, '_items',
-                           tuple(sorted(items, key=formula_key)))
+                           tuple(sorted(items, key=_KEY)))
 
     @property
     def items(self):

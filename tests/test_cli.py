@@ -53,6 +53,59 @@ class TestCheck:
         assert run('check', '/no/such/file.json') == 2
 
 
+class TestMalformedProofJson:
+    """Malformed proof files are input errors (exit 2), not tracebacks."""
+
+    def proof_data(self, tmp_path):
+        path = tmp_path / 'proof.json'
+        run('prove', '[]p -> p', '-o', str(path))
+        return json.loads(path.read_text())
+
+    def assert_input_error(self, tmp_path, capsys, data, message):
+        path = tmp_path / 'bad.json'
+        path.write_text(json.dumps(data))
+        for verb in ('check', 'cutfree'):
+            assert run(verb, str(path)) == 2
+            assert ('error: %s' % message) in capsys.readouterr().err
+
+    def test_child_without_a_node(self, tmp_path, capsys):
+        data = self.proof_data(tmp_path)
+        data['nodes'][0]['children'] = [7]
+        self.assert_input_error(tmp_path, capsys, data,
+                                'node 0 lists child 7, which has no node')
+
+    def test_document_is_not_an_object(self, tmp_path, capsys):
+        self.assert_input_error(tmp_path, capsys, [1, 2],
+                                'the proof is not a JSON object')
+
+    @pytest.mark.parametrize('name', ['sequent', 'id', 'children'])
+    def test_missing_node_field(self, tmp_path, capsys, name):
+        data = self.proof_data(tmp_path)
+        del data['nodes'][1][name]
+        where = 'entry 1 of nodes' if name == 'id' else 'node 1'
+        self.assert_input_error(tmp_path, capsys, data,
+                                "%s has no '%s' field" % (where, name))
+
+    @pytest.mark.parametrize('backlinks, message', [
+        ({'0': 9}, 'back-link 0 -> 9 references a missing node'),
+        ({}, 'node 0 has no rule and no back-link'),
+    ])
+    def test_backlink_leaf_without_its_target(self, tmp_path, capsys,
+                                              backlinks, message):
+        # ``check`` reports the fault as a violation; ``cutfree`` follows
+        # the back-link and stops with an input error.
+        path = tmp_path / 'bad.json'
+        path.write_text(json.dumps({
+            'system': 'grz_inf',
+            'nodes': [{'id': 0, 'sequent': '[]p => p', 'rule': None,
+                       'children': []}],
+            'backlinks': backlinks}))
+        assert run('check', str(path)) == 1
+        assert message in capsys.readouterr().out
+        assert run('cutfree', str(path)) == 2
+        assert ('error: %s' % message) in capsys.readouterr().err
+
+
 class TestCorpusAndPipeline:
     def test_corpus_is_reproducible(self, tmp_path):
         a = tmp_path / 'a.json'

@@ -1,8 +1,10 @@
 import json
+from importlib import resources
 
 import pytest
 
 from grzproofs.calculus import Rule, System, ax_general, imp_r, refl
+from grzproofs import proofs
 from grzproofs.examples import grz_axiom_cyclic_proof
 from grzproofs.proofs import (
     CyclicNode, CyclicProof, Distance, WfProof, check_cyclic, check_wf,
@@ -11,8 +13,14 @@ from grzproofs.proofs import (
     proof_to_dot, proof_to_json, unravel, validate_to_depth, wf_from_cyclic,
     wf_to_lazy,
 )
-from grzproofs.syntax import Atom, Box, Implies, parse_sequent
-from grzproofs.transforms import build_cut, grz_schema_proof
+from grzproofs.prover import decide
+from grzproofs.syntax import (
+    Atom, Box, Implies, Sequent, mset, parse_formula, parse_sequent,
+)
+from grzproofs.transforms import (
+    build_cut, eliminate_cuts, grz_schema_proof, inf_to_seq, regularize,
+    seq_to_inf, slim,
+)
 
 P, Q = Atom('p'), Atom('q')
 
@@ -174,6 +182,42 @@ class TestSerialization:
         again = load_proof(dump_proof(cyc))
         assert again.system == System.GRZ_SEQ
         assert proof_to_json(again) == proof_to_json(cyc)
+
+
+@pytest.fixture(scope='module')
+def cutfree_chain_json():
+    """The cut-free JSON of the  []([](p -> []p) -> p) | [][]p | []p  cut
+    composition: many nodes share their sequent with a parent's premise."""
+    a, b, c = map(parse_formula, ('[]([](p -> []p) -> p)', '[][]p', '[]p'))
+    halves = [inf_to_seq(unravel(decide(Sequent(mset(x), mset(y))).proof))
+              for x, y in ((a, b), (b, c))]
+    wf = build_cut(halves[0], halves[1], b)
+    return dump_proof(regularize(slim(eliminate_cuts(seq_to_inf(wf)))))
+
+
+class TestLoad:
+    def test_each_distinct_sequent_is_parsed_once(self, cutfree_chain_json,
+                                                  monkeypatch):
+        texts = []
+
+        def counting(text):
+            texts.append(text)
+            return parse_sequent(text)
+
+        monkeypatch.setattr(proofs, 'parse_sequent', counting)
+        proof = load_proof(cutfree_chain_json)
+        distinct = {n['sequent']
+                    for n in json.loads(cutfree_chain_json)['nodes']}
+        assert len(proof.nodes) > len(distinct)
+        assert sorted(texts) == sorted(distinct)
+
+    def test_dump_load_dump_is_byte_identical(self, cutfree_chain_json):
+        bundled = (resources.files('grzproofs') / 'data'
+                   / 'grz_axiom_cyclic.json').read_text()
+        for text in (cutfree_chain_json, bundled):
+            once = dump_proof(load_proof(text))
+            assert dump_proof(load_proof(once)) == once
+        assert once + '\n' == bundled
 
 
 class TestCheckCyclicRejections:

@@ -1,8 +1,13 @@
 import collections
+import copy
+import gc
+import pickle
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
+from grzproofs import syntax
 from grzproofs.syntax import (
     Atom, Bottom, Box, Implies, Multiset, ParseError, Sequent,
     BOT, EMPTY, TOP, atom_polarities, conj, diamond, disj, format_formula,
@@ -126,6 +131,60 @@ class TestFormulaHelpers:
         assert sorted(ordered, key=formula_key) == ordered
         for a, b in zip(ordered, ordered[1:]):
             assert formula_key(a) <= formula_key(b)
+
+
+class TestHashConsing:
+    @pytest.mark.parametrize('text', ['p', 'false', '[]([](p -> []p) -> p)',
+                                      '<>(p & ~q) | r'])
+    def test_parsing_twice_gives_the_same_object(self, text):
+        assert parse_formula(text) is parse_formula(text)
+
+    def test_equal_constructions_are_one_object(self):
+        assert Implies(P, Q) is Implies(P, Q)
+        assert Box(Implies(P, Q)) is Box(Implies(P, Q))
+        assert Atom('p') is P and Bottom() is BOT
+
+    def test_hashes_are_those_of_the_field_tuples(self):
+        # Frozen dataclasses hashed this way, so set and dict orders
+        # (and every printed output) stay as they were.
+        a, b = Box(P), Implies(Q, BOT)
+        assert hash(Implies(a, b)) == hash((a, b))
+        assert hash(Box(a)) == hash((a,))
+        assert hash(Atom('p')) == hash(('p',))
+        assert hash(BOT) == hash(())
+
+    def test_formulas_are_immutable(self):
+        f = Implies(P, Q)
+        with pytest.raises(AttributeError):
+            f.left = Q
+        with pytest.raises(AttributeError):
+            P.name = 'q'
+        with pytest.raises(AttributeError):
+            del f.right
+        assert f.left is P
+
+    def test_repr_names_the_fields(self):
+        assert repr(Atom('p')) == "Atom(name='p')"
+        assert repr(Box(BOT)) == 'Box(inner=Bottom())'
+        assert repr(Implies(P, Q)) == \
+            "Implies(left=Atom(name='p'), right=Atom(name='q'))"
+
+    def test_copies_are_the_same_object(self):
+        f = parse_formula('[](p -> q) -> false')
+        assert copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+
+    def test_the_table_does_not_keep_dead_formulas(self):
+        def build():
+            f = Box(Implies(Atom('only_here'), Box(Atom('only_here'))))
+            return weakref.ref(f)
+
+        ref = build()
+        gc.collect()
+        assert ref() is None
+
+    def test_there_is_no_global_key_cache(self):
+        assert not hasattr(syntax, '_KEY_CACHE')
 
 
 class TestMultiset:
