@@ -17,15 +17,15 @@ from .syntax import (
     Atom, Box, Implies, BOT, Multiset, Sequent, EMPTY, mset,
     parse_formula, parse_sequent, ParseError,
 )
-from .calculus import Rule, System, ax_general, ax_bottom, imp_r, imp_l, \
-    refl, box_grz
+from .calculus import System, ax_general, ax_bottom, imp_r, imp_l, refl, \
+    box_grz
 from .proofs import (
-    WfProof, check_cyclic, check_wf, unravel, cyclic_from_wf, wf_from_cyclic,
+    leaf, eager, check_cyclic, unravel, cyclic_from_wf, wf_from_cyclic,
     dump_proof, load_proof, proof_to_dot, proof_to_json, cutfree_to_depth,
     local_height,
 )
 from .transforms import (
-    wk_wf, build_cut, seq_to_inf, inf_to_seq, eliminate_cuts, slim,
+    wk, build_cut, seq_to_inf, inf_to_seq, eliminate_cuts, slim,
     regularize, TransformError,
 )
 from .prover import decide, find_countermodel, Verdict, ProverError
@@ -75,10 +75,10 @@ def random_wf_proof(rng, steps=6):
     def rand_axiom():
         if rng.random() < 0.25:
             concl = Sequent(rand_ms().add(BOT), rand_ms())
-            return WfProof(ax_bottom(concl))
+            return leaf(ax_bottom(concl))
         a = _random_formula(rng, rng.randint(1, 3))
         concl = Sequent(rand_ms().add(a), rand_ms().add(a))
-        return WfProof(ax_general(concl, a))
+        return leaf(ax_general(concl, a))
 
     pool = [rand_axiom(), rand_axiom()]
     ops = ['imp_r', 'refl', 'imp_l', 'cut', 'box', 'axiom']
@@ -91,48 +91,47 @@ def random_wf_proof(rng, steps=6):
             elif op == 'imp_r':
                 p = rng.choice(pool)
                 a = _random_formula(rng, rng.randint(1, 2))
-                p = wk_wf(p, mset(a), EMPTY)
+                p = wk(p, mset(a), EMPTY)
                 suc = p.root.suc
                 if not suc:
                     continue
                 b = rng.choice(list(suc))
                 concl = Sequent(p.root.ant.remove(a),
                                 suc.remove(b).add(Implies(a, b)))
-                pool.append(WfProof(imp_r(concl, Implies(a, b)), (p,)))
+                pool.append(eager(imp_r(concl, Implies(a, b)), p))
             elif op == 'refl':
                 p = rng.choice(pool)
                 b = _random_formula(rng, rng.randint(1, 2))
-                p = wk_wf(p, mset(b, Box(b)), EMPTY)
+                p = wk(p, mset(b, Box(b)), EMPTY)
                 concl = Sequent(p.root.ant.remove(b), p.root.suc)
-                pool.append(WfProof(refl(concl, Box(b)), (p,)))
+                pool.append(eager(refl(concl, Box(b)), p))
             elif op == 'imp_l':
                 p1, p2 = rng.choice(pool), rng.choice(pool)
                 a = _random_formula(rng, rng.randint(1, 2))
                 b = _random_formula(rng, rng.randint(1, 2))
                 g = p1.root.ant.union(p2.root.ant)
                 d = p1.root.suc.union(p2.root.suc)
-                left = wk_wf(p1, g.difference(p1.root.ant).add(b),
-                             d.difference(p1.root.suc))
-                right = wk_wf(p2, g.difference(p2.root.ant),
-                              d.difference(p2.root.suc).add(a))
+                left = wk(p1, g.difference(p1.root.ant).add(b),
+                          d.difference(p1.root.suc))
+                right = wk(p2, g.difference(p2.root.ant),
+                           d.difference(p2.root.suc).add(a))
                 concl = Sequent(g.add(Implies(a, b)), d)
-                pool.append(WfProof(imp_l(concl, Implies(a, b)),
-                                    (left, right)))
+                pool.append(eager(imp_l(concl, Implies(a, b)), left, right))
             elif op == 'cut':
                 p1, p2 = rng.choice(pool), rng.choice(pool)
                 a = _random_formula(rng, rng.randint(1, 2))
-                pool.append(build_cut(wk_wf(p1, EMPTY, mset(a)),
-                                      wk_wf(p2, mset(a), EMPTY), a))
+                pool.append(build_cut(wk(p1, EMPTY, mset(a)),
+                                      wk(p2, mset(a), EMPTY), a))
             elif op == 'box':
                 a, proof = rng.choice(_theorem_cache)
                 pi = Multiset(Box(_random_formula(rng, rng.randint(1, 2)))
                               for _ in range(rng.randint(0, 2)))
                 trace = Box(Implies(a, Box(a)))
-                prem = wk_wf(proof, pi.add(trace), EMPTY)
+                prem = wk(proof, pi.add(trace), EMPTY)
                 concl = Sequent(pi.union(rand_ms()),
                                 rand_ms().add(Box(a)))
                 inst = box_grz(concl, Box(a), pi)
-                pool.append(WfProof(inst, (prem,)))
+                pool.append(eager(inst, prem))
         except (TransformError, ValueError):
             continue
     return max(pool, key=lambda p: p.size())
@@ -176,10 +175,7 @@ def _parse_goal(text):
 
 def _cmd_check(args):
     proof = _read_proof(args.proof)
-    if proof.system.is_finitary and not proof.backlinks:
-        report = check_wf(wf_from_cyclic(proof), proof.system)
-    else:
-        report = check_cyclic(proof)
+    report = check_cyclic(proof)
     if report.ok:
         print('valid (%d nodes, system %s)'
               % (len(proof.nodes), proof.system.value))
@@ -220,18 +216,14 @@ def _cmd_translate(args):
     proof = _read_proof(args.proof)
     if args.to == 'seq':
         wf = inf_to_seq(unravel(proof))
-        out = cyclic_from_wf(wf, System.GRZ_SEQ_CUT
-                             if _has_cut(wf) else System.GRZ_SEQ)
+        out = cyclic_from_wf(wf, System.GRZ_SEQ if cutfree_to_depth(wf, 1)
+                             else System.GRZ_SEQ_CUT)
     else:
         lazy = seq_to_inf(wf_from_cyclic(proof))
         out = regularize(slim(eliminate_cuts(lazy)),
                          max_crossings=args.max_crossings)
     _write(dump_proof(out) + '\n', args.output)
     return 0
-
-
-def _has_cut(wf):
-    return wf.rule == Rule.CUT or any(_has_cut(c) for c in wf.children)
 
 
 def _cmd_interpolate(args):

@@ -1,15 +1,15 @@
-"""Proof objects: finite trees, cyclic graphs, and lazy infinite trees.
+"""Proof objects: lazy proof trees and cyclic graphs.
 
-Three representations, with conversions:
+Two representations, with conversions:
 
-* ``WfProof``     -- a finite (well-founded) proof tree;
-* ``CyclicProof`` -- a finite tree plus back-links from leaves to inner
-                     ancestors, denoting a regular infinite tree;
 * ``LazyProof``   -- a demand-driven, possibly infinite proof tree.  Each
                      node stores its rule instance eagerly and its children
                      as memoized thunks, so transformations can inspect a
                      finite part of an input and still produce every node
-                     of an infinite output on demand.
+                     of an infinite output on demand.  A finite proof is
+                     usually built with its children in place (``eager``);
+* ``CyclicProof`` -- a finite tree plus back-links from leaves to inner
+                     ancestors, denoting a regular infinite tree.
 
 A branch of an infinite proof is *guarded* when it passes through the right
 premise of the two-premise box rule infinitely often.  Checking guardedness
@@ -43,9 +43,11 @@ from .calculus import (
 
 class LazyProof:
     """A node of a (possibly infinite) proof, identified with the proof
-    rooted at it.  ``thunks`` are nullary callables producing the child
-    nodes; they run at most once and are dropped once they have run, so
-    a forced node does not keep the transformer state they close over."""
+    rooted at it.  Each entry of ``thunks`` is a child node already built
+    or a nullary callable producing it; a callable runs at most once and
+    is dropped once it has run, so a forced node does not keep the
+    transformer state it closes over.  Either way a child is checked
+    against its premise when it is first asked for."""
 
     __slots__ = ('inst', '_thunks', '_children')
 
@@ -68,7 +70,9 @@ class LazyProof:
     def child(self, i):
         c = self._children[i]
         if c is None:
-            c = self._thunks[i]()
+            c = self._thunks[i]
+            if not isinstance(c, LazyProof):
+                c = c()
             if c.root != self.inst.premises[i]:
                 raise ValueError(
                     'child %d proves %s, expected premise %s (rule %s at %s)'
@@ -80,11 +84,20 @@ class LazyProof:
 
     @property
     def children(self):
-        return tuple(self.child(i) for i in range(len(self._thunks)))
+        return tuple(map(self.child, range(len(self._thunks))))
 
     @property
     def is_leaf(self):
         return not self._thunks
+
+    def size(self):
+        """Number of nodes of a finite proof, counting a shared node once
+        per position."""
+        n, stack = 0, [self]
+        while stack:
+            n += 1
+            stack.extend(stack.pop().children)
+        return n
 
     def __repr__(self):
         return 'LazyProof(%s @ %s)' % (self.inst.rule.value, self.root)
@@ -100,7 +113,7 @@ def node(inst, *thunks):
 
 def eager(inst, *children):
     """A node whose children are already built."""
-    return LazyProof(inst, tuple((lambda c=c: c) for c in children))
+    return LazyProof(inst, children)
 
 
 # ---------------------------------------------------------------------------
@@ -250,24 +263,6 @@ def walk_to_depth(proof, n):
 # Finite proofs
 
 
-@dataclass(frozen=True)
-class WfProof:
-    """A finite proof tree."""
-    inst: RuleInstance
-    children: tuple = ()
-
-    @property
-    def root(self):
-        return self.inst.conclusion
-
-    @property
-    def rule(self):
-        return self.inst.rule
-
-    def size(self):
-        return 1 + sum(c.size() for c in self.children)
-
-
 @dataclass
 class Report:
     ok: bool
@@ -278,26 +273,19 @@ class Report:
 
 
 def check_wf(proof, system=System.GRZ_SEQ):
-    """Validate every step of a finite proof against ``system``."""
+    """Validate every step of a finite proof against ``system``, and
+    report each child that cannot be built or proves another sequent."""
     violations = []
     stack = [proof]
     while stack:
         p = stack.pop()
         violations.extend(step_violations(p.inst, system))
-        if len(p.children) != p.inst.arity:
-            violations.append('node %s has %d children for %d premises'
-                              % (p.root, len(p.children), p.inst.arity))
-            continue
-        for i, c in enumerate(p.children):
-            if c.root != p.inst.premises[i]:
-                violations.append('premise %d of %s is %s but child proves %s'
-                                  % (i, p.root, p.inst.premises[i], c.root))
-            stack.append(c)
+        for i in range(p.inst.arity):
+            try:
+                stack.append(p.child(i))
+            except ValueError as e:
+                violations.append(str(e))
     return Report(not violations, violations)
-
-
-def wf_to_lazy(proof):
-    return eager(proof.inst, *[wf_to_lazy(c) for c in proof.children])
 
 
 # ---------------------------------------------------------------------------
@@ -444,31 +432,41 @@ def unravel(proof):
 
 
 def cyclic_from_wf(proof, system=System.GRZ_SEQ):
-    nodes = {}
-    counter = [0]
-
-    # Assign ids in preorder: allocate before children.
-    def build_pre(p):
-        i = counter[0]
-        counter[0] += 1
-        nodes[i] = None
-        kids = tuple(build_pre(c) for c in p.children)
-        nodes[i] = CyclicNode(i, p.root, p.inst, kids)
-        return i
-
-    root = build_pre(proof)
-    return CyclicProof(nodes, root, {}, system)
+    """The cyclic proof, without back-links, of a finite proof.  Node ids
+    are preorder positions: the first child of node i is i + 1, and each
+    later child follows the subtree of the one before it."""
+    order = []
+    stack = [proof]
+    while stack:
+        p = stack.pop()
+        order.append(p)
+        stack.extend(reversed(p.children))
+    end = list(range(1, len(order) + 1))    # one past each subtree
+    kids = [()] * len(order)
+    for i in reversed(range(len(order))):
+        ks = []
+        for _ in range(order[i].inst.arity):
+            ks.append(end[i])
+            end[i] = end[end[i]]
+        kids[i] = tuple(ks)
+    nodes = {i: CyclicNode(i, p.root, p.inst, kids[i])
+             for i, p in enumerate(order)}
+    return CyclicProof(nodes, 0, {}, system)
 
 
 def wf_from_cyclic(proof):
+    """The finite proof denoted by a cyclic proof without back-links."""
     if proof.backlinks:
         raise ValueError('proof has back-links; not well-founded')
-
-    def build(i):
-        n = proof.nodes[i]
-        return WfProof(n.inst, tuple(build(c) for c in n.children))
-
-    return build(proof.root)
+    seen = {proof.root}
+    stack = [proof.root]
+    while stack:
+        for c in proof.nodes[stack.pop()].children:
+            if c in seen:
+                raise ValueError('node %s is reached twice from the root' % c)
+            seen.add(c)
+            stack.append(c)
+    return unravel(proof)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .calculus import (
     ax_atom, ax_bottom, ax_general, imp_r, imp_l, refl, box_inf, box_grz, cut,
 )
 from .proofs import (
-    LazyProof, leaf, node, eager, WfProof, CyclicProof, CyclicNode,
+    LazyProof, leaf, node, eager, CyclicProof, CyclicNode, unravel,
     _crossing_child,
 )
 
@@ -507,25 +507,7 @@ def grz_schema_proof(a):
 
 
 # ---------------------------------------------------------------------------
-# Finite-proof weakening and cut composition
-
-
-def wk_wf(p, extra_ant=EMPTY, extra_suc=EMPTY):
-    """Weakening for finite proofs; like ``wk``, fixed premises keep
-    their proofs."""
-    if not isinstance(extra_ant, Multiset):
-        extra_ant = Multiset(extra_ant)
-    if not isinstance(extra_suc, Multiset):
-        extra_suc = Multiset(extra_suc)
-    if not extra_ant and not extra_suc:
-        return p
-    c = p.root
-    inst = reinstance(p.inst, Sequent(c.ant.union(extra_ant),
-                                      c.suc.union(extra_suc)))
-    return WfProof(inst, tuple(
-        p.children[k] if fixed_premise(inst.rule, k)
-        else wk_wf(p.children[k], extra_ant, extra_suc)
-        for k in range(inst.arity)))
+# Cut composition
 
 
 def build_cut(p1, p2, a):
@@ -538,7 +520,7 @@ def build_cut(p1, p2, a):
     g2, d2 = p2.root.ant.remove(a), p2.root.suc
     concl = Sequent(g1.union(g2), d1.union(d2))
     inst = cut(concl, a)
-    return WfProof(inst, (wk_wf(p1, g2, d2), wk_wf(p2, g1, d1)))
+    return eager(inst, wk(p1, g2, d2), wk(p2, g1, d1))
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +535,6 @@ def seq_to_inf(p):
     """Compile a finite proof in the finitary calculus (with or without
     cut) into a lazy proof in the non-well-founded calculus with cut,
     using the cyclic schema proof at each finitary box step."""
-    from .proofs import unravel
-
     inst = p.inst
     r = inst.rule
     c = inst.conclusion
@@ -565,7 +545,7 @@ def seq_to_inf(p):
         return leaf(ax_bottom(c))
     if r in _HOMOMORPHIC_RULES:
         return LazyProof(reinstance(inst, c), tuple(
-            (lambda k=k: seq_to_inf(p.children[k]))
+            (lambda k=k: seq_to_inf(p.child(k)))
             for k in range(inst.arity)))
     if r == Rule.BOX_GRZ:
         a = pr.inner
@@ -573,7 +553,7 @@ def seq_to_inf(p):
         g = Implies(trace, a)
         f = Box(g)
         pi = inst.premises[0].ant.difference(mset(trace))
-        xi = seq_to_inf(p.children[0])          # []Pi, [](A -> []A) => A
+        xi = seq_to_inf(p.child(0))             # []Pi, [](A -> []A) => A
         xi2 = wk(xi, EMPTY, mset(a))
         mu = eager(imp_r(Sequent(pi, mset(g)), g), xi)
         mu2 = eager(imp_r(Sequent(pi, mset(g, a)), g), xi2)
@@ -613,13 +593,12 @@ def inf_to_seq(p, lam=frozenset()):
         r = inst.rule
         pr = inst.principal
         if r == Rule.AX_ATOM:
-            out = WfProof(ax_general(target, pr))
+            out = leaf(ax_general(target, pr))
         elif r == Rule.AX_BOTTOM:
-            out = WfProof(ax_bottom(target))
+            out = leaf(ax_bottom(target))
         elif r in _HOMOMORPHIC_RULES:
-            out = WfProof(reinstance(inst, target),
-                          tuple(go(q.child(k), lam)
-                                for k in range(inst.arity)))
+            out = eager(reinstance(inst, target),
+                        *[go(q.child(k), lam) for k in range(inst.arity)])
         elif r == Rule.BOX_INF:
             a = pr.inner
             trace = Box(Implies(a, pr))
@@ -627,14 +606,13 @@ def inf_to_seq(p, lam=frozenset()):
                 # Unfold the stored obligation instead of crossing again.
                 step_refl = refl(target, trace)
                 step_impl = imp_l(step_refl.premises[0], Implies(a, pr))
-                ax = WfProof(ax_general(step_impl.premises[0], pr))
-                sub = wk_wf(go(q.child(0), lam), EMPTY, mset(pr))
-                out = WfProof(step_refl,
-                              (WfProof(step_impl, (ax, sub)),))
+                ax = leaf(ax_general(step_impl.premises[0], pr))
+                sub = wk(go(q.child(0), lam), EMPTY, mset(pr))
+                out = eager(step_refl, eager(step_impl, ax, sub))
             else:
                 pi = inst.premises[1].ant
                 chi = go(q.child(1), frozenset(lam | {a}))
-                out = WfProof(box_grz(target, pr, extra.union(pi)), (chi,))
+                out = eager(box_grz(target, pr, extra.union(pi)), chi)
         else:
             raise TransformError('cannot translate a %s step' % r.value)
         memo[key] = out

@@ -1,11 +1,14 @@
 """Builders shared by the test modules: exhaustive formula enumeration,
-exhaustive small-proof search, and grafting of lazy proofs."""
+exhaustive small-proof search, grafting of lazy proofs, and deep finite
+proofs."""
 
 from functools import lru_cache
 
-from grzproofs.calculus import Rule, System, applicable_instances
-from grzproofs.proofs import eager, leaf, node
-from grzproofs.syntax import Atom, Box, Implies, BOT
+from grzproofs.calculus import (
+    Rule, System, applicable_instances, ax_general, refl,
+)
+from grzproofs.proofs import CyclicNode, CyclicProof, eager, leaf, node
+from grzproofs.syntax import Atom, Box, Implies, BOT, parse_sequent
 
 P = Atom('p')
 Q = Atom('q')
@@ -33,11 +36,6 @@ def formulas_up_to(n, atoms=(P, Q)):
     return out
 
 
-def proof_size(p):
-    """Number of rule nodes of a finite lazy proof."""
-    return 1 + sum(proof_size(p.child(i)) for i in range(p.inst.arity))
-
-
 def complete_proofs(goal, budget, system=System.GRZ_INF):
     """Every finite proof of ``goal`` with at most ``budget`` rule nodes,
     found by exhaustive backwards application of the cut-free rules."""
@@ -51,7 +49,7 @@ def complete_proofs(goal, budget, system=System.GRZ_INF):
                 yield eager(inst, sub)
         elif inst.arity == 2 and budget >= 3:
             for lhs in complete_proofs(inst.premises[0], budget - 2, system):
-                rest = budget - 1 - proof_size(lhs)
+                rest = budget - 1 - lhs.size()
                 for rhs in complete_proofs(inst.premises[1], rest, system):
                     yield eager(inst, lhs, rhs)
 
@@ -68,3 +66,17 @@ def graft(p, depth, repl):
         d = depth - 1 if (p.rule == Rule.BOX_INF and i == 1) else depth
         thunks.append(lambda i=i, d=d: graft(p.child(i), d, repl))
     return node(p.inst, *thunks)
+
+
+def refl_chain(n):
+    """A finitary cyclic proof of  []p => q, p  that applies ``refl`` on
+    []p ``n`` times and closes with ``ax_general`` on p; node ``i`` sits
+    at depth ``i``."""
+    s = parse_sequent('[]p => q, p')
+    nodes = {}
+    for i in range(n):
+        inst = refl(s, Box(P))
+        nodes[i] = CyclicNode(i, s, inst, (i + 1,))
+        s = inst.premises[0]
+    nodes[n] = CyclicNode(n, s, ax_general(s, P))
+    return CyclicProof(nodes, 0, {}, System.GRZ_SEQ)

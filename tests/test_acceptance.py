@@ -19,7 +19,7 @@ from grzproofs.examples import grz_axiom_cyclic_proof
 from grzproofs.interpolation import lyndon
 from grzproofs.proofs import (
     CyclicNode, CyclicProof, check_cyclic, check_wf, cutfree_to_depth,
-    distance, frag_eq, local_height, unravel, validate_to_depth, wf_to_lazy,
+    distance, frag_eq, local_height, unravel, validate_to_depth,
 )
 from grzproofs.prover import decide, eval_formula, find_countermodel
 from grzproofs.syntax import (

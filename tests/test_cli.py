@@ -4,8 +4,10 @@ import pytest
 
 from grzproofs.calculus import System
 from grzproofs.cli import main, random_wf_proof
-from grzproofs.proofs import check_cyclic, check_wf, load_proof
+from grzproofs.proofs import check_cyclic, check_wf, dump_proof, load_proof
 from grzproofs.syntax import parse_sequent
+
+from helpers import refl_chain
 
 
 def run(*argv):
@@ -104,6 +106,46 @@ class TestMalformedProofJson:
         assert message in capsys.readouterr().out
         assert run('cutfree', str(path)) == 2
         assert ('error: %s' % message) in capsys.readouterr().err
+
+    def refl_steps(self, children_of_last):
+        """A finitary proof file of  []p => p  made of three ``refl``
+        steps; the last one lists ``children_of_last``."""
+        nodes = [{'id': i, 'sequent': '[]p%s => p' % (', p' * i),
+                  'rule': 'refl', 'principal': '[]p', 'children': [i + 1]}
+                 for i in range(3)]
+        nodes[2]['children'] = children_of_last
+        return {'system': 'grz_seq', 'nodes': nodes, 'backlinks': {}}
+
+    def assert_rejected(self, tmp_path, capsys, data, violation, error):
+        # ``check`` lists the fault; the verbs that read the file as a
+        # finite proof stop with an input error.
+        path = tmp_path / 'bad.json'
+        path.write_text(json.dumps(data))
+        assert run('check', str(path)) == 1
+        assert violation in capsys.readouterr().out
+        for argv in (['cutfree'], ['translate', '--to', 'inf']):
+            assert run(*argv, str(path)) == 2
+            assert ('error: %s' % error) in capsys.readouterr().err
+
+    def test_finitary_child_cycle(self, tmp_path, capsys):
+        self.assert_rejected(tmp_path, capsys, self.refl_steps([1]),
+                             'node 1 has two parents or is the root',
+                             'node 1 is reached twice from the root')
+
+    def test_finitary_leaf_without_a_rule(self, tmp_path, capsys):
+        data = self.refl_steps([])
+        data['nodes'][1].update(rule=None, principal=None, children=[])
+        del data['nodes'][2]
+        message = 'node 1 has no rule and no back-link'
+        self.assert_rejected(tmp_path, capsys, data, message, message)
+
+
+class TestDeepFiniteProofs:
+    def test_check_a_1200_step_chain(self, tmp_path, capsys):
+        path = tmp_path / 'chain.json'
+        path.write_text(dump_proof(refl_chain(1200)))
+        assert run('check', str(path)) == 0
+        assert 'valid (1201 nodes, system grz_seq)' in capsys.readouterr().out
 
 
 class TestCorpusAndPipeline:

@@ -1,5 +1,5 @@
-"""The shared rule-rebuild dispatch, and a golden digest of the cut-free
-pipeline's output bytes."""
+"""The shared rule-rebuild dispatch, and golden digests of the cut-free
+pipeline's output bytes and of the finitary proofs built from them."""
 
 import hashlib
 import random
@@ -10,8 +10,8 @@ from grzproofs.calculus import (
     Rule, RuleInstance, System, applicable_instances, ax_general, cut,
     fixed_premise, reinstance,
 )
-from grzproofs.cli import random_wf_proof
-from grzproofs.proofs import WfProof, dump_proof, unravel
+from grzproofs.cli import main, random_wf_proof
+from grzproofs.proofs import cyclic_from_wf, dump_proof, eager, leaf, unravel
 from grzproofs.prover import decide
 from grzproofs.syntax import EMPTY, Sequent, mset, parse_formula, parse_sequent
 from grzproofs.transforms import (
@@ -59,14 +59,14 @@ def test_seq_to_inf_rederives_the_premises_of_its_input():
     wrong = parse_sequent('p => p, r')
     step = RuleInstance(Rule.IMP_R, parse_sequent('p => p, q -> r'),
                         (wrong,), parse_formula('q -> r'))
-    lazy = seq_to_inf(WfProof(step, (WfProof(ax_general(wrong, P)),)))
+    lazy = seq_to_inf(eager(step, leaf(ax_general(wrong, P))))
     assert lazy.inst.premises == (parse_sequent('p, q => p, r'),)
     with pytest.raises(ValueError):
         lazy.child(0)
 
 
-def _cutfree_json(wf):
-    return dump_proof(regularize(slim(eliminate_cuts(seq_to_inf(wf)))))
+def _cutfree(wf):
+    return regularize(slim(eliminate_cuts(seq_to_inf(wf))))
 
 
 def _chain(at, bt, ct):
@@ -76,16 +76,41 @@ def _chain(at, bt, ct):
     return build_cut(halves[0], halves[1], b)
 
 
+@pytest.fixture(scope='module')
+def golden_outputs():
+    """The cut-free proofs of 50 ``random_wf_proof(random.Random(0))``
+    proofs and of one cut composition."""
+    rng = random.Random(0)
+    inputs = [random_wf_proof(rng) for _ in range(50)]
+    inputs.append(_chain('[]([](p -> []p) -> p)', '[][]p', '[]p'))
+    return [_cutfree(wf) for wf in inputs]
+
+
 # sha256 of the cut-free JSON below, as the code produced it before the
 # transformers shared one rule-rebuild dispatch.
 GOLDEN = 'b749cebc1a0d23f345b4d5c2d78ae2289954befd97e127aa0b5924aa88906fca'
 
 
-def test_cutfree_output_bytes_are_unchanged():
+def test_cutfree_output_bytes_are_unchanged(golden_outputs):
     h = hashlib.sha256()
-    rng = random.Random(0)
-    for _ in range(50):
-        h.update(_cutfree_json(random_wf_proof(rng)).encode())
-    h.update(_cutfree_json(
-        _chain('[]([](p -> []p) -> p)', '[][]p', '[]p')).encode())
+    for out in golden_outputs:
+        h.update(dump_proof(out).encode())
     assert h.hexdigest() == GOLDEN
+
+
+# sha256 of the bytes of ``grzproofs corpus --count 50 --seed 0`` and of
+# the finitary translations of the cut-free proofs above, as the code
+# produced them while finite proofs had a node type of their own.
+GOLDEN_FINITARY = ('d48194e69ae54c666308a1615f3a833b'
+                   'f11a9373981211914611b2a30f3fcecb')
+
+
+def test_finitary_output_bytes_are_unchanged(golden_outputs, tmp_path):
+    corpus = tmp_path / 'corpus.json'
+    assert main(['corpus', '--count', '50', '--seed', '0',
+                 '-o', str(corpus)]) == 0
+    h = hashlib.sha256(corpus.read_bytes())
+    for out in golden_outputs:
+        wf = inf_to_seq(unravel(out))
+        h.update(dump_proof(cyclic_from_wf(wf, System.GRZ_SEQ)).encode())
+    assert h.hexdigest() == GOLDEN_FINITARY

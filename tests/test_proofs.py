@@ -7,11 +7,10 @@ from grzproofs.calculus import Rule, System, ax_general, imp_r, refl
 from grzproofs import proofs
 from grzproofs.examples import grz_axiom_cyclic_proof
 from grzproofs.proofs import (
-    CyclicNode, CyclicProof, Distance, WfProof, check_cyclic, check_wf,
+    CyclicNode, CyclicProof, Distance, check_cyclic, check_wf,
     cutfree_to_depth, cyclic_from_wf, distance, dump_proof, eager, frag_eq,
     fragment, fragment_height, leaf, load_proof, local_height, proof_from_json,
     proof_to_dot, proof_to_json, unravel, validate_to_depth, wf_from_cyclic,
-    wf_to_lazy,
 )
 from grzproofs.prover import decide
 from grzproofs.syntax import (
@@ -21,6 +20,8 @@ from grzproofs.transforms import (
     build_cut, eliminate_cuts, grz_schema_proof, inf_to_seq, regularize,
     seq_to_inf, slim,
 )
+
+from helpers import refl_chain
 
 P, Q = Atom('p'), Atom('q')
 
@@ -35,7 +36,17 @@ def small_wf_proof():
     c = parse_sequent('p => p -> p')
     inst = imp_r(c, Implies(P, P))
     ax = ax_general(inst.premises[0], P)
-    return WfProof(inst, (WfProof(ax, ()),))
+    return eager(inst, leaf(ax))
+
+
+def preorder(p):
+    """The rule instances of a finite proof, in preorder."""
+    out, stack = [], [p]
+    while stack:
+        q = stack.pop()
+        out.append(q.inst)
+        stack.extend(reversed(q.children))
+    return out
 
 
 class TestBundledExample:
@@ -124,13 +135,13 @@ class TestCutDepth:
         assert cutfree_to_depth(unravel(example), 10)
 
     def test_detects_a_cut(self):
-        from grzproofs.transforms import wk_wf
+        from grzproofs.transforms import wk
         from grzproofs.syntax import mset, EMPTY
-        lft = wk_wf(small_wf_proof(), EMPTY, mset(Q))
-        rgt = wk_wf(small_wf_proof(), mset(Q), EMPTY)
+        lft = wk(small_wf_proof(), EMPTY, mset(Q))
+        rgt = wk(small_wf_proof(), mset(Q), EMPTY)
         both = build_cut(lft, rgt, Q)
         assert both.inst.rule == Rule.CUT
-        assert not cutfree_to_depth(wf_to_lazy(both), 1)
+        assert not cutfree_to_depth(both, 1)
 
 
 class TestWfProofs:
@@ -140,15 +151,28 @@ class TestWfProofs:
     def test_check_wf_rejects_wrong_child(self):
         c = parse_sequent('p => p -> p')
         inst = imp_r(c, Implies(P, P))
-        bad = WfProof(inst, (WfProof(ax_general(parse_sequent('q => q'), Q),
-                                     ()),))
+        bad = eager(inst, leaf(ax_general(parse_sequent('q => q'), Q)))
         assert not check_wf(bad, System.GRZ_SEQ).ok
 
     def test_wf_cyclic_round_trip(self):
         wf = small_wf_proof()
         cyc = cyclic_from_wf(wf, System.GRZ_SEQ)
         assert not cyc.backlinks
-        assert wf_from_cyclic(cyc) == wf
+        assert preorder(wf_from_cyclic(cyc)) == preorder(wf)
+
+    def test_wf_from_cyclic_rejects_a_child_cycle(self):
+        c = refl_chain(3)
+        nodes = dict(c.nodes)
+        nodes[2] = CyclicNode(2, nodes[2].sequent, nodes[2].inst, (1,))
+        del nodes[3]
+        with pytest.raises(ValueError, match='node 1 is reached twice'):
+            wf_from_cyclic(CyclicProof(nodes, 0, {}, c.system))
+
+    def test_deep_proofs_round_trip(self):
+        c = refl_chain(1200)
+        assert check_wf(wf_from_cyclic(c)).ok
+        again = cyclic_from_wf(wf_from_cyclic(c), System.GRZ_SEQ)
+        assert dump_proof(again) == dump_proof(c)
 
 
 class TestSerialization:

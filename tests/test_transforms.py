@@ -3,7 +3,7 @@ import pytest
 from grzproofs.calculus import Rule, System
 from grzproofs.proofs import (
     check_cyclic, check_wf, cutfree_to_depth, frag_eq, local_height,
-    unravel, validate_to_depth, walk_to_depth, wf_to_lazy,
+    unravel, validate_to_depth, walk_to_depth,
 )
 from grzproofs.prover import decide
 from grzproofs.syntax import (
@@ -16,7 +16,6 @@ from grzproofs.transforms import (
     eliminate_cuts, grz_schema_proof, inf_to_seq, invert, invert_bottom,
     invert_box_right, invert_imp_antecedent, invert_imp_left,
     invert_imp_right, re, reduce_cut, regularize, seq_to_inf, slim, wk,
-    wk_wf,
 )
 
 import helpers
@@ -188,14 +187,14 @@ class TestCutReduction:
 
 class TestCutElimination:
     def build_proof_with_cut(self):
-        lft = wk_wf(one_wf('p => p'), EMPTY, mset(Q))
-        rgt = wk_wf(one_wf('p => p'), mset(Q), EMPTY)
+        lft = wk(one_wf('p => p'), EMPTY, mset(Q))
+        rgt = wk(one_wf('p => p'), mset(Q), EMPTY)
         return build_cut(lft, rgt, Q)
 
     def test_removes_all_cuts(self):
         wf = self.build_proof_with_cut()
         assert wf.inst.rule == Rule.CUT
-        out = ce(wf_to_lazy(wf))
+        out = ce(wf)
         assert out.root == wf.inst.conclusion
         assert cutfree_to_depth(out, 12)
         assert_valid(out, 12)
