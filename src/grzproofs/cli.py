@@ -12,6 +12,7 @@ import argparse
 import json
 import random
 import sys
+from operator import itemgetter
 
 from .syntax import (
     Atom, Box, Implies, BOT, Multiset, Sequent, EMPTY, mset,
@@ -28,7 +29,9 @@ from .transforms import (
     wk, build_cut, seq_to_inf, inf_to_seq, eliminate_cuts, slim,
     regularize, TransformError,
 )
-from .prover import decide, find_countermodel, Verdict, ProverError
+from .prover import (
+    decide, find_countermodel, Verdict, ProverError, SearchLimitError,
+)
 from .interpolation import lyndon, NotATheoremError, InterpolationError
 
 
@@ -55,7 +58,8 @@ def _theorem_proofs():
     for text in _THEOREM_POOL:
         f = parse_formula(text)
         v = decide(Sequent(EMPTY, mset(f)))
-        out.append((f, inf_to_seq(unravel(v.proof))))
+        proof = inf_to_seq(unravel(v.proof))
+        out.append((f, proof, proof.size()))
     return out
 
 
@@ -64,7 +68,9 @@ _theorem_cache = []
 
 def random_wf_proof(rng, steps=6):
     """Generate a random finite proof in the finitary calculus with cut,
-    by forward construction from axioms."""
+    by forward construction from axioms.  The largest proof built wins;
+    each carries its size, since weakening keeps the size and forcing a
+    weakened proof to count it would build it."""
     if not _theorem_cache:
         _theorem_cache.extend(_theorem_proofs())
 
@@ -80,16 +86,16 @@ def random_wf_proof(rng, steps=6):
         concl = Sequent(rand_ms().add(a), rand_ms().add(a))
         return leaf(ax_general(concl, a))
 
-    pool = [rand_axiom(), rand_axiom()]
+    pool = [(rand_axiom(), 1), (rand_axiom(), 1)]
     ops = ['imp_r', 'refl', 'imp_l', 'cut', 'box', 'axiom']
     weights = [2, 2, 2, 3, 3, 1]
     for _ in range(steps):
         op = rng.choices(ops, weights)[0]
         try:
             if op == 'axiom':
-                pool.append(rand_axiom())
+                pool.append((rand_axiom(), 1))
             elif op == 'imp_r':
-                p = rng.choice(pool)
+                p, n = rng.choice(pool)
                 a = _random_formula(rng, rng.randint(1, 2))
                 p = wk(p, mset(a), EMPTY)
                 suc = p.root.suc
@@ -98,15 +104,15 @@ def random_wf_proof(rng, steps=6):
                 b = rng.choice(list(suc))
                 concl = Sequent(p.root.ant.remove(a),
                                 suc.remove(b).add(Implies(a, b)))
-                pool.append(eager(imp_r(concl, Implies(a, b)), p))
+                pool.append((eager(imp_r(concl, Implies(a, b)), p), 1 + n))
             elif op == 'refl':
-                p = rng.choice(pool)
+                p, n = rng.choice(pool)
                 b = _random_formula(rng, rng.randint(1, 2))
                 p = wk(p, mset(b, Box(b)), EMPTY)
                 concl = Sequent(p.root.ant.remove(b), p.root.suc)
-                pool.append(eager(refl(concl, Box(b)), p))
+                pool.append((eager(refl(concl, Box(b)), p), 1 + n))
             elif op == 'imp_l':
-                p1, p2 = rng.choice(pool), rng.choice(pool)
+                (p1, n1), (p2, n2) = rng.choice(pool), rng.choice(pool)
                 a = _random_formula(rng, rng.randint(1, 2))
                 b = _random_formula(rng, rng.randint(1, 2))
                 g = p1.root.ant.union(p2.root.ant)
@@ -116,14 +122,16 @@ def random_wf_proof(rng, steps=6):
                 right = wk(p2, g.difference(p2.root.ant),
                            d.difference(p2.root.suc).add(a))
                 concl = Sequent(g.add(Implies(a, b)), d)
-                pool.append(eager(imp_l(concl, Implies(a, b)), left, right))
+                pool.append((eager(imp_l(concl, Implies(a, b)), left, right),
+                             1 + n1 + n2))
             elif op == 'cut':
-                p1, p2 = rng.choice(pool), rng.choice(pool)
+                (p1, n1), (p2, n2) = rng.choice(pool), rng.choice(pool)
                 a = _random_formula(rng, rng.randint(1, 2))
-                pool.append(build_cut(wk(p1, EMPTY, mset(a)),
-                                      wk(p2, mset(a), EMPTY), a))
+                pool.append((build_cut(wk(p1, EMPTY, mset(a)),
+                                       wk(p2, mset(a), EMPTY), a),
+                             1 + n1 + n2))
             elif op == 'box':
-                a, proof = rng.choice(_theorem_cache)
+                a, proof, n = rng.choice(_theorem_cache)
                 pi = Multiset(Box(_random_formula(rng, rng.randint(1, 2)))
                               for _ in range(rng.randint(0, 2)))
                 trace = Box(Implies(a, Box(a)))
@@ -131,10 +139,10 @@ def random_wf_proof(rng, steps=6):
                 concl = Sequent(pi.union(rand_ms()),
                                 rand_ms().add(Box(a)))
                 inst = box_grz(concl, Box(a), pi)
-                pool.append(eager(inst, prem))
+                pool.append((eager(inst, prem), 1 + n))
         except (TransformError, ValueError):
             continue
-    return max(pool, key=lambda p: p.size())
+    return max(pool, key=itemgetter(1))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +360,8 @@ def main(argv=None):
     except (ParseError, TransformError, InterpolationError, ProverError,
             OSError, ValueError) as e:
         print('error: %s' % e, file=sys.stderr)
-        return 2
+        # An exhausted search is not an input error: the input may be fine.
+        return 3 if isinstance(e, SearchLimitError) else 2
 
 
 if __name__ == '__main__':

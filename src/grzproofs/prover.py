@@ -8,6 +8,13 @@ formula with the maximal set-like boxed context.  Box right premises are
 recorded in a per-branch history; when one repeats an ancestor entry with
 another crossing strictly in between, the branch closes with a back-link.
 
+The box rule is the only choice point, so only the box stage can meet a
+search state twice.  Its results, proofs and failures alike, are tabled
+for the length of one ``decide`` call, keyed by (sequent, set of
+``refl``-saturated formulas, branch history): a result depends on nothing
+else.  So on ``=> []q1, ..., []qn`` search visits each subset of the box
+choices once, and its cost grows exponentially in n, not factorially.
+
 Countermodels come from exhaustive enumeration of finite reflexive partial
 orders (Grz frames: finiteness rules out infinite ascending chains), not
 from failed search branches.
@@ -209,7 +216,7 @@ class Verdict:
         return self.proof is not None
 
 
-def _search(s, refl_done, history, max_crossings):
+def _search(s, refl_done, history, max_crossings, table):
     if BOT in s.ant:
         return _SNode(s, ax_bottom(s))
     for f in s.ant.distinct():
@@ -218,30 +225,39 @@ def _search(s, refl_done, history, max_crossings):
     for f in s.suc.distinct():
         if isinstance(f, Implies):
             inst = imp_r(s, f)
-            sub = _search(inst.premises[0], refl_done, history, max_crossings)
+            sub = _search(inst.premises[0], refl_done, history,
+                          max_crossings, table)
             return sub and _SNode(s, inst, (sub,))
     for f in s.ant.distinct():
         if isinstance(f, Implies):
             inst = imp_l(s, f)
             left = _search(inst.premises[0], refl_done, history,
-                           max_crossings)
+                           max_crossings, table)
             if left is None:
                 return None
             right = _search(inst.premises[1], refl_done, history,
-                            max_crossings)
+                            max_crossings, table)
             return right and _SNode(s, inst, (left, right))
     for f in s.ant.distinct():
         if isinstance(f, Box) and f not in refl_done and f.inner not in s.ant:
             inst = refl(s, f)
             sub = _search(inst.premises[0], refl_done | {f}, history,
-                          max_crossings)
+                          max_crossings, table)
             return sub and _SNode(s, inst, (sub,))
+    # The box stage.  Only box choices reach a state twice, and the result
+    # is a function of the key alone, so it is looked up and stored here,
+    # in a cell, so that the key is hashed once.
+    cell = table.setdefault((s.ant, s.suc, refl_done, history), [])
+    if cell:
+        return cell[0]
+    found = None
     boxed = s.boxed_ant().dedupe()
     for f in s.suc.distinct():
         if not isinstance(f, Box):
             continue
         inst = box_inf(s, f, boxed)
-        left = _search(inst.premises[0], refl_done, history, max_crossings)
+        left = _search(inst.premises[0], refl_done, history, max_crossings,
+                       table)
         if left is None:
             continue
         target_seq = inst.premises[1]
@@ -257,11 +273,13 @@ def _search(s, refl_done, history, max_crossings):
                 raise SearchLimitError(
                     'exceeded %d box crossings at %s' % (max_crossings, s))
             right = _search(target_seq, frozenset(),
-                            history + (target_seq,), max_crossings)
+                            history + (target_seq,), max_crossings, table)
             if right is None:
                 continue
-        return _SNode(s, inst, (left, right))
-    return None
+        found = _SNode(s, inst, (left, right))
+        break
+    cell.append(found)
+    return found
 
 
 def _to_cyclic(snode):
@@ -299,7 +317,8 @@ def decide(goal, max_crossings=64, max_model_size=4):
     """
     if not isinstance(goal, Sequent):
         goal = Sequent(EMPTY, mset(goal))
-    sn = _search(goal, frozenset(), (), max_crossings)
+    # The box-stage table lives for this call only.
+    sn = _search(goal, frozenset(), (), max_crossings, {})
     if sn is not None:
         return Verdict(proof=_to_cyclic(sn))
     cm = find_countermodel(goal, max_model_size)

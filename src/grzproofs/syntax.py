@@ -18,6 +18,7 @@ multiset equality.
 
 from __future__ import annotations
 
+import re
 import threading
 import weakref
 from dataclasses import dataclass
@@ -242,7 +243,8 @@ class Multiset:
     same multiplicities, regardless of construction order.
     """
 
-    __slots__ = ('_items',)
+    # ``_hash`` is filled in on the first ``hash()``.
+    __slots__ = ('_items', '_hash')
 
     def __init__(self, items=()):
         object.__setattr__(self, '_items',
@@ -265,7 +267,11 @@ class Multiset:
         return isinstance(other, Multiset) and self._items == other._items
 
     def __hash__(self):
-        return hash(self._items)
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(self._items)
+            return h
 
     def __repr__(self):
         return 'Multiset([%s])' % ', '.join(str(f) for f in self._items)
@@ -421,33 +427,44 @@ class ParseError(ValueError):
     pass
 
 
-_SYMBOLS = ('=>', '->', '[]', '<>', '~', '&', '|', '(', ')', ',')
+# One token per match: a symbol, or an atom name in group 1.  Any other
+# character that is not whitespace matches the bare ``\S``, leaving group 1
+# empty, and is an error.  Whitespace matches nothing and is skipped.
+_TOKEN = re.compile(r'(=>|->|\[\]|<>|[~&|(),]|[a-z][a-z0-9_]*)|\S')
+
+
+def _ascii_stand_ins(text):
+    """A ``str.translate`` table giving each non-ASCII character of ``text``
+    that may occur in an atom name an ASCII one of the same kind: 'a' if it
+    may start a name (a lowercase letter), '0' if it may only continue one
+    (lowercase, or a digit)."""
+    table = {}
+    for c in set(text):
+        if c.isascii():
+            continue
+        if c.isalpha() and c.islower():
+            table[ord(c)] = 'a'
+        elif c.islower() or c.isdigit():
+            table[ord(c)] = '0'
+    return table
 
 
 def _tokenize(text):
+    if text.isascii():
+        tokens = _TOKEN.findall(text)
+        if '' not in tokens:
+            return tokens
+        scan = text
+    else:
+        scan = text.translate(_ascii_stand_ins(text))
+    # A non-ASCII text, or an error: find the tokens by their positions.
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(sym)
-                i += len(sym)
-                break
-        else:
-            if c.isalpha() and c.islower():
-                j = i + 1
-                while j < n and (text[j].islower() or text[j].isdigit()
-                                 or text[j] == '_'):
-                    j += 1
-                tokens.append(text[i:j])
-                i = j
-            else:
-                raise ParseError('unexpected character %r at position %d'
-                                 % (c, i))
+    for m in _TOKEN.finditer(scan):
+        i, j = m.span()
+        if m.lastindex is None:
+            raise ParseError('unexpected character %r at position %d'
+                             % (text[i], i))
+        tokens.append(text[i:j])
     return tokens
 
 

@@ -34,6 +34,11 @@ class TestProve:
         assert run('prove', 'p ->') == 2
         assert 'error' in capsys.readouterr().err
 
+    def test_exhausted_search_exits_3(self, capsys):
+        assert run('prove', '[]p => [][][]p', '--max-crossings', '1') == 3
+        err = capsys.readouterr().err
+        assert err.startswith('error: exceeded 1 box crossings at ')
+
 
 class TestCheck:
     def test_valid_proof(self, tmp_path, capsys):

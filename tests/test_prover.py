@@ -1,12 +1,18 @@
+import hashlib
+import json
+
 import pytest
 
-from grzproofs.proofs import check_cyclic, unravel
+from grzproofs import prover
+from grzproofs.proofs import check_cyclic, dump_proof, unravel
 from grzproofs.prover import (
     KripkeModel, decide, eval_formula, find_countermodel, truth_mask,
 )
 from grzproofs.syntax import (
     Atom, Box, EMPTY, Sequent, mset, parse_formula, parse_sequent,
 )
+
+from helpers import formulas_up_to
 
 P = Atom('p')
 
@@ -33,7 +39,11 @@ NON_THEOREMS = [
 
 
 def goal(text):
-    return Sequent(EMPTY, mset(parse_formula(text)))
+    return goal_of(parse_formula(text))
+
+
+def goal_of(f):
+    return Sequent(EMPTY, mset(f))
 
 
 class TestDecide:
@@ -65,6 +75,27 @@ class TestDecide:
         assert v.proof is not None and v.countermodel is None
         v = decide(goal('p'))
         assert v.proof is None and v.countermodel is not None
+
+    def test_box_choices_grow_exponentially_not_factorially(self,
+                                                            monkeypatch):
+        # => []q1, ..., []qn: each order of box choices reaches the same
+        # states, which are searched once per decide call.
+        calls = [0]
+        search = prover._search
+
+        def counting(*args):
+            calls[0] += 1
+            return search(*args)
+
+        monkeypatch.setattr(prover, '_search', counting)
+        counts = []
+        for n in range(5, 10):
+            calls[0] = 0
+            text = ' => ' + ', '.join('[]q%d' % i for i in range(1, n + 1))
+            assert not decide(parse_sequent(text)).is_proof
+            counts.append(calls[0])
+        for a, b in zip(counts, counts[1:]):
+            assert b <= 3 * a, counts
 
 
 class TestCountermodels:
@@ -113,3 +144,44 @@ class TestKripkeModel:
     def test_describe_is_serializable(self):
         import json
         json.dumps(self.two_chain().describe())
+
+
+# The hard goals with known answers that ``decide`` settles: wide box
+# choices, deep boxes, and the Grz axiom for conjunctions, whose proofs
+# have back-links.
+HARD_GOALS = [
+    ' => ' + ', '.join('[]q%d' % i for i in range(1, n + 1))
+    for n in range(3, 9)
+] + [
+    '[]p => %sp' % ('[]' * n) for n in range(6, 13)
+] + [
+    '[]([](p -> []p) -> p) => []p',
+    '[]([]((p & q) -> [](p & q)) -> (p & q)) => [](p & q)',
+    '[]([]((p & q & r) -> [](p & q & r)) -> (p & q & r)) => [](p & q & r)',
+    '[]([]((p & q & r & s) -> [](p & q & r & s)) -> (p & q & r & s))'
+    ' => [](p & q & r & s)',
+    '[]([](p -> []p) -> p) & []([](q -> []q) -> q) => []p & []q',
+    'p, <>~p => false',
+    'p, <>(~p & <>p) => false',
+    'p, <>(~p & <>(p & <>~p)) => false',
+]
+
+# sha256 of the verdicts below, as ``decide`` gave them before search
+# results were tabled.
+GOLDEN_DECIDE = ('cc4fdeaffd8bf6e7010e9e3d9f8c8cd1'
+                 '318d50ba29aaf97c742e5a3528c1b27b')
+
+
+def test_decide_output_bytes_are_unchanged():
+    goals = [parse_sequent(text) for text in HARD_GOALS]
+    goals += [goal_of(f) for f in formulas_up_to(7)]
+    h = hashlib.sha256()
+    for g in goals:
+        v = decide(g)
+        if v.is_proof:
+            h.update(dump_proof(v.proof).encode())
+        else:
+            model, world = v.countermodel
+            h.update(json.dumps([model.describe(), world],
+                                sort_keys=True).encode())
+    assert h.hexdigest() == GOLDEN_DECIDE

@@ -5,7 +5,7 @@ import pickle
 import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from grzproofs import syntax
 from grzproofs.syntax import (
@@ -86,6 +86,72 @@ class TestParsing:
     def test_sequent_round_trip(self, sides):
         s = seq(sides[0], sides[1])
         assert parse_sequent(format_sequent(s)) == s
+
+
+def reference_tokenize(text):
+    """The tokenizer as it was before it used one regex: each symbol tried
+    in turn at each character."""
+    symbols = ('=>', '->', '[]', '<>', '~', '&', '|', '(', ')', ',')
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        for sym in symbols:
+            if text.startswith(sym, i):
+                tokens.append(sym)
+                i += len(sym)
+                break
+        else:
+            if c.isalpha() and c.islower():
+                j = i + 1
+                while j < n and (text[j].islower() or text[j].isdigit()
+                                 or text[j] == '_'):
+                    j += 1
+                tokens.append(text[i:j])
+                i = j
+            else:
+                raise ParseError('unexpected character %r at position %d'
+                                 % (c, i))
+    return tokens
+
+
+def tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as e:
+        return 'ParseError: %s' % e
+
+
+# Symbols, their halves, ASCII and Unicode spaces, and characters on each
+# side of the atom-name tests: lowercase letters that are or are not
+# alphabetic, digits that are not decimal, titlecase, uppercase.
+TOKEN_PIECES = [
+    '=>', '->', '[]', '<>', '~', '&', '|', '(', ')', ',', '=', '-', '[',
+    ']', '<', '>', 'p', 'q1', 'x_y', '_', 'A', '9', 'false', ' ', '\t',
+    '\n', '\x1c', '\x85', '\xa0', '\u3000', '\xe9', '\xc9', '\xaa',
+    '\xdf', '\xb5', '\u24d0', '\xb2', '\u0663', '\u01c5', '\u0345',
+    '\u2170', '\U0001d41a',
+]
+
+token_texts = st.lists(
+    st.one_of(st.sampled_from(TOKEN_PIECES), st.characters()),
+    max_size=16).map(''.join)
+
+
+class TestTokenizer:
+    @given(token_texts)
+    @example('p -> P')
+    @example('p\xe9 -> \xe9p')
+    @example('p\u24d0 & q\xb2')
+    @example('\u24d0')
+    @example('p\xc9')
+    @example('\xaap')
+    def test_agrees_with_the_reference(self, text):
+        assert (tokens_or_error(syntax._tokenize, text)
+                == tokens_or_error(reference_tokenize, text))
 
 
 class TestFormulaHelpers:
