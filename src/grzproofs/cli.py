@@ -3,7 +3,7 @@ interpolating, countermodel search, corpus generation, and DOT export.
 
 Exit codes: 0 success / valid / proved; 1 checked-and-negative (invalid
 proof, countermodel verdict, no countermodel found); 2 usage or input
-errors.
+errors; 3 the search exceeded its bound, or the input is nested too deeply.
 """
 
 from __future__ import annotations
@@ -362,6 +362,10 @@ def main(argv=None):
         print('error: %s' % e, file=sys.stderr)
         # An exhausted search is not an input error: the input may be fine.
         return 3 if isinstance(e, SearchLimitError) else 2
+    except RecursionError as e:
+        # Neither is a formula too deep for a recursive step of the program.
+        print('error: %s (input nested too deeply)' % e, file=sys.stderr)
+        return 3
 
 
 if __name__ == '__main__':

@@ -21,6 +21,10 @@ The *n-fragment* of a lazy proof is the finite tree obtained by cutting
 every branch at its n-th crossing of a box right premise; the cut points
 become open leaves.  The 0-fragment is a single open leaf.  Local height,
 fragment equivalence and the proof metric are all defined from fragments.
+
+Proofs serialize to JSON.  Loading parses each distinct sequent text and
+each distinct formula text once, and dumping prints each distinct formula
+once; the memos live for one call.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .syntax import (
-    Sequent, Multiset, format_sequent, parse_sequent, parse_formula,
+    Sequent, Multiset, ParseMemo, PrintMemo, format_sequent, parse_sequent,
 )
 from .calculus import (
     Rule, RuleInstance, System, AXIOM_RULES, step_violations,
@@ -473,29 +477,30 @@ def wf_from_cyclic(proof):
 # Serialization
 
 
-def _inst_to_json(n):
+def _inst_to_json(n, texts):
     d = {
         'id': n.id,
-        'sequent': format_sequent(n.sequent),
+        'sequent': format_sequent(n.sequent, texts),
         'rule': n.inst.rule.value if n.inst else None,
         'principal': None,
         'children': list(n.children),
     }
     if n.inst is not None:
         if n.inst.principal is not None:
-            d['principal'] = str(n.inst.principal)
+            d['principal'] = texts[n.inst.principal]
         if n.inst.cut_formula is not None:
-            d['cut_formula'] = str(n.inst.cut_formula)
+            d['cut_formula'] = texts[n.inst.cut_formula]
     return d
 
 
 def proof_to_json(proof):
     """Serialize a cyclic (or back-link-free finite) proof to the JSON
-    proof format."""
-    order = sorted(proof.nodes)
+    proof format.  Each distinct formula is printed once."""
+    texts = PrintMemo()
     return {
         'system': proof.system.value,
-        'nodes': [_inst_to_json(proof.nodes[i]) for i in order],
+        'nodes': [_inst_to_json(proof.nodes[i], texts)
+                  for i in sorted(proof.nodes)],
         'backlinks': {str(a): d for a, d in sorted(proof.backlinks.items())},
     }
 
@@ -511,19 +516,22 @@ def _field(d, name, where):
 
 
 def proof_from_json(data):
+    """The proof of a JSON object in the proof format.  Each distinct
+    sequent text and each distinct formula text is parsed once."""
     system = System(_field(data, 'system', 'the proof'))
     raw = {}
     for k, d in enumerate(_field(data, 'nodes', 'the proof')):
         raw[_field(d, 'id', 'entry %d of nodes' % k)] = d
     backlinks = {int(a): d for a, d in data.get('backlinks', {}).items()}
-    # A node's sequent is also its parent's premise: parse each text once.
-    parsed = {}
+    # A node's sequent is also its parent's premise, and a formula occurs
+    # in many sequents: parse each text once.
+    parsed, formulas = {}, ParseMemo()
 
     def sequent(i):
         text = _field(raw[i], 'sequent', 'node %s' % i)
         s = parsed.get(text)
         if s is None:
-            s = parsed[text] = parse_sequent(text)
+            s = parsed[text] = parse_sequent(text, formulas)
         return s
 
     nodes = {}
@@ -534,9 +542,9 @@ def proof_from_json(data):
             nodes[i] = CyclicNode(i, s, None, children)
             continue
         rule = Rule(d['rule'])
-        principal = (parse_formula(d['principal'])
+        principal = (formulas[d['principal']]
                      if d.get('principal') else None)
-        cutf = (parse_formula(d['cut_formula'])
+        cutf = (formulas[d['cut_formula']]
                 if d.get('cut_formula') else None)
         for c in children:
             if c not in raw:

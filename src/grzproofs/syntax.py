@@ -14,6 +14,12 @@ in use.
 Sequents use multisets on both sides.  Multisets are kept in a canonical
 sorted order so that structural equality and hashing behave like genuine
 multiset equality.
+
+The parser is an iterative precedence parser over the tokens of one
+regular expression, and the printer is iterative too, so formulas of any
+depth parse and print.  A caller that parses or prints many sequents can
+pass each call the same ``ParseMemo`` or ``PrintMemo``, which parses each
+distinct formula text, or prints each distinct formula, once.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import re
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -56,29 +63,38 @@ class Formula:
         return format_formula(self)
 
 
-# The live formulas, keyed by (class, *fields).  Values are weak, so a
-# formula leaves the table when the last reference to it goes.  A miss
-# builds under the lock, so two threads building one formula get one object.
-_TABLE = weakref.WeakValueDictionary()
+# The live formulas, keyed by (class, *fields): a plain dict, so a lookup
+# runs at C speed.  Each value is a weak reference whose callback removes the
+# entry when its formula dies.  ``_remove_dead_weakref``, the C helper of
+# the standard library's weak dictionaries, removes it only if it still
+# holds a dead reference, in one step, so it never drops a formula built
+# since.  A miss builds under the lock, so two threads building one formula
+# get one object.
+_TABLE = {}
 _TABLE_LOCK = threading.Lock()
 
 
 def _intern(cls, fields):
     """The live formula ``cls(*fields)``, built if there is none."""
     ident = (cls,) + fields
-    f = _TABLE.get(ident)
-    if f is None:
-        with _TABLE_LOCK:
-            f = _TABLE.get(ident)
-            if f is None:
-                f = object.__new__(cls)
-                for name, value in zip(cls._fields, fields):
-                    object.__setattr__(f, name, value)
-                # The hash a frozen dataclass of these fields would have,
-                # so set and dict iteration orders follow the fields.
-                object.__setattr__(f, '_hash', hash(fields))
-                object.__setattr__(f, '_key', f._order_key())
-                _TABLE[ident] = f
+    ref = _TABLE.get(ident)
+    if ref is not None:
+        f = ref()
+        if f is not None:
+            return f
+    with _TABLE_LOCK:
+        ref = _TABLE.get(ident)
+        f = ref() if ref is not None else None
+        if f is None:
+            f = object.__new__(cls)
+            for name, value in zip(cls._fields, fields):
+                object.__setattr__(f, name, value)
+            # The hash a frozen dataclass of these fields would have,
+            # so set and dict iteration orders follow the fields.
+            object.__setattr__(f, '_hash', hash(fields))
+            object.__setattr__(f, '_key', f._order_key())
+            _TABLE[ident] = weakref.ref(
+                f, lambda _, ident=ident: _remove_dead_weakref(_TABLE, ident))
     return f
 
 
@@ -398,25 +414,51 @@ def sequent_to_formula(s):
 
 
 def format_formula(f):
-    if isinstance(f, Bottom):
-        return 'false'
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Box):
-        return '[]' + _format_unary(f.inner)
-    left = _format_unary(f.left)
-    return '%s -> %s' % (left, format_formula(f.right))
+    """The text of a formula.  An implication is parenthesised under a box
+    and left of an arrow.  Iterative, so a formula of any depth prints."""
+    out = []
+    todo = [f]      # formulas still to print, and text to emit between them
+    while todo:
+        g = todo.pop()
+        t = type(g)
+        if t is str:
+            out.append(g)
+        elif t is Implies:
+            todo.append(g.right)
+            if type(g.left) is Implies:
+                todo += (') -> ', g.left, '(')
+            else:
+                todo += (' -> ', g.left)
+        elif t is Box:
+            if type(g.inner) is Implies:
+                todo += (')', g.inner, '[](')
+            else:
+                todo += (g.inner, '[]')
+        elif t is Atom:
+            out.append(g.name)
+        else:
+            out.append('false')
+    return ''.join(out)
 
 
-def _format_unary(f):
-    if isinstance(f, Implies):
-        return '(%s)' % format_formula(f)
-    return format_formula(f)
+def format_sequent(s, texts=None):
+    """The text ``A, B => C, D`` of a sequent.  ``texts``, a ``PrintMemo``
+    that a caller printing many sequents passes to each call, prints each
+    distinct formula once."""
+    fmt = format_formula if texts is None else texts.__getitem__
+    return '%s => %s' % (', '.join(map(fmt, s.ant)),
+                         ', '.join(map(fmt, s.suc)))
 
 
-def format_sequent(s):
-    return '%s => %s' % (', '.join(str(f) for f in s.ant),
-                         ', '.join(str(f) for f in s.suc))
+class PrintMemo(dict):
+    """A dict from formula to its text that prints a formula the first
+    time it is looked up."""
+
+    __slots__ = ()
+
+    def __missing__(self, f):
+        text = self[f] = format_formula(f)
+        return text
 
 
 # ---------------------------------------------------------------------------
@@ -468,87 +510,118 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+# Binary operators: the constructor, the precedence (loosest first) and the
+# precedence an operator already on the stack needs to be applied before
+# this one is pushed.  ``->`` is right-associative, ``|`` and ``&`` are
+# left-associative.  Prefix operators bind tighter than all of them.
+_BINARY = {'->': (Implies, 1, 2), '|': (disj, 2, 2), '&': (conj, 3, 3)}
+_PREFIX = {'~': neg, '[]': Box, '<>': diamond}
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self, expected=None):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError('unexpected end of input')
-        if expected is not None and tok != expected:
-            raise ParseError('expected %r, found %r' % (expected, tok))
-        self.pos += 1
-        return tok
+def _parse(tokens):
+    """Parse a formula from the start of ``tokens``.  Returns it and the
+    position of the first token after it.
 
-    def formula(self):
-        left = self.or_expr()
-        if self.peek() == '->':
-            self.take()
-            return Implies(left, self.formula())
-        return left
-
-    def or_expr(self):
-        f = self.and_expr()
-        while self.peek() == '|':
-            self.take()
-            f = disj(f, self.and_expr())
-        return f
-
-    def and_expr(self):
-        f = self.unary()
-        while self.peek() == '&':
-            self.take()
-            f = conj(f, self.unary())
-        return f
-
-    def unary(self):
-        tok = self.peek()
-        if tok == '~':
-            self.take()
-            return neg(self.unary())
-        if tok == '[]':
-            self.take()
-            return Box(self.unary())
-        if tok == '<>':
-            self.take()
-            return diamond(self.unary())
+    An iterative precedence parser: ``vals`` and ``ops`` hold the operands
+    and binary operators still to be combined, ``prefixes`` the prefix
+    operators read before the current operand, and ``enclosing`` the state
+    of each enclosing parenthesis.  So nesting costs no Python stack."""
+    enclosing = []
+    prefixes, vals, ops = [], [], []
+    i, n = 0, len(tokens)
+    while True:
+        # An operand: prefix operators, then an atom or a parenthesis.
+        tok = tokens[i] if i < n else None
+        i += 1
+        if tok in _PREFIX:
+            prefixes.append(_PREFIX[tok])
+            continue
         if tok == '(':
-            self.take()
-            f = self.formula()
-            self.take(')')
-            return f
+            enclosing.append((prefixes, vals, ops))
+            prefixes, vals, ops = [], [], []
+            continue
         if tok == 'false':
-            self.take()
-            return BOT
-        if tok == 'true':
-            self.take()
-            return TOP
-        if tok is not None and tok[0].isalpha():
-            self.take()
-            return Atom(tok)
-        raise ParseError('unexpected token %r' % (tok,))
+            f = BOT
+        elif tok == 'true':
+            f = TOP
+        elif tok is not None and tok[0].isalpha():
+            f = Atom(tok)
+        else:
+            raise ParseError('unexpected token %r' % (tok,))
+        # After an operand: a binary operator, a closing parenthesis or the
+        # end of the formula.
+        while True:
+            for build in reversed(prefixes):
+                f = build(f)
+            tok = tokens[i] if i < n else None
+            binary = _BINARY.get(tok)
+            if binary is not None:
+                while ops and ops[-1][1] >= binary[2]:
+                    f = ops.pop()[0](vals.pop(), f)
+                vals.append(f)
+                ops.append(binary)
+                prefixes = []
+                i += 1
+                break
+            while ops:
+                f = ops.pop()[0](vals.pop(), f)
+            if not enclosing:
+                return f, i
+            if tok != ')':
+                if tok is None:
+                    raise ParseError('unexpected end of input')
+                raise ParseError('expected %r, found %r' % (')', tok))
+            i += 1
+            prefixes, vals, ops = enclosing.pop()
 
 
 def parse_formula(text):
-    p = _Parser(_tokenize(text))
-    f = p.formula()
-    if p.peek() is not None:
-        raise ParseError('trailing input: %r' % (p.tokens[p.pos:],))
+    tokens = _tokenize(text)
+    f, i = _parse(tokens)
+    if i < len(tokens):
+        raise ParseError('trailing input: %r' % (tokens[i:],))
     return f
 
 
-def parse_sequent(text):
-    """Parse ``A, B => C, D``; either side may be empty."""
+class ParseMemo(dict):
+    """A dict from formula text to formula that parses a text the first
+    time it is looked up."""
+
+    __slots__ = ()
+
+    def __missing__(self, text):
+        f = self[text] = parse_formula(text)
+        return f
+
+
+def parse_sequent(text, formulas=None):
+    """Parse ``A, B => C, D``; either side may be empty.  ``formulas``, a
+    ``ParseMemo`` that a caller parsing many sequents passes to each call,
+    parses each distinct formula text once."""
+    if formulas is None:
+        formulas = ParseMemo()
+    # No formula contains ',' or '=>', so a well-formed text splits at
+    # them.  Any other text, or a value that is not a str, goes through
+    # the whole-text parse below, so it fails with the same error as ever.
+    try:
+        ant, suc = text.split('=>')
+        return Sequent(Multiset(_parse_items(ant, formulas)),
+                       Multiset(_parse_items(suc, formulas)))
+    except (ValueError, AttributeError):
+        pass
     parts = _split_toplevel(text)
     if len(parts) != 2:
         raise ParseError('a sequent needs exactly one =>')
     return Sequent(Multiset(_parse_list(parts[0])),
                    Multiset(_parse_list(parts[1])))
+
+
+def _parse_items(text, formulas):
+    """The formulas of one side of a sequent text, split at ', ' as
+    ``format_sequent`` prints them.  An item that holds another comma
+    fails to parse, and ``parse_sequent`` then parses the whole text."""
+    text = text.strip()
+    return list(map(formulas.__getitem__, text.split(', '))) if text else []
 
 
 def _split_toplevel(text):
@@ -581,10 +654,8 @@ def _parse_list(tokens):
     groups.append(cur)
     out = []
     for g in groups:
-        p = _Parser(g)
-        f = p.formula()
-        if p.peek() is not None:
-            raise ParseError('trailing input in list item: %r'
-                             % (g[p.pos:],))
+        f, i = _parse(g)
+        if i < len(g):
+            raise ParseError('trailing input in list item: %r' % (g[i:],))
         out.append(f)
     return out

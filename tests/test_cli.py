@@ -39,6 +39,12 @@ class TestProve:
         err = capsys.readouterr().err
         assert err.startswith('error: exceeded 1 box crossings at ')
 
+    def test_too_deeply_nested_a_formula_exits_3(self, capsys):
+        assert run('prove', '[]' * 1000 + 'p -> p') == 3
+        err = capsys.readouterr().err
+        assert err.startswith('error: ')
+        assert err.endswith(' (input nested too deeply)\n')
+
 
 class TestCheck:
     def test_valid_proof(self, tmp_path, capsys):

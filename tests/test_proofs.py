@@ -4,7 +4,7 @@ from importlib import resources
 import pytest
 
 from grzproofs.calculus import Rule, System, ax_general, imp_r, refl
-from grzproofs import proofs
+from grzproofs import proofs, syntax
 from grzproofs.examples import grz_axiom_cyclic_proof
 from grzproofs.proofs import (
     CyclicNode, CyclicProof, Distance, check_cyclic, check_wf,
@@ -224,7 +224,7 @@ class TestLoad:
                                                   monkeypatch):
         texts = []
 
-        def counting(text):
+        def counting(text, formulas=None):
             texts.append(text)
             return parse_sequent(text)
 
@@ -233,6 +233,28 @@ class TestLoad:
         distinct = {n['sequent']
                     for n in json.loads(cutfree_chain_json)['nodes']}
         assert len(proof.nodes) > len(distinct)
+        assert sorted(texts) == sorted(distinct)
+
+    def test_each_distinct_formula_text_is_parsed_once(self,
+                                                       cutfree_chain_json,
+                                                       monkeypatch):
+        texts = []
+
+        def counting(text):
+            texts.append(text)
+            return parse_formula(text)
+
+        monkeypatch.setattr(syntax, 'parse_formula', counting)
+        load_proof(cutfree_chain_json)
+        items, distinct = 0, set()
+        for n in json.loads(cutfree_chain_json)['nodes']:
+            for side in n['sequent'].split(' => '):
+                for text in filter(None, side.split(', ')):
+                    items += 1
+                    distinct.add(text)
+            distinct.update(n[k] for k in ('principal', 'cut_formula')
+                            if n.get(k))
+        assert items > len(distinct)
         assert sorted(texts) == sorted(distinct)
 
     def test_dump_load_dump_is_byte_identical(self, cutfree_chain_json):

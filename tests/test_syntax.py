@@ -2,6 +2,8 @@ import collections
 import copy
 import gc
 import pickle
+import sys
+import threading
 import weakref
 
 import pytest
@@ -154,6 +156,213 @@ class TestTokenizer:
                 == tokens_or_error(reference_tokenize, text))
 
 
+class ReferenceParser:
+    """The recursive-descent parser the iterative one replaced, one method
+    per precedence level."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self, expected=None):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError('unexpected end of input')
+        if expected is not None and tok != expected:
+            raise ParseError('expected %r, found %r' % (expected, tok))
+        self.pos += 1
+        return tok
+
+    def formula(self):
+        left = self.or_expr()
+        if self.peek() == '->':
+            self.take()
+            return Implies(left, self.formula())
+        return left
+
+    def or_expr(self):
+        f = self.and_expr()
+        while self.peek() == '|':
+            self.take()
+            f = disj(f, self.and_expr())
+        return f
+
+    def and_expr(self):
+        f = self.unary()
+        while self.peek() == '&':
+            self.take()
+            f = conj(f, self.unary())
+        return f
+
+    def unary(self):
+        tok = self.peek()
+        if tok == '~':
+            self.take()
+            return neg(self.unary())
+        if tok == '[]':
+            self.take()
+            return Box(self.unary())
+        if tok == '<>':
+            self.take()
+            return diamond(self.unary())
+        if tok == '(':
+            self.take()
+            f = self.formula()
+            self.take(')')
+            return f
+        if tok == 'false':
+            self.take()
+            return BOT
+        if tok == 'true':
+            self.take()
+            return TOP
+        if tok is not None and tok[0].isalpha():
+            self.take()
+            return Atom(tok)
+        raise ParseError('unexpected token %r' % (tok,))
+
+    def whole(self):
+        f = self.formula()
+        if self.peek() is not None:
+            raise ParseError('trailing input: %r' % (self.tokens[self.pos:],))
+        return f
+
+
+def reference_parse(text, sequent=False):
+    """A formula, or a sequent, parsed by ``ReferenceParser``: the token
+    list split at '=>' and at commas outside parentheses."""
+    tokens = syntax._tokenize(text)
+    if not sequent:
+        return ReferenceParser(tokens).whole()
+    sides = [[]]
+    for tok in tokens:
+        if tok == '=>':
+            sides.append([])
+        else:
+            sides[-1].append(tok)
+    if len(sides) != 2:
+        raise ParseError('a sequent needs exactly one =>')
+    parsed = []
+    for side in sides:
+        items, depth = [[]] if side else [], 0
+        for tok in side:
+            depth += (tok == '(') - (tok == ')')
+            if tok == ',' and depth == 0:
+                items.append([])
+            else:
+                items[-1].append(tok)
+        parsed.append(Multiset(ReferenceParser(i).whole() for i in items))
+    return Sequent(*parsed)
+
+
+def parsed_or_error(parse, text):
+    try:
+        return parse(text)
+    except ParseError:
+        return ParseError
+
+
+MALFORMED = ['', 'p ->', '(p', 'p q', '-> p', 'p => q', '[p]', 'p &']
+
+PARSE_PIECES = ['p', 'q', 'false', 'true', '->', '|', '&', '~', '[]', '<>',
+                '(', '(', ')', ')', ',', ', ', '=>', ' => ', ' ', ' ', '']
+
+parse_texts = st.one_of(
+    st.lists(st.sampled_from(PARSE_PIECES), max_size=14).map(''.join),
+    formulas.map(format_formula),
+    st.tuples(formula_lists, formula_lists).map(
+        lambda sides: format_sequent(seq(*sides))))
+
+
+def with_examples(texts):
+    def decorate(test):
+        for text in texts:
+            test = example(text)(test)
+        return test
+    return decorate
+
+
+def reference_format(f):
+    """The recursive printer the iterative one replaced."""
+    if isinstance(f, Bottom):
+        return 'false'
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, Box):
+        inner = reference_format(f.inner)
+        return '[](%s)' % inner if isinstance(f.inner, Implies) \
+            else '[]' + inner
+    left = reference_format(f.left)
+    if isinstance(f.left, Implies):
+        left = '(%s)' % left
+    return '%s -> %s' % (left, reference_format(f.right))
+
+
+def deep_formula(depth):
+    """A formula ``depth`` constructors deep that mixes boxes, negations
+    and implications on both sides."""
+    f = P
+    for i in range(depth):
+        f = (Box(f), Implies(f, Q), Implies(P, f), neg(f))[i % 4]
+    return f
+
+
+class TestIterativeParser:
+    @given(parse_texts)
+    @with_examples(MALFORMED)
+    def test_formulas_agree_with_the_reference(self, text):
+        assert (parsed_or_error(parse_formula, text)
+                is parsed_or_error(reference_parse, text))
+
+    @given(parse_texts)
+    @with_examples(MALFORMED + ['p,, => q', '(p, q) => r', ' => ',
+                                'p ,q, r=>[](p, q)', 'p => q => r'])
+    def test_sequents_agree_with_the_reference(self, text):
+        assert (parsed_or_error(parse_sequent, text)
+                == parsed_or_error(lambda t: reference_parse(t, True), text))
+
+    def test_a_deep_box_chain_parses(self):
+        f = parse_formula('[]' * 5000 + 'p')
+        for _ in range(5000):
+            assert isinstance(f, Box)
+            f = f.inner
+        assert f is P
+
+    def test_a_long_implication_chain_parses(self):
+        names = ['p%d' % i for i in range(20000)]
+        f = parse_formula(' -> '.join(names))
+        for name in names[:-1]:
+            assert f.left is Atom(name)
+            f = f.right
+        assert f is Atom(names[-1])
+
+    def test_a_deep_formula_prints_and_parses_back(self):
+        f = deep_formula(5000)
+        assert parse_formula(format_formula(f)) is f
+
+    @given(formulas)
+    def test_printing_agrees_with_the_reference(self, f):
+        assert format_formula(f) == reference_format(f)
+
+    def test_print_memo_prints_each_formula_once(self, monkeypatch):
+        printed = []
+
+        def counting(f):
+            printed.append(f)
+            return format_formula(f)
+
+        monkeypatch.setattr(syntax, 'format_formula', counting)
+        memo = syntax.PrintMemo()
+        s = seq([P, Box(Q)], [P, Implies(Q, P)])
+        texts = [format_sequent(s, memo) for _ in range(2)]
+        assert texts == ['p, []q => p, q -> p'] * 2
+        assert len(printed) == 3
+        assert set(printed) == {P, Box(Q), Implies(Q, P)}
+
+
 class TestFormulaHelpers:
     def test_formula_size(self):
         assert formula_size(P) == 1
@@ -248,6 +457,46 @@ class TestHashConsing:
         ref = build()
         gc.collect()
         assert ref() is None
+
+    def test_dead_formulas_leave_the_table(self):
+        gc.collect()
+        before = len(syntax._TABLE)
+        f = parse_formula('[](only_here -> []also_only_here)')
+        assert len(syntax._TABLE) == before + 5
+        del f
+        gc.collect()
+        assert len(syntax._TABLE) == before
+
+    def test_threads_building_one_formula_get_one_object(self):
+        # Each thread builds one formula twice while the first copy is
+        # alive; the copies die at once, so entries keep being removed and
+        # added again while the other threads look them up.
+        lost = []
+        barrier = threading.Barrier(4)
+
+        def build(k):
+            a = Atom('t%d' % k)
+            return Box(Implies(a, Box(a)))
+
+        def work():
+            barrier.wait(timeout=10)
+            for i in range(3000):
+                f = build(i % 7)
+                if build(i % 7) is not f:
+                    lost.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert lost == []
 
     def test_there_is_no_global_key_cache(self):
         assert not hasattr(syntax, '_KEY_CACHE')
