@@ -54,7 +54,7 @@ class Rule(enum.Enum):
 AXIOM_RULES = (Rule.AX_ATOM, Rule.AX_BOTTOM, Rule.AX_GENERAL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleInstance:
     """One rule application: conclusion, premises in left-to-right order,
     and the principal formula (the cut formula for cut)."""

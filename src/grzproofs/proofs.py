@@ -296,7 +296,7 @@ def check_wf(proof, system=System.GRZ_SEQ):
 # Cyclic proofs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclicNode:
     """A node of a cyclic proof.  ``inst`` is None for a back-link leaf,
     in which case ``sequent`` carries the conclusion."""
@@ -515,6 +515,15 @@ def _field(d, name, where):
     return d[name]
 
 
+def _string(value, name, where):
+    """``value``, the ``name`` field of ``where``, which must be a string:
+    anything else is an input error naming the node and the field."""
+    if not isinstance(value, str):
+        raise ValueError('%s has a %r field that is not a string'
+                         % (where, name))
+    return value
+
+
 def proof_from_json(data):
     """The proof of a JSON object in the proof format.  Each distinct
     sequent text and each distinct formula text is parsed once."""
@@ -528,24 +537,30 @@ def proof_from_json(data):
     parsed, formulas = {}, ParseMemo()
 
     def sequent(i):
-        text = _field(raw[i], 'sequent', 'node %s' % i)
+        where = 'node %s' % i
+        text = _string(_field(raw[i], 'sequent', where), 'sequent', where)
         s = parsed.get(text)
         if s is None:
             s = parsed[text] = parse_sequent(text, formulas)
         return s
 
+    def formula(d, name, where):
+        text = d.get(name)
+        if text is not None:
+            _string(text, name, where)
+        return formulas[text] if text else None
+
     nodes = {}
     for i, d in raw.items():
+        where = 'node %s' % i
         s = sequent(i)
-        children = tuple(_field(d, 'children', 'node %s' % i))
+        children = tuple(_field(d, 'children', where))
         if d.get('rule') is None:
             nodes[i] = CyclicNode(i, s, None, children)
             continue
-        rule = Rule(d['rule'])
-        principal = (formulas[d['principal']]
-                     if d.get('principal') else None)
-        cutf = (formulas[d['cut_formula']]
-                if d.get('cut_formula') else None)
+        rule = Rule(_string(d['rule'], 'rule', where))
+        principal = formula(d, 'principal', where)
+        cutf = formula(d, 'cut_formula', where)
         for c in children:
             if c not in raw:
                 raise ValueError('node %s lists child %s, which has no node'

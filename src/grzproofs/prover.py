@@ -15,6 +15,11 @@ for the length of one ``decide`` call, keyed by (sequent, set of
 else.  So on ``=> []q1, ..., []qn`` search visits each subset of the box
 choices once, and its cost grows exponentially in n, not factorially.
 
+Each search step classifies its sequent in one pass over each side, as
+multisets list their formulas grouped by kind.  The table key is hashed
+once: a sequent keeps its hash once worked out, and the branch history
+carries the hashes of its entries and its own.
+
 Countermodels come from exhaustive enumeration of finite reflexive partial
 orders (Grz frames: finiteness rules out infinite ascending chains), not
 from failed search branches.
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .syntax import (
-    Atom, Bottom, Box, Implies, BOT, Multiset, Sequent, EMPTY, mset,
+    Atom, Bottom, Box, Implies, Multiset, Sequent, EMPTY, mset,
     sequent_to_formula,
 )
 from .calculus import (
@@ -198,12 +203,50 @@ def find_countermodel(goal, max_size=4):
 # Proof search
 
 
-@dataclass
 class _SNode:
-    sequent: Sequent
-    inst: object = None       # RuleInstance, or None for a back-link leaf
-    children: tuple = ()
-    backlink: int = None      # index into the branch history
+    __slots__ = ('sequent', 'inst', 'children', 'backlink')
+
+    def __init__(self, sequent, inst=None, children=(), backlink=None):
+        self.sequent = sequent
+        self.inst = inst          # RuleInstance, or None for a back-link leaf
+        self.children = children
+        self.backlink = backlink  # index into the branch history
+
+
+class _History:
+    """The box right premises on a branch, oldest first, and their hashes.
+    Its own hash, part of every box-stage table key, is that of the hashes:
+    worked out once as the branch grows, without a call per sequent."""
+
+    __slots__ = ('sequents', 'hashes', '_hash')
+
+    def __init__(self, sequents=(), hashes=()):
+        self.sequents = sequents
+        self.hashes = hashes
+        self._hash = hash(hashes)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return self.sequents == other.sequents
+
+    def __len__(self):
+        return len(self.sequents)
+
+    def extend(self, s):
+        return _History(self.sequents + (s,), self.hashes + (hash(s),))
+
+    def backlink(self, s):
+        """The position of the newest entry equal to ``s``, leaving out the
+        newest entry of all, or None."""
+        h = hash(s)
+        if h in self.hashes:
+            seqs, hashes = self.sequents, self.hashes
+            for i in range(len(seqs) - 2, -1, -1):
+                if hashes[i] == h and seqs[i] == s:
+                    return i
+        return None
 
 
 @dataclass(frozen=True)
@@ -217,29 +260,45 @@ class Verdict:
 
 
 def _search(s, refl_done, history, max_crossings, table):
-    if BOT in s.ant:
-        return _SNode(s, ax_bottom(s))
-    for f in s.ant.distinct():
-        if isinstance(f, Atom) and f in s.suc:
-            return _SNode(s, ax_atom(s, f))
-    for f in s.suc.distinct():
-        if isinstance(f, Implies):
+    # A multiset lists falsity first, then atoms, then implications, then
+    # boxes.  So one pass over each side, stopping at the first formula of
+    # a later kind, finds what the rules need, in the order they are tried.
+    ant, suc = s.ant.items, s.suc.items
+    k = 0       # the number of antecedent atoms
+    for f in ant:
+        t = type(f)
+        if t is Atom:
+            if f in suc:
+                return _SNode(s, ax_atom(s, f))
+        elif t is Bottom:
+            return _SNode(s, ax_bottom(s))
+        else:
+            break
+        k += 1
+    j = 0       # the number of succedent formulas before the boxes
+    for f in suc:
+        t = type(f)
+        if t is Implies:
             inst = imp_r(s, f)
             sub = _search(inst.premises[0], refl_done, history,
                           max_crossings, table)
             return sub and _SNode(s, inst, (sub,))
-    for f in s.ant.distinct():
-        if isinstance(f, Implies):
-            inst = imp_l(s, f)
-            left = _search(inst.premises[0], refl_done, history,
-                           max_crossings, table)
-            if left is None:
-                return None
-            right = _search(inst.premises[1], refl_done, history,
-                            max_crossings, table)
-            return right and _SNode(s, inst, (left, right))
-    for f in s.ant.distinct():
-        if isinstance(f, Box) and f not in refl_done and f.inner not in s.ant:
+        if t is Box:
+            break
+        j += 1
+    if k < len(ant) and type(ant[k]) is Implies:
+        inst = imp_l(s, ant[k])
+        left = _search(inst.premises[0], refl_done, history,
+                       max_crossings, table)
+        if left is None:
+            return None
+        right = _search(inst.premises[1], refl_done, history,
+                        max_crossings, table)
+        return right and _SNode(s, inst, (left, right))
+    # What follows on either side is its boxes.
+    boxes = ant[k:]
+    for f in boxes:
+        if f not in refl_done and f.inner not in ant:
             inst = refl(s, f)
             sub = _search(inst.premises[0], refl_done | {f}, history,
                           max_crossings, table)
@@ -247,25 +306,19 @@ def _search(s, refl_done, history, max_crossings, table):
     # The box stage.  Only box choices reach a state twice, and the result
     # is a function of the key alone, so it is looked up and stored here,
     # in a cell, so that the key is hashed once.
-    cell = table.setdefault((s.ant, s.suc, refl_done, history), [])
+    cell = table.setdefault((s, refl_done, history), [])
     if cell:
         return cell[0]
     found = None
-    boxed = s.boxed_ant().dedupe()
-    for f in s.suc.distinct():
-        if not isinstance(f, Box):
-            continue
+    boxed = Multiset(dict.fromkeys(boxes))
+    for f in dict.fromkeys(suc[j:]):
         inst = box_inf(s, f, boxed)
         left = _search(inst.premises[0], refl_done, history, max_crossings,
                        table)
         if left is None:
             continue
         target_seq = inst.premises[1]
-        target = None
-        for j in range(len(history) - 2, -1, -1):
-            if history[j] == target_seq:
-                target = j
-                break
+        target = history.backlink(target_seq)
         if target is not None:
             right = _SNode(target_seq, None, (), target)
         else:
@@ -273,7 +326,7 @@ def _search(s, refl_done, history, max_crossings, table):
                 raise SearchLimitError(
                     'exceeded %d box crossings at %s' % (max_crossings, s))
             right = _search(target_seq, frozenset(),
-                            history + (target_seq,), max_crossings, table)
+                            history.extend(target_seq), max_crossings, table)
             if right is None:
                 continue
         found = _SNode(s, inst, (left, right))
@@ -282,31 +335,42 @@ def _search(s, refl_done, history, max_crossings, table):
     return found
 
 
+# A proof has a node per search step, so ``_to_cyclic`` fills in the slots
+# of each ``CyclicNode`` directly, without the frozen dataclass __init__.
+_set_id, _set_sequent, _set_inst, _set_children = (
+    getattr(CyclicNode, name).__set__ for name in CyclicNode.__slots__)
+
+
 def _to_cyclic(snode):
+    """The cyclic proof of a search result, its nodes numbered in preorder.
+    Search shares a tabled result between the places it is found; each
+    place gets nodes of its own here."""
     nodes = {}
     backlinks = {}
-    counter = [0]
+    new = object.__new__
 
     def build(sn, crossing_ids):
-        i = counter[0]
-        counter[0] += 1
+        i = len(nodes)
+        nodes[i] = node = new(CyclicNode)
+        _set_id(node, i)
+        _set_sequent(node, sn.sequent)
+        _set_inst(node, sn.inst)
         if sn.inst is None:
-            nodes[i] = CyclicNode(i, sn.sequent, None, ())
+            _set_children(node, ())
             backlinks[i] = crossing_ids[sn.backlink]
             return i
         kids = []
         for k, ch in enumerate(sn.children):
             if _crossing_child(sn.inst.rule, k) and ch.inst is not None:
                 # A fresh crossing: its id joins the branch history.
-                ci = counter[0]
-                kids.append(build(ch, crossing_ids + (ci,)))
+                kids.append(build(ch, crossing_ids + (len(nodes),)))
             else:
                 kids.append(build(ch, crossing_ids))
-        nodes[i] = CyclicNode(i, sn.sequent, sn.inst, tuple(kids))
+        _set_children(node, tuple(kids))
         return i
 
-    root = build(snode, ())
-    return CyclicProof(nodes, root, backlinks, System.GRZ_INF)
+    build(snode, ())
+    return CyclicProof(nodes, 0, backlinks, System.GRZ_INF)
 
 
 def decide(goal, max_crossings=64, max_model_size=4):
@@ -318,7 +382,7 @@ def decide(goal, max_crossings=64, max_model_size=4):
     if not isinstance(goal, Sequent):
         goal = Sequent(EMPTY, mset(goal))
     # The box-stage table lives for this call only.
-    sn = _search(goal, frozenset(), (), max_crossings, {})
+    sn = _search(goal, frozenset(), _History(), max_crossings, {})
     if sn is not None:
         return Verdict(proof=_to_cyclic(sn))
     cm = find_countermodel(goal, max_model_size)

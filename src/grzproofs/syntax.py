@@ -13,7 +13,8 @@ in use.
 
 Sequents use multisets on both sides.  Multisets are kept in a canonical
 sorted order so that structural equality and hashing behave like genuine
-multiset equality.
+multiset equality.  Multisets and sequents are not interned; each keeps
+its hash once it is worked out.
 
 The parser is an iterative precedence parser over the tokens of one
 regular expression, and the printer is iterative too, so formulas of any
@@ -28,7 +29,7 @@ import re
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
+from bisect import bisect_right
 from operator import attrgetter
 
 
@@ -256,15 +257,18 @@ class Multiset:
     """An immutable multiset of formulas with canonical ordering.
 
     Two multisets are equal iff they contain the same formulas with the
-    same multiplicities, regardless of construction order.
+    same multiplicities, regardless of construction order.  The canonical
+    order sorts by kind first (falsity, atoms, implications, boxes), so
+    the items of each kind are adjacent.  Edits keep that order without
+    sorting again.
     """
 
     # ``_hash`` is filled in on the first ``hash()``.
     __slots__ = ('_items', '_hash')
 
     def __init__(self, items=()):
-        object.__setattr__(self, '_items',
-                           tuple(sorted(items, key=_KEY)))
+        self._items = tuple(sorted(items, key=_KEY))
+        self._hash = None
 
     @property
     def items(self):
@@ -283,11 +287,13 @@ class Multiset:
         return isinstance(other, Multiset) and self._items == other._items
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = h = hash(self._items)
-            return h
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self._items)
+        return h
+
+    def __reduce__(self):
+        return Multiset, (self._items,)
 
     def __repr__(self):
         return 'Multiset([%s])' % ', '.join(str(f) for f in self._items)
@@ -296,13 +302,18 @@ class Multiset:
         return self._items.count(f)
 
     def add(self, *formulas):
-        return Multiset(self._items + tuple(formulas))
+        if len(formulas) != 1:
+            return Multiset(self._items + formulas)
+        f, = formulas
+        items = self._items
+        i = bisect_right(items, f._key, key=_KEY)
+        return _canonical(items[:i] + formulas + items[i:])
 
     def remove(self, f):
         """Remove one occurrence of ``f``; raises if absent."""
-        items = list(self._items)
-        items.remove(f)
-        return Multiset(items)
+        items = self._items
+        i = items.index(f)
+        return _canonical(items[:i] + items[i + 1:])
 
     def union(self, other):
         return Multiset(self._items + tuple(other))
@@ -313,13 +324,16 @@ class Multiset:
         for f in other:
             if f in items:
                 items.remove(f)
-        return Multiset(items)
+        return _canonical(tuple(items))
 
     def is_subset(self, other):
         """Counted inclusion."""
-        for f in set(self._items):
-            if self._items.count(f) > other.count(f):
-                return False
+        rest = list(other)
+        try:
+            for f in self._items:
+                rest.remove(f)
+        except ValueError:
+            return False
         return True
 
     def distinct(self):
@@ -335,7 +349,15 @@ class Multiset:
 
     def dedupe(self):
         """The underlying set, as a multiset with multiplicity one each."""
-        return Multiset(self.distinct())
+        return _canonical(self.distinct())
+
+
+def _canonical(items):
+    """The multiset of ``items``, a tuple already in canonical order."""
+    m = object.__new__(Multiset)
+    m._items = items
+    m._hash = None
+    return m
 
 
 EMPTY = Multiset()
@@ -349,10 +371,44 @@ def mset(*formulas):
 # Sequents
 
 
-@dataclass(frozen=True)
 class Sequent:
-    ant: Multiset
-    suc: Multiset
+    """A sequent ``ant => suc`` of two multisets.  Immutable, and equal to
+    any sequent of the same two multisets.  Its hash is that of the pair
+    ``(ant, suc)``, worked out on first use and kept; sequents are not
+    interned, so equal sequents may be distinct objects."""
+
+    __slots__ = ('ant', 'suc', '_hash')
+
+    def __init__(self, ant, suc):
+        _set_ant(self, ant)
+        _set_suc(self, suc)
+        _set_hash(self, None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError('sequents are immutable')
+
+    def __delattr__(self, name):
+        raise AttributeError('sequents are immutable')
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Sequent:
+            return NotImplemented
+        return (self.ant, self.suc) == (other.ant, other.suc)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.ant, self.suc))
+            _set_hash(self, h)
+        return h
+
+    def __reduce__(self):
+        return Sequent, (self.ant, self.suc)
+
+    def __repr__(self):
+        return 'Sequent(ant=%r, suc=%r)' % (self.ant, self.suc)
 
     def __str__(self):
         return format_sequent(self)
@@ -373,6 +429,11 @@ class Sequent:
             yield f
         for f in self.suc:
             yield f
+
+
+_set_ant = Sequent.ant.__set__
+_set_suc = Sequent.suc.__set__
+_set_hash = Sequent._hash.__set__
 
 
 def seq(ant, suc):

@@ -99,6 +99,17 @@ class TestMalformedProofJson:
         self.assert_input_error(tmp_path, capsys, data,
                                 "%s has no '%s' field" % (where, name))
 
+    @pytest.mark.parametrize('name', ['sequent', 'rule', 'principal',
+                                      'cut_formula'])
+    @pytest.mark.parametrize('value', [5, ['[]p']])
+    def test_text_field_that_is_not_a_string(self, tmp_path, capsys, name,
+                                             value):
+        data = self.proof_data(tmp_path)
+        data['nodes'][1][name] = value
+        self.assert_input_error(
+            tmp_path, capsys, data,
+            "node 1 has a '%s' field that is not a string" % name)
+
     @pytest.mark.parametrize('backlinks, message', [
         ({'0': 9}, 'back-link 0 -> 9 references a missing node'),
         ({}, 'node 0 has no rule and no back-link'),

@@ -77,25 +77,42 @@ class TestDecide:
         assert v.proof is None and v.countermodel is not None
 
     def test_box_choices_grow_exponentially_not_factorially(self,
-                                                            monkeypatch):
+                                                            search_calls):
         # => []q1, ..., []qn: each order of box choices reaches the same
         # states, which are searched once per decide call.
-        calls = [0]
-        search = prover._search
-
-        def counting(*args):
-            calls[0] += 1
-            return search(*args)
-
-        monkeypatch.setattr(prover, '_search', counting)
         counts = []
         for n in range(5, 10):
-            calls[0] = 0
+            search_calls[0] = 0
             text = ' => ' + ', '.join('[]q%d' % i for i in range(1, n + 1))
             assert not decide(parse_sequent(text)).is_proof
-            counts.append(calls[0])
+            counts.append(search_calls[0])
         for a, b in zip(counts, counts[1:]):
             assert b <= 3 * a, counts
+
+    @pytest.mark.parametrize('text, theorem, calls', [
+        (' => ' + ', '.join('[]q%d' % i for i in range(1, 9)), False, 1025),
+        ('[]p => %sp' % ('[]' * 8), True, 767),
+    ])
+    def test_search_visits_the_same_states(self, search_calls, text,
+                                           theorem, calls):
+        # The number of search calls, recursive ones included, as search
+        # made them before it classified each sequent in one pass.
+        assert decide(parse_sequent(text)).is_proof == theorem
+        assert search_calls[0] == calls
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """A one-element list counting the calls of ``prover._search``."""
+    calls = [0]
+    search = prover._search
+
+    def counting(*args):
+        calls[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(prover, '_search', counting)
+    return calls
 
 
 class TestCountermodels:

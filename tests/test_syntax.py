@@ -528,6 +528,29 @@ class TestMultiset:
         with pytest.raises(ValueError):
             mset(Q).remove(P)
 
+    @given(formula_lists, formula_lists, formulas)
+    def test_edits_give_the_items_of_a_fresh_sort(self, xs, ys, f):
+        # Edits build their items from the sorted items of their operands
+        # without sorting again.
+        def canonical(items):
+            return tuple(sorted(items, key=formula_key))
+
+        def minus(items, gone):
+            rest = list(items)
+            for g in gone:
+                if g in rest:
+                    rest.remove(g)
+            return rest
+
+        a, b = Multiset(xs), Multiset(ys)
+        assert a.add(f).items == canonical(xs + [f])
+        assert a.add(f, *ys).items == canonical(xs + [f] + ys)
+        assert a.union(b).items == canonical(xs + ys)
+        assert a.difference(b).items == canonical(minus(xs, ys))
+        assert a.dedupe().items == canonical(set(xs))
+        for g in set(xs):
+            assert a.remove(g).items == canonical(minus(xs, [g]))
+
     def test_dedupe_and_distinct(self):
         m = mset(P, P, Q)
         assert m.dedupe() == mset(P, Q)
@@ -539,6 +562,44 @@ class TestSequent:
     def test_boxed_ant(self):
         s = parse_sequent('p, []q, []p => p')
         assert s.boxed_ant() == mset(Box(Q), Box(P))
+
+    def test_hash_is_that_of_the_pair(self):
+        ant, suc = mset(P, Box(Q), P), mset(Implies(P, Q))
+        assert hash(Sequent(ant, suc)) == hash((ant, suc))
+
+    def test_repr_is_the_dataclass_text(self):
+        assert repr(parse_sequent('p, []q => p -> q')) == (
+            'Sequent(ant=Multiset([p, []q]), suc=Multiset([p -> q]))')
+
+    def test_sequents_are_immutable(self):
+        s = parse_sequent('p => q')
+        with pytest.raises(AttributeError):
+            s.ant = EMPTY
+        with pytest.raises(AttributeError):
+            s.other = 1
+        with pytest.raises(AttributeError):
+            del s.suc
+        assert s == parse_sequent('p => q')
+
+    @pytest.mark.parametrize('hashed', [False, True])
+    def test_copies_are_equal(self, hashed):
+        s = parse_sequent('[]p, p -> q => []q, false')
+        if hashed:
+            hash(s)
+        copies = [copy.copy(s), copy.deepcopy(s)] + [
+            pickle.loads(pickle.dumps(s, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for c in copies:
+            assert c == s and hash(c) == hash(s)
+            assert c.ant == s.ant and c.suc == s.suc
+
+    def test_equal_sequents_built_apart(self):
+        a = parse_sequent('p, []q => r')
+        b = Sequent(mset(Box(Q), P), mset(R))
+        other = parse_sequent('p, []q => q')
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != other and a != 'p, []q => r'
+        assert len({a, b, other}) == 2
 
     def test_is_initial(self):
         assert parse_sequent('p, q => p').is_initial()
