@@ -13,10 +13,10 @@ Four systems are supported:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import (
-    Atom, Bottom, Box, Implies, BOT, Multiset, Sequent, Formula, mset,
+    Atom, Box, Implies, BOT, Multiset, Sequent, Formula, mset,
 )
 
 

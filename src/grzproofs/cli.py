@@ -23,14 +23,13 @@ from .calculus import System, ax_general, ax_bottom, imp_r, imp_l, refl, \
 from .proofs import (
     leaf, eager, check_cyclic, unravel, cyclic_from_wf, wf_from_cyclic,
     dump_proof, load_proof, proof_to_dot, proof_to_json, cutfree_to_depth,
-    local_height,
 )
 from .transforms import (
     wk, build_cut, seq_to_inf, inf_to_seq, eliminate_cuts, slim,
     regularize, TransformError,
 )
 from .prover import (
-    decide, find_countermodel, Verdict, ProverError, SearchLimitError,
+    decide, find_countermodel, ProverError, SearchLimitError,
 )
 from .interpolation import lyndon, NotATheoremError, InterpolationError
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    Atom, Bottom, Box, Implies, BOT, TOP, Multiset, Sequent, EMPTY, mset,
+    Box, Implies, BOT, TOP, Multiset, Sequent, EMPTY, mset,
     neg, diamond, atom_polarities,
 )
-from .calculus import Rule, System
+from .calculus import Rule
 from .proofs import unravel, check_cyclic
 from .transforms import _trace_context
 

@@ -9,7 +9,12 @@ Two representations, with conversions:
                      of an infinite output on demand.  A finite proof is
                      usually built with its children in place (``eager``);
 * ``CyclicProof`` -- a finite tree plus back-links from leaves to inner
-                     ancestors, denoting a regular infinite tree.
+                     ancestors, denoting a regular infinite tree.  Its
+                     node ids are preorder positions, given by
+                     ``_from_preorder`` to the proofs of ``cyclic_from_wf``,
+                     ``regularize`` and ``grz_schema_proof``, and in the
+                     same way by proof search; a loaded proof keeps the
+                     ids of its file.
 
 A branch of an infinite proof is *guarded* when it passes through the right
 premise of the two-premise box rule infinitely often.  Checking guardedness
@@ -20,7 +25,8 @@ cycles) and preserved by construction everywhere else.
 The *n-fragment* of a lazy proof is the finite tree obtained by cutting
 every branch at its n-th crossing of a box right premise; the cut points
 become open leaves.  The 0-fragment is a single open leaf.  Local height,
-fragment equivalence and the proof metric are all defined from fragments.
+fragment equivalence and the proof metric are all defined from fragments;
+each walks the n-fragment of the lazy proof in place, without building it.
 
 Proofs serialize to JSON.  Loading parses each distinct sequent text and
 each distinct formula text once, and dumping prints each distinct formula
@@ -30,15 +36,13 @@ once; the memos live for one call.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .syntax import (
-    Sequent, Multiset, ParseMemo, PrintMemo, format_sequent, parse_sequent,
+    Sequent, ParseMemo, PrintMemo, format_sequent, parse_sequent,
 )
-from .calculus import (
-    Rule, RuleInstance, System, AXIOM_RULES, step_violations,
-)
+from .calculus import Rule, RuleInstance, System, step_violations
 
 
 # ---------------------------------------------------------------------------
@@ -124,69 +128,28 @@ def eager(inst, *children):
 # Fragments
 
 
-@dataclass(frozen=True)
-class Fragment:
-    """A finite initial part of a proof.  ``inst`` is None for an open
-    leaf, in which case only ``sequent`` is meaningful."""
-    sequent: Sequent
-    inst: RuleInstance = None
-    children: tuple = ()
-
-    @property
-    def is_open(self):
-        return self.inst is None
-
-
 def _crossing_child(rule, i):
     """Does the edge to child ``i`` of a ``rule`` node cross into a box
     right premise?"""
     return rule == Rule.BOX_INF and i == 1
 
 
-def fragment(proof, n):
-    """The n-fragment of a lazy proof.  Iterative to cope with deep trees."""
-    if n <= 0:
-        return Fragment(proof.root)
-
-    # Post-order construction with an explicit stack.
-    out = {}
-    stack = [(proof, 0, False)]
-    while stack:
-        p, count, expanded = stack.pop()
-        key = (id(p), count)
-        if not expanded:
-            if count >= n:
-                out[key] = Fragment(p.root)
-                continue
-            stack.append((p, count, True))
-            for i in range(p.inst.arity):
-                cc = count + 1 if _crossing_child(p.rule, i) else count
-                stack.append((p.child(i), cc, False))
-        else:
-            kids = []
-            for i in range(p.inst.arity):
-                cc = count + 1 if _crossing_child(p.rule, i) else count
-                kids.append(out[(id(p.child(i)), cc)])
-            out[key] = Fragment(p.root, p.inst, tuple(kids))
-    return out[(id(proof), 0)]
-
-
-def fragment_height(frag):
-    """Longest branch length, in edges.  Open leaves count as nodes."""
-    best = 0
-    stack = [(frag, 0)]
-    while stack:
-        f, d = stack.pop()
-        best = max(best, d)
-        for c in f.children:
-            stack.append((c, d + 1))
-    return best
-
-
 def local_height(proof):
     """Height of the 1-fragment: the length of the longest branch up to
-    the first crossing of a box right premise."""
-    return fragment_height(fragment(proof, 1))
+    the first crossing of a box right premise.  The crossing child is
+    forced and counts as an open leaf one edge below its parent."""
+    best = 0
+    stack = [(proof, 0)]
+    while stack:
+        p, d = stack.pop()
+        best = max(best, d)
+        for i in range(p.inst.arity):
+            c = p.child(i)
+            if _crossing_child(p.rule, i):
+                best = max(best, d + 1)
+            else:
+                stack.append((c, d + 1))
+    return best
 
 
 def frag_eq(a, b, n):
@@ -453,27 +416,37 @@ def unravel(proof):
     return build(proof.root)
 
 
+def _from_preorder(order, backlinks, system):
+    """The cyclic proof of a preorder list of ``(sequent, inst)`` pairs,
+    ``inst`` None for a back-link leaf.  Node ids are preorder positions:
+    the first child of node i is i + 1, and each later child follows the
+    subtree of the one before it.  ``backlinks`` maps leaf ids to target
+    ids."""
+    end = list(range(1, len(order) + 1))    # one past each subtree
+    kids = [()] * len(order)
+    for i in reversed(range(len(order))):
+        inst = order[i][1]
+        ks = []
+        for _ in range(inst.arity if inst is not None else 0):
+            ks.append(end[i])
+            end[i] = end[end[i]]
+        kids[i] = tuple(ks)
+    nodes = {i: CyclicNode(i, s, inst, kids[i])
+             for i, (s, inst) in enumerate(order)}
+    return CyclicProof(nodes, 0, backlinks, system)
+
+
 def cyclic_from_wf(proof, system=System.GRZ_SEQ):
-    """The cyclic proof, without back-links, of a finite proof.  Node ids
-    are preorder positions: the first child of node i is i + 1, and each
-    later child follows the subtree of the one before it."""
+    """The cyclic proof, without back-links, of a finite proof, its node
+    ids the preorder positions.  Iterative, so proofs of any depth
+    convert."""
     order = []
     stack = [proof]
     while stack:
         p = stack.pop()
-        order.append(p)
+        order.append((p.root, p.inst))
         stack.extend(reversed(p.children))
-    end = list(range(1, len(order) + 1))    # one past each subtree
-    kids = [()] * len(order)
-    for i in reversed(range(len(order))):
-        ks = []
-        for _ in range(order[i].inst.arity):
-            ks.append(end[i])
-            end[i] = end[end[i]]
-        kids[i] = tuple(ks)
-    nodes = {i: CyclicNode(i, p.root, p.inst, kids[i])
-             for i, p in enumerate(order)}
-    return CyclicProof(nodes, 0, {}, system)
+    return _from_preorder(order, {}, system)
 
 
 def wf_from_cyclic(proof):

@@ -336,7 +336,11 @@ def _search(s, refl_done, history, max_crossings, table):
 def _to_cyclic(snode):
     """The cyclic proof of a search result, its nodes numbered in preorder.
     Search shares a tabled result between the places it is found; each
-    place gets nodes of its own here."""
+    place gets nodes of its own here.  Unlike the other builders of
+    cyclic proofs it numbers them itself, recursively: ``_search`` already
+    recurses as deep, and an iterative walk through
+    ``proofs._from_preorder`` ran about twice as slow on the 12,287-node
+    proof of  []p => []^12 p."""
     nodes = {}
     backlinks = {}
 

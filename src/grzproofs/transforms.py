@@ -22,8 +22,7 @@ from .calculus import (
     ax_atom, ax_bottom, ax_general, imp_r, imp_l, refl, box_inf, box_grz, cut,
 )
 from .proofs import (
-    LazyProof, leaf, node, eager, CyclicProof, CyclicNode, unravel,
-    _crossing_child,
+    LazyProof, leaf, node, eager, unravel, _crossing_child, _from_preorder,
 )
 
 
@@ -397,61 +396,52 @@ def regularize(p, root_sequent=None, system=System.GRZ_INF,
 
     The input must be slim-enough for crossings to repeat (crossing
     sequents drawn from a finite set); otherwise the crossing cap trips
-    and a ``RegularizeError`` is raised.
+    and a ``RegularizeError`` is raised.  The walk is a preorder over an
+    explicit stack, so proofs of any depth fold; each child is forced
+    only when its turn comes, and node ids are preorder positions.
     """
     if root_sequent is not None and p.root != root_sequent:
         raise RegularizeError('proof roots %s, expected %s'
                               % (p.root, root_sequent))
-    nodes = {}
-    backlinks = {}
-    counter = [0]
+    order, backlinks = [], {}
+    parent, crossings = [], []      # of each node id
+    stack = []                      # (lazy node, child index, node id)
 
-    def alloc():
-        i = counter[0]
-        counter[0] += 1
+    def add(sequent, inst, up, ncross):
+        i = len(order)
         if i >= max_nodes:
             raise RegularizeError('regularization exceeded %d nodes'
                                   % max_nodes)
+        order.append((sequent, inst))
+        parent.append(up)
+        crossings.append(ncross)
         return i
 
-    def build(lp, ancestors, ncross):
-        # ancestors: tuple of (sequent, id, crossings-above-count)
-        i = alloc()
-        here = ancestors + ((lp.root, i, ncross),)
-        kids = []
-        for k in range(lp.inst.arity):
-            child = lp.child(k)
-            if _crossing_child(lp.rule, k):
-                s = child.root
-                target = None
-                for cs, ci, cc in reversed(here):
-                    if cs == s and cc <= ncross - 1:
-                        target = ci
-                        break
-                if target is not None:
-                    li = alloc()
-                    nodes[li] = CyclicNode(li, s, None, ())
-                    backlinks[li] = target
-                    kids.append(li)
-                    continue
-                if ncross + 1 > max_crossings:
-                    raise RegularizeError(
-                        'no repeating crossing within %d crossings; the '
-                        'input does not look regular' % max_crossings)
-                kids.append(build(child, here, ncross + 1))
-            else:
-                kids.append(build(child, here, ncross))
-        nodes[i] = CyclicNode(i, lp.root, lp.inst, tuple(kids))
-        return i
+    def visit(lp, up, ncross):
+        i = add(lp.root, lp.inst, up, ncross)
+        stack.extend((lp, k, i) for k in reversed(range(lp.inst.arity)))
 
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 100000))
-    try:
-        root = build(p, (), 0)
-    finally:
-        sys.setrecursionlimit(old)
-    return CyclicProof(nodes, root, backlinks, system)
+    visit(p, None, 0)
+    while stack:
+        lp, k, i = stack.pop()
+        child = lp.child(k)
+        ncross = crossings[i]
+        if _crossing_child(lp.rule, k):
+            s = child.root
+            j = i
+            while j is not None and (crossings[j] >= ncross
+                                     or order[j][0] != s):
+                j = parent[j]
+            if j is not None:
+                backlinks[add(s, None, i, ncross + 1)] = j
+                continue
+            if ncross + 1 > max_crossings:
+                raise RegularizeError(
+                    'no repeating crossing within %d crossings; the '
+                    'input does not look regular' % max_crossings)
+            ncross += 1
+        visit(child, i, ncross)
+    return _from_preorder(order, backlinks, system)
 
 
 # ---------------------------------------------------------------------------
@@ -459,51 +449,24 @@ def regularize(p, root_sequent=None, system=System.GRZ_INF,
 
 
 def grz_schema_proof(a):
-    """A cyclic cut-free proof of  [](([](A -> []A) -> A)) => A."""
+    """A cyclic cut-free proof of  [](([](A -> []A) -> A)) => A.  It is
+    built as a lazy knot, in which the right premise of the second box
+    step is the root again, and folded by ``regularize``."""
     box_a = Box(a)
-    g = Implies(Box(Implies(a, box_a)), a)
+    step = Implies(a, box_a)
+    g = Implies(Box(step), a)
     f = Box(g)
-    n0 = Sequent(mset(f), mset(a))
-
-    nodes = {}
-    counter = [0]
-
-    def alloc():
-        i = counter[0]
-        counter[0] += 1
-        return i
-
-    def append_lazy(lp):
-        """Copy a finite lazy proof into the node table."""
-        i = alloc()
-        kids = tuple(append_lazy(c) for c in lp.children)
-        nodes[i] = CyclicNode(i, lp.root, lp.inst, kids)
-        return i
-
-    i0 = alloc()
-    r0 = refl(n0, f)
-    i1 = alloc()
+    r0 = refl(Sequent(mset(f), mset(a)), f)
     r1 = imp_l(r0.premises[0], g)
-    i2 = append_lazy(ax_proof(mset(f), a, EMPTY))
-    i3 = alloc()
-    r3 = box_inf(r1.premises[1], Box(Implies(a, box_a)), mset(f))
-    i4 = alloc()
-    r4 = imp_r(r3.premises[0], Implies(a, box_a))
-    i5 = append_lazy(ax_proof(mset(f), a, mset(box_a)))
-    nodes[i4] = CyclicNode(i4, r4.conclusion, r4, (i5,))
-    i7 = alloc()
-    r7 = imp_r(r3.premises[1], Implies(a, box_a))
-    i8 = alloc()
+    r3 = box_inf(r1.premises[1], Box(step), mset(f))
+    r4 = imp_r(r3.premises[0], step)
+    r7 = imp_r(r3.premises[1], step)
     r8 = box_inf(r7.premises[0], box_a, mset(f))
-    i9 = append_lazy(ax_proof(mset(f), a, EMPTY))
-    i10 = alloc()
-    nodes[i10] = CyclicNode(i10, n0, None, ())
-    nodes[i8] = CyclicNode(i8, r8.conclusion, r8, (i9, i10))
-    nodes[i7] = CyclicNode(i7, r7.conclusion, r7, (i8,))
-    nodes[i3] = CyclicNode(i3, r3.conclusion, r3, (i4, i7))
-    nodes[i1] = CyclicNode(i1, r1.conclusion, r1, (i2, i3))
-    nodes[i0] = CyclicNode(i0, n0, r0, (i1,))
-    return CyclicProof(nodes, i0, {i10: i0}, System.GRZ_INF)
+    ax = ax_proof(mset(f), a, EMPTY)
+    root = eager(r0, eager(r1, ax, eager(
+        r3, eager(r4, ax_proof(mset(f), a, mset(box_a))),
+        eager(r7, node(r8, ax, lambda: root)))))
+    return regularize(root)
 
 
 # ---------------------------------------------------------------------------
@@ -578,27 +541,51 @@ def inf_to_seq(p, lam=frozenset()):
     the finitary calculus.  ``lam`` is the set of box contents whose
     unfolding obligations [](A -> []A) are carried in the antecedent; the
     result proves  Lam*, Gamma => Delta  for input root Gamma => Delta.
-    """
-    memo = {}
 
-    def go(q, lam):
+    The translation is a post-order over an explicit stack, so proofs of
+    any depth translate, and each (node, ``lam``) pair is translated
+    once.  Meeting a pair again inside its own translation means a loop
+    that never crosses a box right premise: an unguarded input, reported
+    as a ``TransformError``.
+    """
+    memo = {}                       # (id of node, lam) -> proof; None: open
+    root = (id(p), frozenset(lam))
+    stack = [(p, root[1], None)]    # (node, lam, its subproblems once open)
+    while stack:
+        q, lam, subs = stack.pop()
         key = (id(q), lam)
-        out = memo.get(key)
-        if out is not None:
-            return out
-        extra = _trace_context(lam)
-        c = q.root
-        target = Sequent(extra.union(c.ant), c.suc)
         inst = q.inst
         r = inst.rule
         pr = inst.principal
+        if subs is None:
+            if key in memo:
+                if memo[key] is None:
+                    raise TransformError('the proof loops at %s without '
+                                         'crossing a box right premise'
+                                         % q.root)
+                continue
+            memo[key] = None
+            if r == Rule.BOX_INF:
+                a = pr.inner
+                subs = (((q.child(0), lam),) if a in lam
+                        else ((q.child(1), frozenset(lam | {a})),))
+            elif r in _HOMOMORPHIC_RULES:
+                subs = tuple((q.child(k), lam) for k in range(inst.arity))
+            else:
+                subs = ()
+            stack.append((q, lam, subs))
+            stack.extend((c, m, None) for c, m in reversed(subs))
+            continue
+        kids = [memo[id(c), m] for c, m in subs]
+        extra = _trace_context(lam)
+        c = q.root
+        target = Sequent(extra.union(c.ant), c.suc)
         if r == Rule.AX_ATOM:
             out = leaf(ax_general(target, pr))
         elif r == Rule.AX_BOTTOM:
             out = leaf(ax_bottom(target))
         elif r in _HOMOMORPHIC_RULES:
-            out = eager(reinstance(inst, target),
-                        *[go(q.child(k), lam) for k in range(inst.arity)])
+            out = eager(reinstance(inst, target), *kids)
         elif r == Rule.BOX_INF:
             a = pr.inner
             trace = Box(Implies(a, pr))
@@ -607,24 +594,15 @@ def inf_to_seq(p, lam=frozenset()):
                 step_refl = refl(target, trace)
                 step_impl = imp_l(step_refl.premises[0], Implies(a, pr))
                 ax = leaf(ax_general(step_impl.premises[0], pr))
-                sub = wk(go(q.child(0), lam), EMPTY, mset(pr))
+                sub = wk(kids[0], EMPTY, mset(pr))
                 out = eager(step_refl, eager(step_impl, ax, sub))
             else:
                 pi = inst.premises[1].ant
-                chi = go(q.child(1), frozenset(lam | {a}))
-                out = eager(box_grz(target, pr, extra.union(pi)), chi)
+                out = eager(box_grz(target, pr, extra.union(pi)), kids[0])
         else:
             raise TransformError('cannot translate a %s step' % r.value)
         memo[key] = out
-        return out
-
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 100000))
-    try:
-        return go(p, frozenset(lam))
-    finally:
-        sys.setrecursionlimit(old)
+    return memo[root]
 
 
 # ---------------------------------------------------------------------------

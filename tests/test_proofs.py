@@ -9,8 +9,8 @@ from grzproofs.examples import grz_axiom_cyclic_proof
 from grzproofs.proofs import (
     CyclicNode, CyclicProof, Distance, check_cyclic, check_wf,
     cutfree_to_depth, cyclic_from_wf, distance, dump_proof, eager, frag_eq,
-    fragment, fragment_height, leaf, load_proof, local_height, proof_from_json,
-    proof_to_dot, proof_to_json, unravel, validate_to_depth, wf_from_cyclic,
+    leaf, load_proof, local_height, proof_from_json, proof_to_dot,
+    proof_to_json, unravel, validate_to_depth, wf_from_cyclic,
 )
 from grzproofs.prover import decide
 from grzproofs.syntax import (
@@ -100,16 +100,6 @@ class TestFragments:
         a = unravel(example)
         for n in range(6):
             assert frag_eq(a, a, n)
-
-    def test_fragment_height_matches_local_height(self, example):
-        a = unravel(example)
-        assert fragment_height(fragment(a, 1)) == local_height(a)
-
-    def test_deeper_fragments_are_taller(self, example):
-        a = unravel(example)
-        h1 = fragment_height(fragment(a, 1))
-        h2 = fragment_height(fragment(a, 2))
-        assert h2 > h1
 
     def test_distance_of_a_proof_to_itself_is_a_bound(self, example):
         a = unravel(example)

@@ -1,9 +1,11 @@
+import sys
+
 import pytest
 
 from grzproofs.calculus import Rule, System
 from grzproofs.proofs import (
-    check_cyclic, check_wf, cutfree_to_depth, frag_eq, local_height,
-    unravel, validate_to_depth, walk_to_depth,
+    check_cyclic, check_wf, cutfree_to_depth, frag_eq, load_proof,
+    local_height, unravel, validate_to_depth, walk_to_depth, wf_from_cyclic,
 )
 from grzproofs.prover import decide
 from grzproofs.syntax import (
@@ -19,7 +21,7 @@ from grzproofs.transforms import (
 )
 
 import helpers
-from helpers import complete_proofs
+from helpers import complete_proofs, refl_chain
 
 P, Q = Atom('p'), Atom('q')
 
@@ -253,6 +255,41 @@ class TestRegularize:
         base = unravel(grz_schema_proof(P))
         cyc = regularize(base)
         assert frag_eq(unravel(cyc), base, 6)
+
+    def test_reports_when_the_node_cap_is_exceeded(self):
+        base = unravel(grz_schema_proof(P))
+        with pytest.raises(RegularizeError, match='exceeded 5 nodes'):
+            regularize(base, max_nodes=5)
+
+
+class TestDeepProofs:
+    def test_a_1200_step_chain_runs_the_pipeline_at_the_default_limit(
+            self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError('the recursion limit was changed')
+
+        limit = sys.getrecursionlimit()
+        monkeypatch.setattr(sys, 'setrecursionlimit', refuse)
+        lazy = seq_to_inf(wf_from_cyclic(refl_chain(1200)))
+        out = regularize(slim(eliminate_cuts(lazy)))
+        report = check_cyclic(out)
+        assert report.ok, report.violations
+        wf = inf_to_seq(unravel(out))
+        report = check_wf(wf, System.GRZ_SEQ)
+        assert report.ok, report.violations
+        assert sys.getrecursionlimit() == limit
+
+    def test_inf_to_seq_reports_a_loop_without_a_crossing(self):
+        # Both premises of the box step link back to it, so its left
+        # premise loops once the right one has been crossed.
+        proof = load_proof("""{"system": "grz_inf", "nodes": [
+          {"id": 0, "sequent": "=> []p", "rule": "box_inf",
+           "principal": "[]p", "children": [1, 2]},
+          {"id": 1, "sequent": "=> []p", "rule": null, "children": []},
+          {"id": 2, "sequent": "=> []p", "rule": null, "children": []}],
+          "backlinks": {"1": 0, "2": 0}}""")
+        with pytest.raises(TransformError, match='without crossing'):
+            inf_to_seq(unravel(proof))
 
 
 class TestTranslations:
