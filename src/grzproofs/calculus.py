@@ -123,11 +123,15 @@ def refl(concl, principal):
     return RuleInstance(Rule.REFL, concl, (prem,), principal)
 
 
-def _box_context(concl, principal, pi):
-    """The boxed context ``pi`` of a box rule on ``principal``, checked."""
+def _box_principal(concl, principal):
     if not (isinstance(principal, Box) and principal in concl.suc):
         raise CalculusError('box principal %s not in succedent of %s'
                             % (principal, concl))
+
+
+def box_context(concl, pi):
+    """The boxed context ``pi`` of a box rule at ``concl``, checked.  The
+    box steps at one conclusion with one context can share the check."""
     if not isinstance(pi, Multiset):
         pi = Multiset(pi)
     if not all(isinstance(f, Box) for f in pi):
@@ -140,7 +144,12 @@ def _box_context(concl, principal, pi):
 def box_inf(concl, principal, pi):
     """The two-premise box rule.  ``pi`` is the multiset of boxed
     antecedent formulas retained in the right premise."""
-    pi = _box_context(concl, principal, pi)
+    return box_inf_step(concl, principal, box_context(concl, pi))
+
+
+def box_inf_step(concl, principal, pi):
+    """``box_inf`` with a context ``pi`` that ``box_context`` returned."""
+    _box_principal(concl, principal)
     a = principal.inner
     left = Sequent(concl.ant, concl.suc.remove(principal).add(a))
     right = Sequent(pi, mset(a))
@@ -149,7 +158,8 @@ def box_inf(concl, principal, pi):
 
 def box_grz(concl, principal, pi):
     """The finitary box rule with premise []Pi, [](A -> []A) => A."""
-    pi = _box_context(concl, principal, pi)
+    pi = box_context(concl, pi)
+    _box_principal(concl, principal)
     a = principal.inner
     prem = Sequent(pi.add(Box(Implies(a, principal))), mset(a))
     return RuleInstance(Rule.BOX_GRZ, concl, (prem,), principal)

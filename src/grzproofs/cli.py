@@ -193,12 +193,23 @@ def _cmd_check(args):
     return 1
 
 
+def _checked(proof, unraveled):
+    """``unraveled``, the lazy proof of ``proof``, once ``check_cyclic``
+    accepts ``proof``: a transformer need not end on an invalid proof.
+    Called after ``unravel`` or ``wf_from_cyclic``, so the faults that
+    they stop on keep their messages."""
+    report = check_cyclic(proof)
+    if not report.ok:
+        raise ValueError(report.violations[0])
+    return unraveled
+
+
 def _cmd_cutfree(args):
     proof = _read_proof(args.proof)
     if proof.system.is_finitary:
-        lazy = seq_to_inf(wf_from_cyclic(proof))
+        lazy = seq_to_inf(_checked(proof, wf_from_cyclic(proof)))
     else:
-        lazy = unravel(proof)
+        lazy = _checked(proof, unravel(proof))
     out = regularize(slim(eliminate_cuts(lazy)),
                      max_crossings=args.max_crossings)
     _write(dump_proof(out) + '\n', args.output)
@@ -207,14 +218,16 @@ def _cmd_cutfree(args):
 
 def _cmd_slim(args):
     proof = _read_proof(args.proof)
-    out = regularize(slim(unravel(proof)), max_crossings=args.max_crossings)
+    out = regularize(slim(_checked(proof, unravel(proof))),
+                     max_crossings=args.max_crossings)
     _write(dump_proof(out) + '\n', args.output)
     return 0
 
 
 def _cmd_regularize(args):
     proof = _read_proof(args.proof)
-    out = regularize(unravel(proof), max_crossings=args.max_crossings)
+    out = regularize(_checked(proof, unravel(proof)),
+                     max_crossings=args.max_crossings)
     _write(dump_proof(out) + '\n', args.output)
     return 0
 
@@ -222,11 +235,11 @@ def _cmd_regularize(args):
 def _cmd_translate(args):
     proof = _read_proof(args.proof)
     if args.to == 'seq':
-        wf = inf_to_seq(unravel(proof))
+        wf = inf_to_seq(_checked(proof, unravel(proof)))
         out = cyclic_from_wf(wf, System.GRZ_SEQ if cutfree_to_depth(wf, 1)
                              else System.GRZ_SEQ_CUT)
     else:
-        lazy = seq_to_inf(wf_from_cyclic(proof))
+        lazy = seq_to_inf(_checked(proof, wf_from_cyclic(proof)))
         out = regularize(slim(eliminate_cuts(lazy)),
                          max_crossings=args.max_crossings)
     _write(dump_proof(out) + '\n', args.output)

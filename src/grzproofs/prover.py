@@ -10,15 +10,25 @@ another crossing strictly in between, the branch closes with a back-link.
 
 The box rule is the only choice point, so only the box stage can meet a
 search state twice.  Its results, proofs and failures alike, are tabled
-for the length of one ``decide`` call, keyed by (sequent, set of
-``refl``-saturated formulas, branch history): a result depends on nothing
-else.  So on ``=> []q1, ..., []qn`` search visits each subset of the box
-choices once, and its cost grows exponentially in n, not factorially.
+for the length of one ``decide`` call, keyed by the sequent, the set of
+``refl``-saturated formulas, and the part of the branch history that a
+back-link further on could reach: the entries  Pi => A  with []A a
+subformula of the sequent, the newest kept apart from the set of the
+others, as no box step before the next crossing can link to it.  No other
+entry can ever equal a box right premise further on, so a result depends
+on nothing else, apart from the crossing bound: each entry also records
+how many crossings deep its search went, and is searched again where
+reusing it would pass the bound.  So on ``=> []q1, ..., []qn`` search
+visits each subset of the box choices once, and its cost grows
+exponentially in n, not factorially; on ``[]p => []^n p``, where both
+premises of each box step reach one box-stage sequent, it grows linearly
+in n.
+Back-link leaves name no target: ``_to_cyclic`` finds it on each leaf's
+own branch.
 
 Each search step classifies its sequent in one pass over each side, as
 multisets list their formulas grouped by kind.  The table key is hashed
-once: a sequent keeps its hash once worked out, and the branch history
-carries the hashes of its entries and its own.
+once, and a sequent keeps its hash once worked out.
 
 Countermodels come from exhaustive enumeration of finite reflexive partial
 orders (Grz frames: finiteness rules out infinite ascending chains), not
@@ -32,11 +42,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .syntax import (
-    Atom, Bottom, Box, Implies, Sequent, EMPTY, mset, sequent_to_formula,
-    _canonical,
+    Atom, Bottom, Box, Implies, Sequent, EMPTY, mset, sequent_subformulas,
+    sequent_to_formula, _canonical,
 )
 from .calculus import (
-    System, ax_atom, ax_bottom, imp_r, imp_l, refl, box_inf,
+    System, ax_atom, ax_bottom, imp_r, imp_l, refl, box_context,
+    box_inf_step,
 )
 from .proofs import CyclicProof, _crossing_child, _cyclic_node
 
@@ -208,43 +219,20 @@ class _SNode:
     sequent: Sequent
     inst: object = None       # RuleInstance, or None for a back-link leaf
     children: tuple = ()
-    backlink: int = None      # index into the branch history
 
 
-class _History:
-    """The box right premises on a branch, oldest first, and their hashes.
-    Its own hash, part of every box-stage table key, is that of the hashes:
-    worked out once as the branch grows, without a call per sequent."""
+class _Search:
+    """What one ``decide`` call's search keeps: its crossing bound, the
+    box-stage table, the boxed subformulas of each box-stage sequent, and
+    the deepest branch history length reached so far."""
 
-    __slots__ = ('sequents', 'hashes', '_hash')
+    __slots__ = ('max_crossings', 'table', 'boxes', 'reach')
 
-    def __init__(self, sequents=(), hashes=()):
-        self.sequents = sequents
-        self.hashes = hashes
-        self._hash = hash(hashes)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self.sequents == other.sequents
-
-    def __len__(self):
-        return len(self.sequents)
-
-    def extend(self, s):
-        return _History(self.sequents + (s,), self.hashes + (hash(s),))
-
-    def backlink(self, s):
-        """The position of the newest entry equal to ``s``, leaving out the
-        newest entry of all, or None."""
-        h = hash(s)
-        if h in self.hashes:
-            seqs, hashes = self.sequents, self.hashes
-            for i in range(len(seqs) - 2, -1, -1):
-                if hashes[i] == h and seqs[i] == s:
-                    return i
-        return None
+    def __init__(self, max_crossings):
+        self.max_crossings = max_crossings
+        self.table = {}
+        self.boxes = {}
+        self.reach = 0
 
 
 @dataclass(frozen=True)
@@ -257,7 +245,12 @@ class Verdict:
         return self.proof is not None
 
 
-def _search(s, refl_done, history, max_crossings, table):
+def _search(s, refl_done, history, st):
+    """A proof of ``s``, or None.  ``refl_done`` holds the boxed antecedent
+    formulas already unfolded by ``refl`` on this branch segment;
+    ``history`` holds the box right premises on the branch, oldest first,
+    as ``(principal, premise)`` pairs.  A back-link leaf is a bare
+    ``_SNode`` of its sequent: ``_to_cyclic`` finds its target."""
     # A multiset lists falsity first, then atoms, then implications, then
     # boxes.  So one pass over each side, stopping at the first formula of
     # a later kind, finds what the rules need, in the order they are tried.
@@ -278,86 +271,110 @@ def _search(s, refl_done, history, max_crossings, table):
         t = type(f)
         if t is Implies:
             inst = imp_r(s, f)
-            sub = _search(inst.premises[0], refl_done, history,
-                          max_crossings, table)
+            sub = _search(inst.premises[0], refl_done, history, st)
             return sub and _SNode(s, inst, (sub,))
         if t is Box:
             break
         j += 1
     if k < len(ant) and type(ant[k]) is Implies:
         inst = imp_l(s, ant[k])
-        left = _search(inst.premises[0], refl_done, history,
-                       max_crossings, table)
+        left = _search(inst.premises[0], refl_done, history, st)
         if left is None:
             return None
-        right = _search(inst.premises[1], refl_done, history,
-                        max_crossings, table)
+        right = _search(inst.premises[1], refl_done, history, st)
         return right and _SNode(s, inst, (left, right))
     # What follows on either side is its boxes.
     boxes = ant[k:]
     for f in boxes:
         if f not in refl_done and f.inner not in ant:
             inst = refl(s, f)
-            sub = _search(inst.premises[0], refl_done | {f}, history,
-                          max_crossings, table)
+            sub = _search(inst.premises[0], refl_done | {f}, history, st)
             return sub and _SNode(s, inst, (sub,))
-    # The box stage.  Only box choices reach a state twice, and the result
-    # is a function of the key alone, so it is looked up and stored here,
-    # in a cell, so that the key is hashed once.
-    cell = table.setdefault((s, refl_done, history), [])
-    if cell:
+    # The box stage, the only choice point.  Searching on from s, a
+    # back-link can only reach a history entry  Pi => A  with []A a
+    # subformula of s.  So the result depends on the history only through
+    # those entries: the older ones as a set, and the newest apart, as a
+    # back-link skips it here but not past the next crossing.  The table
+    # is keyed by that part of the history, in a cell, so that the key is
+    # hashed once.
+    n = len(history)
+    if n:
+        subs = st.boxes.get(s)
+        if subs is None:
+            subs = st.boxes[s] = frozenset(
+                f for f in sequent_subformulas(s) if type(f) is Box)
+        older = frozenset(p for f, p in history[:-1] if f in subs)
+        box, newest = history[-1]
+        visible = (older, newest if box in subs else None)
+    else:
+        older = visible = None
+    cell = st.table.setdefault((s, refl_done, visible), [])
+    # A cell also holds how many crossings deeper than its start its search
+    # went, failed branches included.  A reuse that would pass the bound
+    # searches again, so that it fails where a search without the table
+    # fails, with the same error.
+    if cell and n + cell[1] <= st.max_crossings:
+        st.reach = max(st.reach, n + cell[1])
         return cell[0]
+    # st.reach now follows this search; the caller's is merged back below.
+    outer, st.reach = st.reach, n
     found = None
-    boxed = _canonical(tuple(dict.fromkeys(boxes)))
+    boxed = box_context(s, _canonical(tuple(dict.fromkeys(boxes))))
     for f in dict.fromkeys(suc[j:]):
-        inst = box_inf(s, f, boxed)
-        left = _search(inst.premises[0], refl_done, history, max_crossings,
-                       table)
+        inst = box_inf_step(s, f, boxed)
+        left = _search(inst.premises[0], refl_done, history, st)
         if left is None:
             continue
-        target_seq = inst.premises[1]
-        target = history.backlink(target_seq)
-        if target is not None:
-            right = _SNode(target_seq, None, (), target)
+        target = inst.premises[1]
+        if older is not None and target in older:
+            right = _SNode(target)
         else:
-            if len(history) + 1 > max_crossings:
+            if n + 1 > st.max_crossings:
                 raise SearchLimitError(
-                    'exceeded %d box crossings at %s' % (max_crossings, s))
-            right = _search(target_seq, frozenset(),
-                            history.extend(target_seq), max_crossings, table)
+                    'exceeded %d box crossings at %s' % (st.max_crossings, s))
+            st.reach = max(st.reach, n + 1)
+            right = _search(target, frozenset(), history + ((f, target),),
+                            st)
             if right is None:
                 continue
         found = _SNode(s, inst, (left, right))
         break
-    cell.append(found)
+    cell[:] = found, st.reach - n
+    st.reach = max(st.reach, outer)
     return found
 
 
 def _to_cyclic(snode):
     """The cyclic proof of a search result, its nodes numbered in preorder.
     Search shares a tabled result between the places it is found; each
-    place gets nodes of its own here.  Unlike the other builders of
-    cyclic proofs it numbers them itself, recursively: ``_search`` already
+    place gets nodes of its own here.  A back-link leaf links to the newest
+    fresh crossing above it with its sequent, leaving out the newest of
+    all, as search's history did: so a shared subtree links within its own
+    branch wherever it is placed.  Unlike the other builders of cyclic
+    proofs it numbers the nodes itself, recursively: ``_search`` already
     recurses as deep, and an iterative walk through
     ``proofs._from_preorder`` ran about twice as slow on the 12,287-node
     proof of  []p => []^12 p."""
     nodes = {}
     backlinks = {}
 
-    def build(sn, crossing_ids):
+    def build(sn, crossings):
+        # ``crossings``: the fresh crossings on the path, oldest first, as
+        # (sequent, id) pairs.
         i = len(nodes)
         if sn.inst is None:
             nodes[i] = _cyclic_node(i, sn.sequent, None, ())
-            backlinks[i] = crossing_ids[sn.backlink]
+            backlinks[i] = next(d for s, d in reversed(crossings[:-1])
+                                if s == sn.sequent)
             return i
         nodes[i] = None       # holds id i until the node is built
         kids = []
         for k, ch in enumerate(sn.children):
             if _crossing_child(sn.inst.rule, k) and ch.inst is not None:
-                # A fresh crossing: its id joins the branch history.
-                kids.append(build(ch, crossing_ids + (len(nodes),)))
+                # A fresh crossing: it joins the branch history.
+                kids.append(build(ch, crossings + ((ch.sequent, len(nodes)),)))
             else:
-                kids.append(build(ch, crossing_ids))
+                kids.append(build(ch, crossings))
         nodes[i] = _cyclic_node(i, sn.sequent, sn.inst, tuple(kids))
         return i
 
@@ -373,8 +390,8 @@ def decide(goal, max_crossings=64, max_model_size=4):
     """
     if not isinstance(goal, Sequent):
         goal = Sequent(EMPTY, mset(goal))
-    # The box-stage table lives for this call only.
-    sn = _search(goal, frozenset(), _History(), max_crossings, {})
+    # The table and the rest of the search state live for this call only.
+    sn = _search(goal, frozenset(), (), _Search(max_crossings))
     if sn is not None:
         return Verdict(proof=_to_cyclic(sn))
     cm = find_countermodel(goal, max_model_size)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -160,6 +161,30 @@ class TestMalformedProofJson:
         del data['nodes'][2]
         message = 'node 1 has no rule and no back-link'
         self.assert_rejected(tmp_path, capsys, data, message, message)
+
+    @pytest.mark.parametrize('argv', [['regularize'], ['slim'], ['cutfree'],
+                                      ['translate', '--to', 'seq']])
+    def test_transforming_verbs_check_their_input(self, tmp_path, capsys,
+                                                  argv):
+        # The box step's premises both link back to it, so unfolding the
+        # proof never crosses into a right premise: without a check first,
+        # regularization runs to its node cap.
+        path = tmp_path / 'loop.json'
+        path.write_text(json.dumps({
+            'system': 'grz_inf',
+            'nodes': [{'id': 0, 'sequent': '=> []p', 'rule': 'box_inf',
+                       'principal': '[]p', 'children': [1, 2]},
+                      {'id': 1, 'sequent': '=> []p', 'rule': None,
+                       'children': []},
+                      {'id': 2, 'sequent': '=> []p', 'rule': None,
+                       'children': []}],
+            'backlinks': {'1': 0, '2': 0}}))
+        start = time.perf_counter()
+        assert run(*argv, str(path)) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            "error: box_inf: premises [' => []p', ' => []p']"
+            " do not match the rule schema (expected [' => p', ' => p'])\n")
 
 
 class TestDeepFiniteProofs:

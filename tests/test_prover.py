@@ -99,7 +99,7 @@ class TestDecide:
 
     @pytest.mark.parametrize('text, theorem, calls', [
         (' => ' + ', '.join('[]q%d' % i for i in range(1, 9)), False, 1025),
-        ('[]p => %sp' % ('[]' * 8), True, 767),
+        ('[]p => %sp' % ('[]' * 8), True, 47),
     ])
     def test_search_visits_the_same_states(self, search_calls, text,
                                            theorem, calls):
@@ -107,6 +107,20 @@ class TestDecide:
         # made them before it classified each sequent in one pass.
         assert decide(parse_sequent(text)).is_proof == theorem
         assert search_calls[0] == calls
+
+    def test_deep_boxes_search_grows_linearly(self, search_calls):
+        # []p => []^n p: both premises of each box step reach one box-stage
+        # sequent, the right one after refl, and the right one's extra
+        # history entry can be no back-link's target further on.  So they
+        # share one table entry.  The proof still spells out every branch.
+        counts = []
+        for n in range(6, 17):
+            search_calls[0] = 0
+            proof = decide(parse_sequent('[]p => %sp' % ('[]' * n))).proof
+            assert proof.size() == 3 * 2 ** n - 1
+            counts.append(search_calls[0])
+        steps = {b - a for a, b in zip(counts, counts[1:])}
+        assert len(steps) == 1, counts
 
 
 @pytest.fixture
@@ -210,3 +224,73 @@ def test_decide_output_bytes_are_unchanged():
             h.update(json.dumps([model.describe(), world],
                                 sort_keys=True).encode())
     assert h.hexdigest() == GOLDEN_DECIDE
+
+
+# sha256 of the outcomes below, as ``decide`` gave them when the table was
+# keyed by the whole branch history.
+GOLDEN_DECIDE_BOUNDED = ('35e80187046aaedc41a0114d73772830'
+                         '8d6006447a9fc1d81dd6b0de446c598d')
+
+
+def test_bounded_decide_outcomes_are_unchanged():
+    # Under a small crossing bound, reused table entries must not hide or
+    # move a SearchLimitError: each outcome is a proof, a countermodel, or
+    # the error, with its text.
+    goals = [parse_sequent(text) for text in HARD_GOALS]
+    goals += [goal_of(f) for f in formulas_up_to(6)]
+    h = hashlib.sha256()
+    for max_crossings in (1, 2, 3):
+        for g in goals:
+            try:
+                v = decide(g, max_crossings=max_crossings)
+            except prover.ProverError as e:
+                out = '%s: %s' % (type(e).__name__, e)
+            else:
+                if v.is_proof:
+                    out = dump_proof(v.proof)
+                else:
+                    model, world = v.countermodel
+                    out = json.dumps([model.describe(), world],
+                                     sort_keys=True)
+            h.update(out.encode())
+    assert h.hexdigest() == GOLDEN_DECIDE_BOUNDED
+
+
+@pytest.mark.parametrize('text, max_crossings', [
+    ('[]p, [][][](q -> p) => [][](([][]p -> false) -> []([](q -> []r)'
+     ' -> [][]r))', 4),
+    ('[]p, []([]q -> q -> p) => [][](([]([][]([](r -> p) -> q) -> r)'
+     ' -> false) -> [][][]p)', 5),
+    ('[]p, [][][]q, []((q -> []p) -> []r) => [][](([][][][]q -> false)'
+     ' -> [](p -> [][][][][]r))', 6),
+])
+def test_a_reuse_counts_the_deepest_crossing(text, max_crossings):
+    # Each goal meets one table entry at two history lengths, and the
+    # entry's search made its deepest crossing before some shallower
+    # steps.  At the second length that crossing passes the bound, so the
+    # entry is searched again and stops there, as search without the
+    # table did.
+    with pytest.raises(prover.SearchLimitError,
+                       match='exceeded %d box crossings at ' % max_crossings):
+        decide(parse_sequent(text), max_crossings=max_crossings)
+
+
+# sha256 of the proofs of the goals below, as ``decide`` gave them when the
+# table was keyed by the whole branch history.
+GOLDEN_NEWEST_ENTRY = ('d0c5158c4ca779a13747abef340b0128'
+                       'c5c6c8af06717ce0d381015a8e2d1aee')
+
+
+def test_the_newest_history_entry_is_part_of_the_key():
+    # With G the Grz axiom's antecedent, both conjuncts search  G => p
+    # just after a crossing: into  G => p  itself, which a back-link
+    # further on can reach, or into  => G -> p, which none can.  So the
+    # two searches may not share a table entry.
+    g = '[]([](p -> []p) -> p)'
+    h = hashlib.sha256()
+    for text in [' => [](%s -> p) & (%s -> []p)' % (g, g),
+                 ' => (%s -> []p) & [](%s -> p)' % (g, g)]:
+        proof = decide(parse_sequent(text)).proof
+        assert check_cyclic(proof).ok
+        h.update(dump_proof(proof).encode())
+    assert h.hexdigest() == GOLDEN_NEWEST_ENTRY
