@@ -3,7 +3,8 @@ interpolating, countermodel search, corpus generation, and DOT export.
 
 Exit codes: 0 success / valid / proved; 1 checked-and-negative (invalid
 proof, countermodel verdict, no countermodel found); 2 usage or input
-errors; 3 the search exceeded its bound, or the input is nested too deeply.
+errors; 3 the search exceeded its bound, the input is nested too deeply, or
+the program ran out of memory.
 """
 
 from __future__ import annotations
@@ -377,6 +378,10 @@ def main(argv=None):
     except RecursionError as e:
         # Neither is a formula too deep for a recursive step of the program.
         print('error: %s (input nested too deeply)' % e, file=sys.stderr)
+        return 3
+    except MemoryError:
+        # Nor a proof too large to build in the memory at hand.
+        print('error: out of memory', file=sys.stderr)
         return 3
 
 

@@ -22,7 +22,7 @@ from .calculus import (
     ax_atom, ax_bottom, ax_general, imp_r, imp_l, refl, box_inf, box_grz, cut,
 )
 from .proofs import (
-    LazyProof, leaf, node, eager, unravel, _crossing_child, _from_preorder,
+    LazyProof, leaf, node, eager, _crossing_child, _from_preorder,
 )
 
 
@@ -62,10 +62,8 @@ def _homomorphic(p, concl, rec):
     """The root step of ``p`` rebuilt at ``concl``.  Premise ``k`` gets the
     proof ``rec(k)``, built on demand; a fixed premise keeps its proof."""
     inst = reinstance(p.inst, concl)
-    return LazyProof(inst, tuple(
-        (lambda k=k: p.child(k)) if fixed_premise(inst.rule, k)
-        else (lambda k=k: rec(k))
-        for k in range(inst.arity)))
+    return LazyProof(inst, [p.child if fixed_premise(inst.rule, k) else rec
+                            for k in range(inst.arity)])
 
 
 def invert_imp_right(p, t):
@@ -294,11 +292,10 @@ def _re_box_tau(a, p, t):
             box_inf(Sequent(merged, mset(a, c)), a, pi_p),
             wk(p.child(1), pi_t.difference(pi_p), mset(c)),
             p.child(1))
-        return node(
-            box_inf(res, pr, merged),
-            lambda: _re_box(a, invert_box_right(p, pr), t.child(0)),
-            lambda: _re_box(a, p_side,
-                            wk(t.child(1), pi_p.difference(pi_t), EMPTY)))
+        return LazyProof(box_inf(res, pr, merged), make=lambda k: (
+            _re_box(a, invert_box_right(p, pr), t.child(0)) if k == 0
+            else _re_box(a, p_side,
+                         wk(t.child(1), pi_p.difference(pi_t), EMPTY))))
     return _homomorphic(t, res,
                         lambda k: _re_box(a, _side(inst, k, p), t.child(k)))
 
@@ -332,24 +329,20 @@ def contract_right(p, a):
 def eliminate_cuts(p):
     """Remove every cut from a (possibly infinite) proof.  Node sharing in
     the input is preserved, so regular inputs stay finitely presented."""
-    memo = {}
+    memo = {}       # keyed by node: lazy proofs compare by identity
 
     def go(q):
-        # The entry keeps q itself alive: a reduced cut node is otherwise
-        # unreferenced, and a recycled id must not hit its stale result.
-        hit = memo.get(id(q))
+        hit = memo.get(q)
         if hit is not None:
-            return hit[1]
+            return hit
         if q.rule == Rule.CUT:
             out = reduce_cut(q.inst.cut_formula, go(q.child(0)),
                              go(q.child(1)))
         elif q.is_leaf:
             out = q
         else:
-            out = LazyProof(q.inst,
-                            tuple((lambda i=i: go(q.child(i)))
-                                  for i in range(q.inst.arity)))
-        memo[id(q)] = (q, out)
+            out = LazyProof(q.inst, make=lambda k: go(q.child(k)))
+        memo[q] = out
         return out
 
     return go(p)
@@ -360,29 +353,28 @@ def slim(p):
     memo = {}
 
     def go(q):
-        hit = memo.get(id(q))
+        hit = memo.get(q)
         if hit is not None:
-            return hit[1]
+            return hit
         if q.is_leaf:
             out = q
-        elif q.rule == Rule.BOX_INF:
-            inst = q.inst
-            pi = inst.premises[1].ant
-            slim_pi = pi.dedupe()
+        else:
+            inst, extra = q.inst, ()
+            if q.rule == Rule.BOX_INF:
+                pi = inst.premises[1].ant
+                slim_pi = pi.dedupe()
+                extra = pi.difference(slim_pi)
+                inst = box_inf(inst.conclusion, inst.principal, slim_pi)
 
-            def right():
-                r = q.child(1)
-                for f in pi.difference(slim_pi):
-                    r = contract_left(r, f)
+            def make(k):
+                r = q.child(k)
+                if k == 1:
+                    for f in extra:
+                        r = contract_left(r, f)
                 return go(r)
 
-            out = node(box_inf(inst.conclusion, inst.principal, slim_pi),
-                       lambda: go(q.child(0)), right)
-        else:
-            out = LazyProof(q.inst,
-                            tuple((lambda i=i: go(q.child(i)))
-                                  for i in range(q.inst.arity)))
-        memo[id(q)] = (q, out)
+            out = LazyProof(inst, make=make)
+        memo[q] = out
         return out
 
     return go(p)
@@ -445,13 +437,12 @@ def regularize(p, root_sequent=None, system=System.GRZ_INF,
 
 
 # ---------------------------------------------------------------------------
-# The provability schema for box, as a cyclic proof
+# The provability schema for box, as a lazy knot and as a cyclic proof
 
 
-def grz_schema_proof(a):
-    """A cyclic cut-free proof of  [](([](A -> []A) -> A)) => A.  It is
-    built as a lazy knot, in which the right premise of the second box
-    step is the root again, and folded by ``regularize``."""
+def _grz_knot(a):
+    """A lazy cut-free proof of  [](([](A -> []A) -> A)) => A, tied as a
+    knot: the right premise of its second box step is the root again."""
     box_a = Box(a)
     step = Implies(a, box_a)
     g = Implies(Box(step), a)
@@ -466,7 +457,14 @@ def grz_schema_proof(a):
     root = eager(r0, eager(r1, ax, eager(
         r3, eager(r4, ax_proof(mset(f), a, mset(box_a))),
         eager(r7, node(r8, ax, lambda: root)))))
-    return regularize(root)
+    return root
+
+
+def grz_schema_proof(a):
+    """A cyclic cut-free proof of  [](([](A -> []A) -> A)) => A: the knot
+    folded by ``regularize``.  Its one back-link goes to its own root, so
+    it unravels to the same lazy tree as the knot."""
+    return regularize(_grz_knot(a))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +495,7 @@ _HOMOMORPHIC_RULES = (Rule.IMP_R, Rule.IMP_L, Rule.REFL, Rule.CUT)
 def seq_to_inf(p):
     """Compile a finite proof in the finitary calculus (with or without
     cut) into a lazy proof in the non-well-founded calculus with cut,
-    using the cyclic schema proof at each finitary box step."""
+    cutting against the lazy knot of the schema at each box step."""
     inst = p.inst
     r = inst.rule
     c = inst.conclusion
@@ -507,9 +505,8 @@ def seq_to_inf(p):
     if r == Rule.AX_BOTTOM:
         return leaf(ax_bottom(c))
     if r in _HOMOMORPHIC_RULES:
-        return LazyProof(reinstance(inst, c), tuple(
-            (lambda k=k: seq_to_inf(p.child(k)))
-            for k in range(inst.arity)))
+        return LazyProof(reinstance(inst, c),
+                         make=lambda k: seq_to_inf(p.child(k)))
     if r == Rule.BOX_GRZ:
         a = pr.inner
         trace = Box(Implies(a, pr))
@@ -521,7 +518,7 @@ def seq_to_inf(p):
         mu = eager(imp_r(Sequent(pi, mset(g)), g), xi)
         mu2 = eager(imp_r(Sequent(pi, mset(g, a)), g), xi2)
         nu = eager(box_inf(Sequent(pi, mset(f, a)), f, pi), mu2, mu)
-        theta = wk(unravel(grz_schema_proof(a)), pi, EMPTY)
+        theta = wk(_grz_knot(a), pi, EMPTY)
         lam = eager(cut(Sequent(pi, mset(a)), f), nu, theta)
         side = wk(lam, c.ant.difference(pi), c.suc.remove(pr))
         return eager(box_inf(c, pr, pi), side, lam)

@@ -46,6 +46,13 @@ class TestProve:
         assert err.startswith('error: ')
         assert err.endswith(' (input nested too deeply)\n')
 
+    def test_running_out_of_memory_exits_3(self, monkeypatch, capsys):
+        def exhausted(goal, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr('grzproofs.cli.decide', exhausted)
+        assert run('prove', 'p -> p') == 3
+        assert capsys.readouterr().err == 'error: out of memory\n'
+
 
 class TestCheck:
     def test_valid_proof(self, tmp_path, capsys):

@@ -1,15 +1,20 @@
+import gc
+import io
 import json
+import random
+import weakref
 from importlib import resources
 
 import pytest
 
-from grzproofs.calculus import Rule, System, ax_general, imp_r, refl
+from grzproofs.calculus import Rule, System, ax_general, imp_l, imp_r, refl
 from grzproofs import proofs, syntax
+from grzproofs.cli import random_wf_proof
 from grzproofs.examples import grz_axiom_cyclic_proof
 from grzproofs.proofs import (
-    CyclicNode, CyclicProof, Distance, check_cyclic, check_wf,
+    CyclicNode, CyclicProof, Distance, LazyProof, check_cyclic, check_wf,
     cutfree_to_depth, cyclic_from_wf, distance, dump_proof, eager, frag_eq,
-    leaf, load_proof, local_height, proof_from_json, proof_to_dot,
+    leaf, load_proof, local_height, node, proof_from_json, proof_to_dot,
     proof_to_json, unravel, validate_to_depth, wf_from_cyclic,
 )
 from grzproofs.prover import decide
@@ -87,6 +92,48 @@ class TestlazyProofs:
         assert r.rule == Rule.REFL
         assert not r.is_leaf
         assert len(r.children) == 1
+
+    def test_a_made_child_of_another_sequent_is_rejected_alike(self):
+        inst = imp_r(parse_sequent('p => p -> p'), Implies(P, P))
+        wrong = leaf(ax_general(parse_sequent('q => q'), Q))
+        texts = []
+        for p in (eager(inst, wrong), LazyProof(inst, make=lambda k: wrong)):
+            with pytest.raises(ValueError) as e:
+                p.child(0)
+            texts.append(str(e.value))
+        assert texts == ['child 0 proves q => q, expected premise '
+                         'p, p => p (rule imp_r at p => p -> p)'] * 2
+
+    def test_a_wrong_number_of_children_is_rejected(self):
+        inst = imp_r(parse_sequent('p => p -> p'), Implies(P, P))
+        with pytest.raises(ValueError,
+                           match='^arity mismatch: 0 thunks for 1 premises$'):
+            LazyProof(inst, [])
+        with pytest.raises(ValueError,
+                           match='^arity mismatch: 2 thunks for 1 premises$'):
+            node(inst, small_wf_proof().child(0), small_wf_proof().child(0))
+
+    def test_a_node_forced_in_full_holds_no_closure(self):
+        inst = imp_l(parse_sequent('p, p -> p => p'), Implies(P, P))
+
+        class State:
+            pass
+
+        state = State()
+        alive = weakref.ref(state)
+
+        def make(k, state=state):
+            return leaf(ax_general(inst.premises[k], P))
+
+        p = LazyProof(inst, make=make)
+        del state, make
+        p.child(1)
+        gc.collect()
+        assert alive() is not None      # premise 0 may still need it
+        p.child(0)
+        gc.collect()
+        assert alive() is None
+        assert [c.root for c in p.children] == list(inst.premises)
 
 
 class TestFragments:
@@ -190,6 +237,31 @@ class TestSerialization:
         assert dot.startswith('digraph')
         assert 'dashed' in dot
         assert 'refl' in dot
+
+    def test_dump_writes_what_json_dumps_writes(self, example,
+                                                cutfree_chain_json):
+        rng = random.Random(0)
+        corpus = [cyclic_from_wf(random_wf_proof(rng), System.GRZ_SEQ_CUT)
+                  for _ in range(30)]
+        # A loaded file may name its nodes by strings; they dump as such.
+        data = proof_to_json(example)
+        for n in data['nodes']:
+            n['id'] = str(n['id'])
+            n['children'] = [str(c) for c in n['children']]
+        data['backlinks'] = {a: str(d) for a, d in data['backlinks'].items()}
+        named = proof_from_json(data)
+        proofs = [example, named, load_proof(cutfree_chain_json)] + corpus
+        insts = [n.inst for p in proofs for n in p.nodes.values() if n.inst]
+        assert any(p.backlinks for p in proofs)
+        assert any(not p.backlinks for p in proofs)
+        assert any(i.cut_formula is not None for i in insts)
+        assert any(i.arity == 0 for i in insts)
+        for p in proofs:
+            text = json.dumps(proof_to_json(p), indent=2)
+            assert dump_proof(p) == text
+            fp = io.StringIO()
+            dump_proof(p, fp)
+            assert fp.getvalue() == text + '\n'
 
     def test_finitary_proof_serializes(self):
         cyc = cyclic_from_wf(small_wf_proof(), System.GRZ_SEQ)

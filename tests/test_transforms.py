@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -18,6 +19,7 @@ from grzproofs.transforms import (
     eliminate_cuts, grz_schema_proof, inf_to_seq, invert, invert_bottom,
     invert_box_right, invert_imp_antecedent, invert_imp_left,
     invert_imp_right, re, reduce_cut, regularize, seq_to_inf, slim, wk,
+    _grz_knot,
 )
 
 import helpers
@@ -292,6 +294,39 @@ class TestDeepProofs:
             inf_to_seq(unravel(proof))
 
 
+def _grz(x):
+    """The Grz axiom []([](x -> []x) -> x)."""
+    return Box(Implies(Box(Implies(x, Box(x))), x))
+
+
+class TestCutfreeCompositions:
+    def test_seeded_compositions_with_backlinks_stay_valid(self):
+        # Random inputs rarely give a cut-free proof with a back-link; a
+        # Grz axiom as the left cut premise does, through the schema knot.
+        rng = random.Random(0)
+        small = helpers.formulas_up_to(2)
+        outs = []
+        while len(outs) < 30:
+            x = rng.choice(small)
+            a = rng.choice((_grz(x), Box(x), x, rng.choice(small)))
+            b = rng.choice((Box(x), x, rng.choice(small),
+                            Box(rng.choice(small))))
+            c = rng.choice((x, rng.choice(small), Box(rng.choice(small))))
+            verdicts = [decide(Sequent(mset(lhs), mset(rhs)))
+                        for lhs, rhs in ((a, b), (b, c))]
+            if any(v.proof is None for v in verdicts):
+                continue
+            halves = [inf_to_seq(unravel(v.proof)) for v in verdicts]
+            wf = build_cut(halves[0], halves[1], b)
+            out = regularize(slim(eliminate_cuts(seq_to_inf(wf))))
+            report = check_cyclic(out)
+            assert report.ok, (a, b, c, report.violations)
+            report = check_wf(inf_to_seq(unravel(out)), System.GRZ_SEQ)
+            assert report.ok, (a, b, c, report.violations)
+            outs.append(out)
+        assert sum(bool(out.backlinks) for out in outs) >= 3
+
+
 class TestTranslations:
     THEOREMS = ['p -> p', '[]p -> p', '[]p -> [][]p',
                 '[](p -> q) -> ([]p -> []q)']
@@ -327,6 +362,14 @@ class TestSchemaProof:
         cyc = grz_schema_proof(parse_formula(text))
         report = check_cyclic(cyc)
         assert report.ok, report.violations
+
+    @pytest.mark.parametrize('text', ['p', 'p -> q', '[]p'])
+    def test_the_one_backlink_ties_the_knot_at_the_root(self, text):
+        # So the fold unravels to the knot that seq_to_inf uses directly.
+        a = parse_formula(text)
+        cyc = grz_schema_proof(a)
+        assert list(cyc.backlinks.values()) == [cyc.root]
+        assert frag_eq(unravel(cyc), _grz_knot(a), 8)
 
     def test_concludes_the_axiom_sequent(self):
         a = parse_formula('p -> q')
