@@ -1,10 +1,12 @@
 """Command-line interface: proving, checking, transforming, translating,
 interpolating, countermodel search, corpus generation, and DOT export.
 
-Exit codes: 0 success / valid / proved; 1 checked-and-negative (invalid
-proof, countermodel verdict, no countermodel found); 2 usage or input
-errors; 3 the search exceeded its bound, the input is nested too deeply, or
-the program ran out of memory.
+Each verb takes only the options it reads.  Exit codes: 0 success /
+valid / proved; 1 checked-and-negative (invalid proof, countermodel
+verdict, no countermodel found); 2 usage or input errors; 3 a resource
+limit was hit (the search passed ``--max-crossings``, ``regularize`` passed
+its crossing or node cap), the input is nested too deeply, or the program
+ran out of memory.
 """
 
 from __future__ import annotations
@@ -17,22 +19,20 @@ from operator import itemgetter
 
 from .syntax import (
     Atom, Box, Implies, BOT, Multiset, Sequent, EMPTY, mset,
-    parse_formula, parse_sequent, ParseError,
+    parse_formula, parse_sequent,
 )
 from .calculus import System, ax_general, ax_bottom, imp_r, imp_l, refl, \
     box_grz
 from .proofs import (
-    leaf, eager, check_cyclic, unravel, cyclic_from_wf, wf_from_cyclic,
-    dump_proof, load_proof, proof_to_dot, proof_to_json, cutfree_to_depth,
+    ResourceLimitError, leaf, eager, check_cyclic, unravel, cyclic_from_wf,
+    wf_from_cyclic, dump_proof, load_proof, proof_to_dot, cutfree_to_depth,
+    _json_text,
 )
 from .transforms import (
-    wk, build_cut, seq_to_inf, inf_to_seq, eliminate_cuts, slim,
-    regularize, TransformError,
+    wk, build_cut, seq_to_inf, inf_to_seq, eliminate_cuts, slim, regularize,
 )
-from .prover import (
-    decide, find_countermodel, ProverError, SearchLimitError,
-)
-from .interpolation import lyndon, NotATheoremError, InterpolationError
+from .prover import decide, find_countermodel, ProverError
+from .interpolation import lyndon, NotATheoremError
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def random_wf_proof(rng, steps=6):
                                 rand_ms().add(Box(a)))
                 inst = box_grz(concl, Box(a), pi)
                 pool.append((eager(inst, prem), 1 + n))
-        except (TransformError, ValueError):
+        except ValueError:
             continue
     return max(pool, key=itemgetter(1))[0]
 
@@ -162,23 +162,32 @@ def _write(text, output):
         sys.stdout.write(text)
 
 
-def _cmd_prove(args):
-    goal = _parse_goal(args.goal)
-    verdict = decide(goal, max_crossings=args.max_crossings,
-                     max_model_size=args.max_model_size)
-    if verdict.is_proof:
-        _write(dump_proof(verdict.proof) + '\n', args.output)
-        return 0
-    model, world = verdict.countermodel
-    payload = {'countermodel': model.describe(), 'world': world}
-    _write(json.dumps(payload, indent=2) + '\n', args.output)
-    return 1
+def _write_proof(proof, args):
+    _write(dump_proof(proof) + '\n', args.output)
+    return 0
+
+
+def _countermodel_text(found):
+    """The JSON text of a countermodel and the world that refutes the
+    goal in it."""
+    model, world = found
+    return json.dumps({'countermodel': model.describe(), 'world': world},
+                      indent=2)
 
 
 def _parse_goal(text):
     if '=>' in text:
         return parse_sequent(text)
     return Sequent(EMPTY, mset(parse_formula(text)))
+
+
+def _cmd_prove(args):
+    verdict = decide(_parse_goal(args.goal), max_crossings=args.max_crossings,
+                     max_model_size=args.max_model_size)
+    if verdict.is_proof:
+        return _write_proof(verdict.proof, args)
+    _write(_countermodel_text(verdict.countermodel) + '\n', args.output)
+    return 1
 
 
 def _cmd_check(args):
@@ -205,57 +214,54 @@ def _checked(proof, unraveled):
     return unraveled
 
 
-def _cmd_cutfree(args):
-    proof = _read_proof(args.proof)
-    if proof.system.is_finitary:
+def _cutfree(proof, args, finitary):
+    """The cut-free, slim, folded proof that ``cutfree`` writes, and
+    ``translate --to inf`` too: a ``finitary`` proof is translated into
+    the non-well-founded calculus first."""
+    if finitary:
         lazy = seq_to_inf(_checked(proof, wf_from_cyclic(proof)))
     else:
         lazy = _checked(proof, unravel(proof))
-    out = regularize(slim(eliminate_cuts(lazy)),
-                     max_crossings=args.max_crossings)
-    _write(dump_proof(out) + '\n', args.output)
-    return 0
+    return regularize(slim(eliminate_cuts(lazy)),
+                      max_crossings=args.max_crossings)
+
+
+def _cmd_cutfree(args):
+    proof = _read_proof(args.proof)
+    return _write_proof(_cutfree(proof, args, proof.system.is_finitary),
+                        args)
 
 
 def _cmd_slim(args):
     proof = _read_proof(args.proof)
-    out = regularize(slim(_checked(proof, unravel(proof))),
-                     max_crossings=args.max_crossings)
-    _write(dump_proof(out) + '\n', args.output)
-    return 0
+    return _write_proof(regularize(slim(_checked(proof, unravel(proof))),
+                                   max_crossings=args.max_crossings), args)
 
 
 def _cmd_regularize(args):
     proof = _read_proof(args.proof)
-    out = regularize(_checked(proof, unravel(proof)),
-                     max_crossings=args.max_crossings)
-    _write(dump_proof(out) + '\n', args.output)
-    return 0
+    return _write_proof(regularize(_checked(proof, unravel(proof)),
+                                   max_crossings=args.max_crossings), args)
 
 
 def _cmd_translate(args):
     proof = _read_proof(args.proof)
-    if args.to == 'seq':
-        wf = inf_to_seq(_checked(proof, unravel(proof)))
-        out = cyclic_from_wf(wf, System.GRZ_SEQ if cutfree_to_depth(wf, 1)
-                             else System.GRZ_SEQ_CUT)
-    else:
-        lazy = seq_to_inf(_checked(proof, wf_from_cyclic(proof)))
-        out = regularize(slim(eliminate_cuts(lazy)),
-                         max_crossings=args.max_crossings)
-    _write(dump_proof(out) + '\n', args.output)
-    return 0
+    if args.to == 'inf':
+        return _write_proof(_cutfree(proof, args, True), args)
+    wf = inf_to_seq(_checked(proof, unravel(proof)))
+    return _write_proof(cyclic_from_wf(
+        wf, System.GRZ_SEQ if cutfree_to_depth(wf, 1)
+        else System.GRZ_SEQ_CUT), args)
 
 
 def _cmd_interpolate(args):
     try:
         result = lyndon(parse_formula(args.a), parse_formula(args.b),
+                        max_crossings=args.max_crossings,
                         max_model_size=args.max_model_size)
     except NotATheoremError as e:
-        model, world = e.countermodel
         print('not a theorem; countermodel:')
-        print(json.dumps({'countermodel': model.describe(), 'world': world},
-                         indent=2))
+        print(_countermodel_text(e.countermodel))
         return 1
     print('interpolant: %s' % result.interpolant)
     print('left obligation:  %s   (proved)' % result.left_obligation)
@@ -265,25 +271,22 @@ def _cmd_interpolate(args):
 
 
 def _cmd_countermodel(args):
-    goal = _parse_goal(args.goal)
-    found = find_countermodel(goal, args.max_model_size)
+    found = find_countermodel(_parse_goal(args.goal), args.max_model_size)
     if found is None:
         print('no countermodel up to %d worlds' % args.max_model_size)
         return 1
-    model, world = found
-    print(json.dumps({'countermodel': model.describe(), 'world': world},
-                     indent=2))
+    print(_countermodel_text(found))
     return 0
 
 
 def _cmd_corpus(args):
     rng = random.Random(args.seed)
-    proofs = []
-    for _ in range(args.count):
-        wf = random_wf_proof(rng, steps=args.steps)
-        proofs.append(cyclic_from_wf(wf, System.GRZ_SEQ_CUT))
-    payload = [proof_to_json(p) for p in proofs]
-    _write(json.dumps(payload, indent=2) + '\n', args.output)
+    texts = [_json_text(cyclic_from_wf(random_wf_proof(rng, steps=args.steps),
+                                       System.GRZ_SEQ_CUT))
+             for _ in range(args.count)]
+    # The layout of json.dumps(..., indent=2) on the list of proofs.
+    body = ',\n'.join('  ' + t.replace('\n', '\n  ') for t in texts)
+    _write('[\n%s\n]\n' % body if texts else '[]\n', args.output)
     return 0
 
 
@@ -300,81 +303,59 @@ def build_parser():
                     'for the modal logic Grz.')
     sub = ap.add_subparsers(dest='verb', required=True)
 
-    def common(p, output=True):
-        p.add_argument('--max-crossings', type=int, default=64)
-        p.add_argument('--max-model-size', type=int, default=4)
+    def verb(name, fn, help, *operands, crossings=False, models=False,
+             output=True):
+        """A verb with its operands and the options that ``fn`` reads."""
+        p = sub.add_parser(name, help=help)
+        for operand in operands:
+            p.add_argument(operand)
+        if crossings:
+            p.add_argument('--max-crossings', type=int, default=64)
+        if models:
+            p.add_argument('--max-model-size', type=int, default=4)
         if output:
             p.add_argument('-o', '--output')
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser('prove', help='decide a formula or sequent')
-    p.add_argument('goal')
-    common(p)
-    p.set_defaults(fn=_cmd_prove)
-
-    p = sub.add_parser('check', help='validate a proof JSON file')
-    p.add_argument('proof')
-    common(p, output=False)
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser('cutfree', help='eliminate cuts from a proof')
-    p.add_argument('proof')
-    common(p)
-    p.set_defaults(fn=_cmd_cutfree)
-
-    p = sub.add_parser('slim', help='slim and regularize a cyclic proof')
-    p.add_argument('proof')
-    common(p)
-    p.set_defaults(fn=_cmd_slim)
-
-    p = sub.add_parser('regularize', help='fold a cyclic proof minimally')
-    p.add_argument('proof')
-    common(p)
-    p.set_defaults(fn=_cmd_regularize)
-
-    p = sub.add_parser('translate',
-                       help='translate between the finitary and '
-                            'non-well-founded calculi')
-    p.add_argument('proof')
-    p.add_argument('--to', choices=['seq', 'inf'], required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_translate)
-
-    p = sub.add_parser('interpolate', help='Lyndon interpolant of A -> B')
-    p.add_argument('a')
-    p.add_argument('b')
-    common(p, output=False)
-    p.set_defaults(fn=_cmd_interpolate)
-
-    p = sub.add_parser('countermodel', help='search for a finite countermodel')
-    p.add_argument('goal')
-    common(p, output=False)
-    p.set_defaults(fn=_cmd_countermodel)
-
-    p = sub.add_parser('corpus', help='generate random proofs with cut')
-    p.add_argument('--count', type=int, default=10)
-    p.add_argument('--seed', type=int, default=0)
-    p.add_argument('--steps', type=int, default=6)
-    p.add_argument('-o', '--output')
-    p.set_defaults(fn=_cmd_corpus)
-
-    p = sub.add_parser('export-dot', help='render a proof as Graphviz DOT')
-    p.add_argument('proof')
-    p.add_argument('-o', '--output')
-    p.set_defaults(fn=_cmd_export_dot)
-
+    verb('prove', _cmd_prove, 'decide a formula or sequent', 'goal',
+         crossings=True, models=True)
+    verb('check', _cmd_check, 'validate a proof JSON file', 'proof',
+         output=False)
+    verb('cutfree', _cmd_cutfree, 'eliminate cuts from a proof', 'proof',
+         crossings=True)
+    verb('slim', _cmd_slim, 'slim and regularize a cyclic proof', 'proof',
+         crossings=True)
+    verb('regularize', _cmd_regularize, 'fold a cyclic proof minimally',
+         'proof', crossings=True)
+    verb('translate', _cmd_translate, 'translate between the finitary and '
+         'non-well-founded calculi', 'proof', crossings=True).add_argument(
+        '--to', choices=['seq', 'inf'], required=True)
+    verb('interpolate', _cmd_interpolate, 'Lyndon interpolant of A -> B',
+         'a', 'b', crossings=True, models=True, output=False)
+    verb('countermodel', _cmd_countermodel,
+         'search for a finite countermodel', 'goal', models=True,
+         output=False)
+    p = verb('corpus', _cmd_corpus, 'generate random proofs with cut')
+    for name, default in (('--count', 10), ('--seed', 0), ('--steps', 6)):
+        p.add_argument(name, type=int, default=default)
+    verb('export-dot', _cmd_export_dot, 'render a proof as Graphviz DOT',
+         'proof')
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, TransformError, InterpolationError, ProverError,
-            OSError, ValueError) as e:
+    except ResourceLimitError as e:
+        # An exhausted search or fold is not an input error: the input may
+        # be fine.
         print('error: %s' % e, file=sys.stderr)
-        # An exhausted search is not an input error: the input may be fine.
-        return 3 if isinstance(e, SearchLimitError) else 2
+        return 3
+    except (ProverError, OSError, ValueError) as e:
+        print('error: %s' % e, file=sys.stderr)
+        return 2
     except RecursionError as e:
         # Neither is a formula too deep for a recursive step of the program.
         print('error: %s (input nested too deeply)' % e, file=sys.stderr)

@@ -2,12 +2,15 @@
 
 The root sequent is split into two parts Gamma1, Gamma2 => Delta1, Delta2
 and the extraction walks the (unraveled) proof, maintaining the split and
-two sets Lambda1 / Lambda2 of box contents already crossed on each side.
-A box crossing on a fresh content A descends into the right premise with
-A added to the owning side's Lambda and prefixes the sub-interpolant with
-[] (when []A sits in Delta2) or <> (when it sits in Delta1); a crossing on
-a recorded content stays in the left premise, which keeps the recursion
-finite on cyclic proofs.
+two sets Lambda1 / Lambda2 of box contents already crossed on each side,
+both empty at the root.  Each rule has one case: the part that holds the
+principal formula is edited, and where the two sides differ, the side's
+index picks the constructor (| or & at an ImpL step).  A box crossing on
+a fresh content A descends into the right premise with A added to the
+owning side's Lambda and prefixes the sub-interpolant with <> (when []A
+sits in Delta1) or [] (when it sits in Delta2); a crossing on a recorded
+content stays in the left premise, which keeps the recursion finite on
+cyclic proofs.
 
 The result satisfies the signed variable condition: atoms positive in the
 interpolant occur negatively in Gamma1 => Delta1 and positively in
@@ -19,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    Box, Implies, BOT, TOP, Multiset, Sequent, EMPTY, mset,
-    neg, diamond, atom_polarities,
+    Box, BOT, TOP, Multiset, Sequent, EMPTY, mset,
+    neg, conj, disj, diamond, atom_polarities,
 )
 from .calculus import Rule
 from .proofs import unravel, check_cyclic
-from .transforms import _trace_context
 
 
 class InterpolationError(ValueError):
@@ -53,9 +55,11 @@ class SplitSequent:
 
 @dataclass(frozen=True)
 class InterpolationResult:
+    """An interpolant I of a split root sequent and the two sequents it
+    must satisfy, each provable when I is right."""
     interpolant: 'Formula'
-    left_obligation: Sequent   # Lam1*, Gamma1 => Delta1, I
-    right_obligation: Sequent  # Lam2*, I, Gamma2 => Delta2
+    left_obligation: Sequent   # Gamma1 => Delta1, I
+    right_obligation: Sequent  # I, Gamma2 => Delta2
 
 
 def sequent_polarity(gamma, delta):
@@ -77,9 +81,10 @@ def sequent_polarity(gamma, delta):
     return pos, negs
 
 
-def interpolate(proof, split, lambda1=frozenset(), lambda2=frozenset()):
-    """Extract an interpolant from a cut-free cyclic proof whose root is
-    the merge of ``split``."""
+def interpolate(proof, split):
+    """Extract an interpolant I from a cut-free cyclic proof whose root is
+    the merge of ``split``: the obligations are  Gamma1 => Delta1, I  and
+    I, Gamma2 => Delta2."""
     report = check_cyclic(proof)
     if not report.ok:
         raise InterpolationError('invalid proof: %s' % report.violations[:3])
@@ -90,24 +95,30 @@ def interpolate(proof, split, lambda1=frozenset(), lambda2=frozenset()):
     if split.merged() != root.root:
         raise InterpolationError('split %s does not cover the root %s'
                                  % (split.merged(), root.root))
-    lambda1, lambda2 = frozenset(lambda1), frozenset(lambda2)
-    i = _interp(root, split.gamma1, split.delta1, split.gamma2, split.delta2,
-                lambda1, lambda2, {})
+    none = frozenset()
+    i = _interp(root, ((split.gamma1, split.delta1),
+                       (split.gamma2, split.delta2)), (none, none), {})
     return InterpolationResult(
         interpolant=i,
-        left_obligation=Sequent(
-            _trace_context(lambda1).union(split.gamma1),
-            split.delta1.add(i)),
-        right_obligation=Sequent(
-            _trace_context(lambda2).union(split.gamma2).add(i),
-            split.delta2))
+        left_obligation=Sequent(split.gamma1, split.delta1.add(i)),
+        right_obligation=Sequent(split.gamma2.add(i), split.delta2))
 
 
-def _interp(q, g1, d1, g2, d2, lam1, lam2, memo):
-    key = (id(q), g1, d1, g2, d2, lam1, lam2)
+# The rules with premises, and those of them whose principal formula is
+# in the succedent.
+_INNER_RULES = (Rule.IMP_R, Rule.IMP_L, Rule.REFL, Rule.BOX_INF)
+_SUCCEDENT_RULES = (Rule.IMP_R, Rule.BOX_INF)
+
+
+def _interp(q, sides, lams, memo):
+    """The interpolant of node ``q`` under the split ``sides``, the pairs
+    (Gamma1, Delta1) and (Gamma2, Delta2), and the crossed box contents
+    ``lams``, the pair (Lambda1, Lambda2)."""
+    key = (id(q), sides, lams)
     out = memo.get(key)
     if out is not None:
         return out
+    (g1, d1), (g2, d2) = sides
     inst = q.inst
     r = inst.rule
     pr = inst.principal
@@ -122,68 +133,48 @@ def _interp(q, g1, d1, g2, d2, lam1, lam2, memo):
             out = pr
         else:
             out = neg(pr)
-    elif r == Rule.IMP_R:
-        if pr in d1:
-            out = _interp(q.child(0), g1.add(pr.left),
-                          d1.remove(pr).add(pr.right), g2, d2,
-                          lam1, lam2, memo)
-        else:
-            out = _interp(q.child(0), g1, d1, g2.add(pr.left),
-                          d2.remove(pr).add(pr.right), lam1, lam2, memo)
-    elif r == Rule.IMP_L:
-        if pr in g1:
-            i0 = _interp(q.child(0), g1.remove(pr).add(pr.right), d1,
-                         g2, d2, lam1, lam2, memo)
-            i1 = _interp(q.child(1), g1.remove(pr), d1.add(pr.left),
-                         g2, d2, lam1, lam2, memo)
-            out = Implies(neg(i0), i1)          # i0 | i1
-        else:
-            i0 = _interp(q.child(0), g1, d1,
-                         g2.remove(pr).add(pr.right), d2, lam1, lam2, memo)
-            i1 = _interp(q.child(1), g1, d1,
-                         g2.remove(pr), d2.add(pr.left), lam1, lam2, memo)
-            out = neg(Implies(i0, neg(i1)))     # i0 & i1
-    elif r == Rule.REFL:
-        if pr in g1:
-            out = _interp(q.child(0), g1.add(pr.inner), d1, g2, d2,
-                          lam1, lam2, memo)
-        else:
-            out = _interp(q.child(0), g1, d1, g2.add(pr.inner), d2,
-                          lam1, lam2, memo)
-    elif r == Rule.BOX_INF:
-        a = pr.inner
-        side1 = pr in d1
-        lam = lam1 if side1 else lam2
-        if a in lam:
-            # Crossed on this content before: stay in the main fragment.
-            if side1:
-                out = _interp(q.child(0), g1, d1.remove(pr).add(a),
-                              g2, d2, lam1, lam2, memo)
-            else:
-                out = _interp(q.child(0), g1, d1,
-                              g2, d2.remove(pr).add(a), lam1, lam2, memo)
-        else:
-            pi = inst.premises[1].ant
-            pi1_items = []
-            pi2_items = []
-            avail = {f: g1.count(f) for f in pi.distinct()}
-            for f in pi:
-                if avail.get(f, 0) > 0:
-                    avail[f] -= 1
-                    pi1_items.append(f)
-                else:
-                    pi2_items.append(f)
-            pi1, pi2 = Multiset(pi1_items), Multiset(pi2_items)
-            if side1:
-                sub = _interp(q.child(1), pi1, mset(a), pi2, EMPTY,
-                              frozenset(lam1 | {a}), lam2, memo)
-                out = diamond(sub)
-            else:
-                sub = _interp(q.child(1), pi1, EMPTY, pi2, mset(a),
-                              lam1, frozenset(lam2 | {a}), memo)
-                out = Box(sub)
-    else:
+    elif r not in _INNER_RULES:
         raise InterpolationError('unexpected %s step' % r.value)
+    else:
+        # The part that holds the principal formula: sides[False] is
+        # (Gamma1, Delta1), sides[True] is (Gamma2, Delta2).
+        side = pr not in (d1 if r in _SUCCEDENT_RULES else g1)
+        ant, suc = sides[side]
+        if r == Rule.BOX_INF and pr.inner not in lams[side]:
+            # A fresh crossing: the boxed context goes to the left part as
+            # far as Gamma1 holds it, the rest to the right part, and A is
+            # the succedent of its side and joins that side's Lambda.
+            a = pr.inner
+            pi = inst.premises[1].ant
+            avail = {f: g1.count(f) for f in pi.distinct()}
+            items = ([], [])
+            for f in pi:
+                items[avail[f] <= 0].append(f)
+                avail[f] -= 1
+            above = [(Multiset(items[0]), EMPTY), (Multiset(items[1]), EMPTY)]
+            above[side] = (above[side][0], mset(a))
+            crossed = list(lams)
+            crossed[side] = lams[side] | {a}
+            out = (diamond, Box)[side](_interp(
+                q.child(1), tuple(above), tuple(crossed), memo))
+        else:
+            if r == Rule.IMP_R:
+                parts = ((ant.add(pr.left), suc.remove(pr).add(pr.right)),)
+            elif r == Rule.IMP_L:
+                rest = ant.remove(pr)
+                parts = ((rest.add(pr.right), suc), (rest, suc.add(pr.left)))
+            elif r == Rule.REFL:
+                parts = ((ant.add(pr.inner), suc),)
+            else:
+                # Crossed on this content before: stay in the main fragment.
+                parts = ((ant, suc.remove(pr).add(pr.inner)),)
+            other = sides[not side]
+            subs = []
+            for k, part in enumerate(parts):
+                subs.append(_interp(
+                    q.child(k), (other, part) if side else (part, other),
+                    lams, memo))
+            out = subs[0] if len(subs) == 1 else (disj, conj)[side](*subs)
     memo[key] = out
     return out
 

@@ -47,6 +47,11 @@ from .syntax import (
 from .calculus import Rule, RuleInstance, System, step_violations
 
 
+class ResourceLimitError(Exception):
+    """A search or a fold ran past one of its caps: the input may be
+    fine, and a larger cap may succeed."""
+
+
 # ---------------------------------------------------------------------------
 # Lazy proofs
 
@@ -471,34 +476,6 @@ def wf_from_cyclic(proof):
 # Serialization
 
 
-def _inst_to_json(n, texts):
-    d = {
-        'id': n.id,
-        'sequent': format_sequent(n.sequent, texts),
-        'rule': n.inst.rule.value if n.inst else None,
-        'principal': None,
-        'children': list(n.children),
-    }
-    if n.inst is not None:
-        if n.inst.principal is not None:
-            d['principal'] = texts[n.inst.principal]
-        if n.inst.cut_formula is not None:
-            d['cut_formula'] = texts[n.inst.cut_formula]
-    return d
-
-
-def proof_to_json(proof):
-    """Serialize a cyclic (or back-link-free finite) proof to the JSON
-    proof format.  Each distinct formula is printed once."""
-    texts = PrintMemo()
-    return {
-        'system': proof.system.value,
-        'nodes': [_inst_to_json(proof.nodes[i], texts)
-                  for i in sorted(proof.nodes)],
-        'backlinks': {str(a): d for a, d in sorted(proof.backlinks.items())},
-    }
-
-
 def _field(d, name, where):
     """Field ``name`` of the JSON object ``d``; a missing field is an
     input error naming ``where`` it is missing."""
@@ -579,9 +556,10 @@ _NODE = ('    {\n      "id": %s,\n      "sequent": %s,\n      "rule": %s,\n'
 
 
 def _json_text(proof):
-    """``json.dumps(proof_to_json(proof), indent=2)``, written directly.
-    With ``indent`` set, ``json`` runs its pure-Python encoder; writing
-    this one fixed layout by hand gives the same text in half the time."""
+    """The JSON text of ``proof`` in the layout of ``json.dumps(...,
+    indent=2)``, written directly.  With ``indent`` set, ``json`` runs its
+    pure-Python encoder; writing this one fixed layout by hand gives the
+    same text in half the time."""
     texts = PrintMemo()
     quote = encode_basestring_ascii
     nodes = []

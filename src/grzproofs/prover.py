@@ -49,14 +49,16 @@ from .calculus import (
     System, ax_atom, ax_bottom, imp_r, imp_l, refl, box_context,
     box_inf_step,
 )
-from .proofs import CyclicProof, _crossing_child, _cyclic_node
+from .proofs import (
+    CyclicProof, ResourceLimitError, _crossing_child, _cyclic_node,
+)
 
 
 class ProverError(Exception):
     pass
 
 
-class SearchLimitError(ProverError):
+class SearchLimitError(ProverError, ResourceLimitError):
     """Raised when search exceeds its configured crossing bound."""
 
 

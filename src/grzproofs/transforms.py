@@ -22,7 +22,8 @@ from .calculus import (
     ax_atom, ax_bottom, ax_general, imp_r, imp_l, refl, box_inf, box_grz, cut,
 )
 from .proofs import (
-    LazyProof, leaf, node, eager, _crossing_child, _from_preorder,
+    LazyProof, ResourceLimitError, leaf, node, eager, _crossing_child,
+    _from_preorder,
 )
 
 
@@ -30,8 +31,8 @@ class TransformError(ValueError):
     pass
 
 
-class RegularizeError(TransformError):
-    pass
+class RegularizeError(TransformError, ResourceLimitError):
+    """``regularize`` passed its node cap or its crossing cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +151,10 @@ def contract_atom_right(p, q):
 
 def ax_proof(gamma, a, delta):
     """A cut-free finite proof of ``gamma, a => a, delta`` in the
-    non-well-founded calculus, by structural recursion on ``a``."""
+    non-well-founded calculus, by structural recursion on ``a``.  For
+    ``a = []B`` both premises of the box step prove  []B, B => B  (the
+    left one weakened), so they share one proof, and building the proof
+    takes time linear in the box depth of ``a``."""
     if not isinstance(gamma, Multiset):
         gamma = Multiset(gamma)
     if not isinstance(delta, Multiset):
@@ -172,11 +176,10 @@ def ax_proof(gamma, a, delta):
     step_refl = refl(concl, a)
     after = step_refl.premises[0]
     step_box = box_inf(after, a, mset(a))
-    left = ax_proof(gamma.add(a), b, delta)
     inner_refl = refl(step_box.premises[1], a)
     inner = ax_proof(mset(a), b, EMPTY)
-    return eager(step_refl,
-                 eager(step_box, left, eager(inner_refl, inner)))
+    return eager(step_refl, eager(step_box, wk(inner, gamma, delta),
+                                  eager(inner_refl, inner)))
 
 
 # ---------------------------------------------------------------------------
@@ -380,21 +383,19 @@ def slim(p):
     return go(p)
 
 
-def regularize(p, root_sequent=None, system=System.GRZ_INF,
-               max_crossings=64, max_nodes=1000000):
+def regularize(p, max_crossings=64, max_nodes=1000000):
     """Fold a lazy proof into a cyclic proof by back-linking each box
     right premise to the nearest ancestor with the same sequent that has
     another box right premise strictly in between.
 
     The input must be slim-enough for crossings to repeat (crossing
     sequents drawn from a finite set); otherwise the crossing cap trips
-    and a ``RegularizeError`` is raised.  The walk is a preorder over an
-    explicit stack, so proofs of any depth fold; each child is forced
-    only when its turn comes, and node ids are preorder positions.
+    and a ``RegularizeError`` is raised, as it is past ``max_nodes``
+    nodes; both are ``ResourceLimitError``s.  The walk is a preorder over
+    an explicit stack, so proofs of any depth fold; each child is forced
+    only when its turn comes, and node ids are preorder positions.  The
+    result is a proof of the non-well-founded calculus without cut.
     """
-    if root_sequent is not None and p.root != root_sequent:
-        raise RegularizeError('proof roots %s, expected %s'
-                              % (p.root, root_sequent))
     order, backlinks = [], {}
     parent, crossings = [], []      # of each node id
     stack = []                      # (lazy node, child index, node id)
@@ -433,7 +434,7 @@ def regularize(p, root_sequent=None, system=System.GRZ_INF,
                     'input does not look regular' % max_crossings)
             ncross += 1
         visit(child, i, ncross)
-    return _from_preorder(order, backlinks, system)
+    return _from_preorder(order, backlinks, System.GRZ_INF)
 
 
 # ---------------------------------------------------------------------------
@@ -533,20 +534,22 @@ def _trace_context(lam):
     return Multiset(Box(Implies(a, Box(a))) for a in lam)
 
 
-def inf_to_seq(p, lam=frozenset()):
+def inf_to_seq(p):
     """Translate a (regular, guarded) lazy proof into a finite proof of
-    the finitary calculus.  ``lam`` is the set of box contents whose
-    unfolding obligations [](A -> []A) are carried in the antecedent; the
-    result proves  Lam*, Gamma => Delta  for input root Gamma => Delta.
+    the finitary calculus with the same root sequent.  Below the root,
+    each node is translated under the set Lam of box contents A crossed
+    on its branch, whose unfolding obligations [](A -> []A) are carried
+    in the antecedent: a node proving  Gamma => Delta  becomes a proof of
+    Lam*, Gamma => Delta.
 
     The translation is a post-order over an explicit stack, so proofs of
-    any depth translate, and each (node, ``lam``) pair is translated
-    once.  Meeting a pair again inside its own translation means a loop
-    that never crosses a box right premise: an unguarded input, reported
-    as a ``TransformError``.
+    any depth translate, and each (node, Lam) pair is translated once.
+    Meeting a pair again inside its own translation means a loop that
+    never crosses a box right premise: an unguarded input, reported as a
+    ``TransformError``.
     """
     memo = {}                       # (id of node, lam) -> proof; None: open
-    root = (id(p), frozenset(lam))
+    root = (id(p), frozenset())
     stack = [(p, root[1], None)]    # (node, lam, its subproblems once open)
     while stack:
         q, lam, subs = stack.pop()

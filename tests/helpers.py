@@ -1,6 +1,6 @@
 """Builders shared by the test modules: exhaustive formula enumeration,
-exhaustive small-proof search, grafting of lazy proofs, and deep finite
-proofs."""
+exhaustive small-proof search, grafting of lazy proofs, deep finite
+proofs, and a reference proof-to-JSON encoder."""
 
 from functools import lru_cache
 
@@ -8,7 +8,9 @@ from grzproofs.calculus import (
     Rule, System, applicable_instances, ax_general, refl,
 )
 from grzproofs.proofs import CyclicNode, CyclicProof, eager, leaf, node
-from grzproofs.syntax import Atom, Box, Implies, BOT, parse_sequent
+from grzproofs.syntax import (
+    Atom, Box, Implies, BOT, PrintMemo, format_sequent, parse_sequent,
+)
 
 P = Atom('p')
 Q = Atom('q')
@@ -80,3 +82,31 @@ def refl_chain(n):
         s = inst.premises[0]
     nodes[n] = CyclicNode(n, s, ax_general(s, P))
     return CyclicProof(nodes, 0, {}, System.GRZ_SEQ)
+
+
+def proof_to_json(proof):
+    """The JSON object of a cyclic proof, built field by field: the
+    reference that ``dump_proof``'s hand-written text must equal under
+    ``json.dumps(..., indent=2)``."""
+    texts = PrintMemo()
+
+    def node_json(n):
+        d = {
+            'id': n.id,
+            'sequent': format_sequent(n.sequent, texts),
+            'rule': n.inst.rule.value if n.inst else None,
+            'principal': None,
+            'children': list(n.children),
+        }
+        if n.inst is not None:
+            if n.inst.principal is not None:
+                d['principal'] = texts[n.inst.principal]
+            if n.inst.cut_formula is not None:
+                d['cut_formula'] = texts[n.inst.cut_formula]
+        return d
+
+    return {
+        'system': proof.system.value,
+        'nodes': [node_json(proof.nodes[i]) for i in sorted(proof.nodes)],
+        'backlinks': {str(a): d for a, d in sorted(proof.backlinks.items())},
+    }

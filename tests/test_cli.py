@@ -1,14 +1,21 @@
+import argparse
 import json
+import random
 import time
+from importlib import resources
 
 import pytest
 
 from grzproofs.calculus import System
-from grzproofs.cli import main, random_wf_proof
-from grzproofs.proofs import check_cyclic, check_wf, dump_proof, load_proof
+from grzproofs.cli import build_parser, main, random_wf_proof
+from grzproofs.proofs import (
+    check_cyclic, check_wf, cyclic_from_wf, dump_proof, load_proof,
+)
 from grzproofs.syntax import parse_sequent
 
-from helpers import refl_chain
+from helpers import proof_to_json, refl_chain
+
+EXAMPLE = str(resources.files('grzproofs') / 'data' / 'grz_axiom_cyclic.json')
 
 
 def run(*argv):
@@ -279,6 +286,89 @@ class TestOtherVerbs:
     def test_missing_verb_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             run()
+
+
+# The options of each verb: exactly the ones that the verb reads.
+VERB_OPTIONS = {
+    'prove': {'--max-crossings', '--max-model-size', '-o', '--output'},
+    'check': set(),
+    'cutfree': {'--max-crossings', '-o', '--output'},
+    'slim': {'--max-crossings', '-o', '--output'},
+    'regularize': {'--max-crossings', '-o', '--output'},
+    'translate': {'--to', '--max-crossings', '-o', '--output'},
+    'interpolate': {'--max-crossings', '--max-model-size'},
+    'countermodel': {'--max-model-size'},
+    'corpus': {'--count', '--seed', '--steps', '-o', '--output'},
+    'export-dot': {'-o', '--output'},
+}
+
+# ``p -> []p`` is refuted at world 0 of this model by all three verbs.
+COUNTERMODEL = (
+    '{\n  "countermodel": {\n    "worlds": 2,\n    "order": [\n      [\n'
+    '        0,\n        1\n      ],\n      [\n        1\n      ]\n'
+    '    ],\n    "valuation": {\n      "p": [\n        0\n      ]\n'
+    '    }\n  },\n  "world": 0\n}\n')
+
+
+class TestOptions:
+    def test_each_verb_declares_the_options_it_reads(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        declared = {
+            name: {s for a in p._actions for s in a.option_strings} -
+            {'-h', '--help'} for name, p in sub.choices.items()}
+        assert declared == VERB_OPTIONS
+
+    @pytest.mark.parametrize('argv, flag', [
+        (['check', EXAMPLE], '--max-crossings'),
+        (['check', EXAMPLE], '--max-model-size'),
+        (['cutfree', EXAMPLE], '--max-model-size'),
+        (['slim', EXAMPLE], '--max-model-size'),
+        (['regularize', EXAMPLE], '--max-model-size'),
+        (['translate', EXAMPLE, '--to', 'seq'], '--max-model-size'),
+        (['countermodel', 'p -> []p'], '--max-crossings'),
+    ])
+    def test_an_option_the_verb_does_not_read_is_a_usage_error(
+            self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as e:
+            run(*argv, flag, '3')
+        assert e.value.code == 2
+        assert 'unrecognized arguments: %s 3' % flag in capsys.readouterr().err
+
+    def test_interpolate_honours_the_crossing_bound(self, capsys):
+        assert run('interpolate', '[]p', '[][][]p') == 0
+        capsys.readouterr()
+        assert run('interpolate', '[]p', '[][][]p',
+                   '--max-crossings', '1') == 3
+        assert capsys.readouterr().err.startswith(
+            'error: exceeded 1 box crossings at ')
+
+    @pytest.mark.parametrize('verb', ['regularize', 'slim', 'cutfree'])
+    def test_the_regularize_crossing_cap_exits_3(self, capsys, verb):
+        assert run(verb, EXAMPLE, '--max-crossings', '0') == 3
+        assert capsys.readouterr().err == (
+            'error: no repeating crossing within 0 crossings; the input '
+            'does not look regular\n')
+
+    def test_the_countermodel_json_of_three_verbs(self, capsys):
+        assert run('prove', 'p -> []p') == 1
+        assert capsys.readouterr().out == COUNTERMODEL
+        assert run('countermodel', 'p -> []p') == 0
+        assert capsys.readouterr().out == COUNTERMODEL
+        assert run('interpolate', 'p', '[]p') == 1
+        assert capsys.readouterr().out == (
+            'not a theorem; countermodel:\n' + COUNTERMODEL)
+
+    @pytest.mark.parametrize('count', [0, 1, 4])
+    def test_corpus_writes_the_layout_of_json_dumps(self, tmp_path, count):
+        out = tmp_path / 'corpus.json'
+        assert run('corpus', '--count', str(count), '--seed', '2',
+                   '-o', str(out)) == 0
+        rng = random.Random(2)
+        proofs = [cyclic_from_wf(random_wf_proof(rng), System.GRZ_SEQ_CUT)
+                  for _ in range(count)]
+        assert out.read_text() == json.dumps(
+            [proof_to_json(p) for p in proofs], indent=2) + '\n'
 
 
 class TestRandomProofs:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from grzproofs.interpolation import (
@@ -7,9 +9,11 @@ from grzproofs.interpolation import (
 from grzproofs.prover import decide, eval_formula
 from grzproofs.proofs import check_cyclic
 from grzproofs.syntax import (
-    Atom, Box, EMPTY, atom_polarities, conj, mset, parse_formula,
-    parse_sequent,
+    Atom, Box, EMPTY, Implies, Sequent, atom_polarities, conj, diamond,
+    format_formula, mset, neg, parse_formula, parse_sequent,
 )
+
+from helpers import formulas_up_to
 
 P, Q = Atom('p'), Atom('q')
 
@@ -57,7 +61,38 @@ class TestLyndon:
                                 parse_formula('p -> []p'))
 
 
+# sha256 of the interpolants that ``lyndon`` returns for the provable
+# implications among ``formulas_up_to(7)``, in order, one printed
+# interpolant and a newline each, as the code produced them while
+# ``_interp`` had two mirrored branches per rule.
+GOLDEN_INTERPOLANTS = ('53697a3724a2162df353f89198b4cb7d'
+                       '239acf1b3e05124f09127c9dc79c44d0')
+
+
+def test_interpolant_bytes_are_unchanged():
+    h = hashlib.sha256()
+    count = 0
+    for f in formulas_up_to(7):
+        if isinstance(f, Implies) and decide(Sequent(EMPTY, mset(f))).is_proof:
+            text = format_formula(lyndon(f.left, f.right).interpolant)
+            h.update((text + '\n').encode())
+            count += 1
+    assert count == 560
+    assert h.hexdigest() == GOLDEN_INTERPOLANTS
+
+
 class TestInterpolate:
+    def test_a_box_on_the_left_of_the_split_gives_a_diamond(self):
+        s = parse_sequent('[]p => []p')
+        split = SplitSequent(EMPTY, s.suc, s.ant, EMPTY)
+        result = interpolate(decide(s).proof, split)
+        i = result.interpolant
+        assert i == diamond(neg(P))
+        assert result.left_obligation == Sequent(EMPTY, mset(Box(P), i))
+        assert result.right_obligation == Sequent(mset(Box(P), i), EMPTY)
+        assert decide(result.left_obligation).is_proof
+        assert decide(result.right_obligation).is_proof
+
     def test_box_example_from_a_decided_proof(self):
         s = parse_sequent('[]p, [](p -> q) => []q')
         verdict = decide(s)

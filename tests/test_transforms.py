@@ -1,12 +1,14 @@
 import random
 import sys
+import time
 
 import pytest
 
 from grzproofs.calculus import Rule, System
 from grzproofs.proofs import (
-    check_cyclic, check_wf, cutfree_to_depth, frag_eq, load_proof,
-    local_height, unravel, validate_to_depth, walk_to_depth, wf_from_cyclic,
+    ResourceLimitError, check_cyclic, check_wf, cutfree_to_depth, frag_eq,
+    load_proof, local_height, unravel, validate_to_depth, walk_to_depth,
+    wf_from_cyclic,
 )
 from grzproofs.prover import decide
 from grzproofs.syntax import (
@@ -145,13 +147,27 @@ class TestContractions:
 
 class TestAxiomExpansion:
     @pytest.mark.parametrize('text', ['p', 'false', 'p -> q', '[]p',
-                                      '[](p -> q)', '[]p -> []q'])
+                                      '[](p -> q)', '[]p -> []q', '[][][]p',
+                                      '[]([]p -> q)'])
     def test_proves_the_general_axiom(self, text):
         a = parse_formula(text)
         p = ax_proof(mset(Q), a, mset(Box(Q)))
         assert p.root == Sequent(mset(Q, a), mset(a, Box(Q)))
         assert_valid(p, 10)
         assert cutfree_to_depth(p, 10)
+
+    def test_box_depth_costs_linear_time(self):
+        # The two premises of each box step share one proof, so the proof
+        # of  []^n p => []^n p  is built once per box, not 2^n times.
+        a = P
+        for n in range(1, 61):
+            a = Box(a)
+            if n <= 18:
+                assert local_height(ax_proof(EMPTY, a, EMPTY)) == 2 * n
+        start = time.perf_counter()
+        p = ax_proof(EMPTY, a, EMPTY)
+        assert time.perf_counter() - start < 1
+        assert p.root == Sequent(mset(a), mset(a))
 
 
 class TestCutReduction:
@@ -242,16 +258,17 @@ class TestRegularize:
         assert check_cyclic(cyc).ok
         assert cyc.node(cyc.root).sequent == base.root
 
-    def test_root_sequent_validation(self):
-        base = unravel(grz_schema_proof(P))
-        regularize(base, root_sequent=base.root)
-        with pytest.raises(RegularizeError):
-            regularize(base, root_sequent=parse_sequent('p => p'))
-
     def test_reports_when_no_fold_is_found(self):
         base = unravel(grz_schema_proof(P))
         with pytest.raises(RegularizeError):
             regularize(base, max_crossings=0)
+
+    @pytest.mark.parametrize('cap', [{'max_crossings': 0}, {'max_nodes': 5}])
+    def test_both_caps_are_resource_limits(self, cap):
+        base = unravel(grz_schema_proof(P))
+        with pytest.raises(ResourceLimitError) as e:
+            regularize(base, **cap)
+        assert isinstance(e.value, TransformError)
 
     def test_unravel_of_the_fold_matches_the_input(self):
         base = unravel(grz_schema_proof(P))
