@@ -1,5 +1,11 @@
 """Sequent calculus rules for Grz: rule instances and step validation.
 
+Each rule is stated once, by its constructor, which builds the premises of
+a step from its conclusion and principal formula and rejects a step that
+does not fit the rule.  Rebuilding a step at another conclusion
+(``reinstance``) and checking a recorded step (``step_violations``) both
+go through that constructor.
+
 Four systems are supported:
 
 * ``GRZ_SEQ``      -- the finitary calculus with general axioms and the
@@ -51,9 +57,6 @@ class Rule(enum.Enum):
     CUT = 'cut'
 
 
-AXIOM_RULES = (Rule.AX_ATOM, Rule.AX_BOTTOM, Rule.AX_GENERAL)
-
-
 @dataclass(frozen=True, slots=True)
 class RuleInstance:
     """One rule application: conclusion, premises in left-to-right order,
@@ -80,19 +83,22 @@ class CalculusError(ValueError):
 
 def ax_atom(concl, p):
     if not (isinstance(p, Atom) and p in concl.ant and p in concl.suc):
-        raise CalculusError('ax_atom needs a shared atom: %s' % concl)
+        raise CalculusError('ax_atom: principal atom must occur on both '
+                            'sides of %s' % concl)
     return RuleInstance(Rule.AX_ATOM, concl, (), p)
 
 
 def ax_bottom(concl):
     if BOT not in concl.ant:
-        raise CalculusError('ax_bottom needs false on the left: %s' % concl)
+        raise CalculusError('ax_bottom: false must occur in the antecedent '
+                            'of %s' % concl)
     return RuleInstance(Rule.AX_BOTTOM, concl, (), BOT)
 
 
 def ax_general(concl, a):
     if not (a in concl.ant and a in concl.suc):
-        raise CalculusError('ax_general needs a shared formula: %s' % concl)
+        raise CalculusError('ax_general: principal formula must occur on '
+                            'both sides of %s' % concl)
     return RuleInstance(Rule.AX_GENERAL, concl, (), a)
 
 
@@ -125,8 +131,8 @@ def refl(concl, principal):
 
 def _box_principal(concl, principal):
     if not (isinstance(principal, Box) and principal in concl.suc):
-        raise CalculusError('box principal %s not in succedent of %s'
-                            % (principal, concl))
+        raise CalculusError('box principal %s is not a box in the succedent '
+                            'of %s' % (principal, concl))
 
 
 def box_context(concl, pi):
@@ -166,31 +172,61 @@ def box_grz(concl, principal, pi):
 
 
 def cut(concl, cut_formula):
+    if cut_formula is None:
+        raise CalculusError('cut: needs a cut formula')
     left = Sequent(concl.ant, concl.suc.add(cut_formula))
     right = Sequent(concl.ant.add(cut_formula), concl.suc)
     return RuleInstance(Rule.CUT, concl, (left, right), None, cut_formula)
 
 
-# Rules whose step is fixed by its conclusion and principal formula.
-_BY_PRINCIPAL = {Rule.IMP_R: imp_r, Rule.IMP_L: imp_l, Rule.REFL: refl}
+def _premises(inst, n):
+    """The ``n`` recorded premises of ``inst``, which a box step reads its
+    boxed context back from."""
+    if len(inst.premises) != n:
+        raise CalculusError('%s: has %d premises, not %d'
+                            % (inst.rule.value, len(inst.premises), n))
+    return inst.premises
+
+
+def _rebuild_box_grz(inst, concl):
+    p = inst.principal
+    _box_principal(concl, p)
+    trace = mset(Box(Implies(p.inner, p)))
+    return box_grz(concl, p, _premises(inst, 1)[0].ant.difference(trace))
+
+
+_ALL = tuple(System)
+_NWF = tuple(s for s in System if s.is_nwf)
+_FINITARY = tuple(s for s in System if s.is_finitary)
+
+# Each rule: the systems that have it, and its step ``inst`` rebuilt at a
+# conclusion ``c`` through its constructor.
+_RULES = {
+    Rule.AX_ATOM: (_NWF, lambda inst, c: ax_atom(c, inst.principal)),
+    Rule.AX_BOTTOM: (_ALL, lambda inst, c: ax_bottom(c)),
+    Rule.AX_GENERAL: (_FINITARY,
+                      lambda inst, c: ax_general(c, inst.principal)),
+    Rule.IMP_L: (_ALL, lambda inst, c: imp_l(c, inst.principal)),
+    Rule.IMP_R: (_ALL, lambda inst, c: imp_r(c, inst.principal)),
+    Rule.REFL: (_ALL, lambda inst, c: refl(c, inst.principal)),
+    Rule.BOX_INF: (_NWF, lambda inst, c: box_inf(
+        c, inst.principal, _premises(inst, 2)[1].ant)),
+    Rule.BOX_GRZ: (_FINITARY, _rebuild_box_grz),
+    Rule.CUT: (tuple(s for s in System if s.allows_cut),
+               lambda inst, c: cut(c, inst.cut_formula)),
+}
 
 
 def reinstance(inst, concl):
     """The step ``inst`` at conclusion ``concl``: the same rule, principal
     formula, cut formula and boxed context, with the premises rebuilt from
-    ``concl``.  Axioms are rebuilt unchecked."""
-    r = inst.rule
-    p = inst.principal
-    if r in AXIOM_RULES:
-        return RuleInstance(r, concl, (), p)
-    if r == Rule.CUT:
-        return cut(concl, inst.cut_formula)
-    if r == Rule.BOX_INF:
-        return box_inf(concl, p, inst.premises[1].ant)
-    if r == Rule.BOX_GRZ:
-        return box_grz(concl, p, inst.premises[0].ant.difference(
-            mset(Box(Implies(p.inner, p)))))
-    return _BY_PRINCIPAL[r](concl, p)
+    ``concl`` by the rule's constructor.  A step that does not fit its
+    rule at ``concl``, or records too few premises to read its context
+    from, raises ``CalculusError``."""
+    entry = _RULES.get(inst.rule)
+    if entry is None:
+        raise CalculusError('unknown rule %r' % (inst.rule,))
+    return entry[1](inst, concl)
 
 
 def fixed_premise(rule, k):
@@ -207,69 +243,24 @@ def fixed_premise(rule, k):
 
 def step_violations(inst, system):
     """Reasons why ``inst`` is not a valid step of ``system`` (empty list
-    means valid)."""
+    means valid): its rule is not one of ``system``, its constructor
+    rejects it at its own conclusion, or its premises are not the ones
+    the constructor builds."""
+    entry = _RULES.get(inst.rule)
+    if entry is None:
+        return ['unknown rule %r' % (inst.rule,)]
     out = []
-    c = inst.conclusion
-    r = inst.rule
-    p = inst.principal
-
-    def bad(msg):
-        out.append('%s: %s' % (r.value, msg))
-
-    if r == Rule.AX_ATOM:
-        if not system.is_nwf:
-            bad('atomic axiom not available in a finitary system')
-        if inst.premises:
-            bad('axiom must have no premises')
-        if not (isinstance(p, Atom) and p in c.ant and p in c.suc):
-            bad('principal atom must occur on both sides')
-        return out
-    if r == Rule.AX_BOTTOM:
-        if inst.premises:
-            bad('axiom must have no premises')
-        if BOT not in c.ant:
-            bad('false must occur in the antecedent')
-        return out
-    if r == Rule.AX_GENERAL:
-        if not system.is_finitary:
-            bad('general axiom not available in a non-well-founded system')
-        if inst.premises:
-            bad('axiom must have no premises')
-        if p is None or p not in c.ant or p not in c.suc:
-            bad('principal formula must occur on both sides')
-        return out
-    if r == Rule.BOX_INF:
-        if not system.is_nwf:
-            bad('two-premise box rule not available in a finitary system')
-        if len(inst.premises) != 2:
-            bad('box needs two premises')
-            return out
-    elif r == Rule.BOX_GRZ:
-        if not system.is_finitary:
-            bad('one-premise box rule not available here')
-        if len(inst.premises) != 1:
-            bad('box needs one premise')
-            return out
-        if not isinstance(p, Box):
-            bad('principal must be boxed')
-            return out
-    elif r == Rule.CUT:
-        if not system.allows_cut:
-            bad('cut not available in %s' % system.value)
-        if inst.cut_formula is None:
-            bad('cut needs a cut formula')
-            return out
-    elif r not in _BY_PRINCIPAL:
-        bad('unknown rule')
-        return out
+    if system not in entry[0]:
+        out.append('%s: not available in %s'
+                   % (inst.rule.value, system.value))
     try:
-        canonical = reinstance(inst, c)
+        canonical = reinstance(inst, inst.conclusion)
     except CalculusError as e:
         out.append(str(e))
         return out
     if canonical.premises != inst.premises:
         out.append('%s: premises %s do not match the rule schema (expected '
-                   '%s)' % (r.value, [str(s) for s in inst.premises],
+                   '%s)' % (inst.rule.value, [str(s) for s in inst.premises],
                             [str(s) for s in canonical.premises]))
     return out
 

@@ -364,6 +364,12 @@ def main(argv=None):
         # Nor a proof too large to build in the memory at hand.
         print('error: out of memory', file=sys.stderr)
         return 3
+    except SystemError as e:
+        # Nor the interpreter failing inside a deep recursion that ran out
+        # of memory, which it reports as an error of its own.
+        print('error: %s (interpreter failure, most likely out of memory)'
+              % e, file=sys.stderr)
+        return 3
 
 
 if __name__ == '__main__':

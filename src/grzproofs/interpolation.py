@@ -4,8 +4,9 @@ The root sequent is split into two parts Gamma1, Gamma2 => Delta1, Delta2
 and the extraction walks the (unraveled) proof, maintaining the split and
 two sets Lambda1 / Lambda2 of box contents already crossed on each side,
 both empty at the root.  Each rule has one case: the part that holds the
-principal formula is edited, and where the two sides differ, the side's
-index picks the constructor (| or & at an ImpL step).  A box crossing on
+principal formula is edited, into the premises that ``calculus.reinstance``
+builds at that part, and where the two sides differ, the side's index
+picks the constructor (| or & at an ImpL step).  A box crossing on
 a fresh content A descends into the right premise with A added to the
 owning side's Lambda and prefixes the sub-interpolant with <> (when []A
 sits in Delta1) or [] (when it sits in Delta2); a crossing on a recorded
@@ -25,7 +26,7 @@ from .syntax import (
     Box, BOT, TOP, Multiset, Sequent, EMPTY, mset,
     neg, conj, disj, diamond, atom_polarities,
 )
-from .calculus import Rule
+from .calculus import Rule, reinstance
 from .proofs import unravel, check_cyclic
 
 
@@ -96,8 +97,8 @@ def interpolate(proof, split):
         raise InterpolationError('split %s does not cover the root %s'
                                  % (split.merged(), root.root))
     none = frozenset()
-    i = _interp(root, ((split.gamma1, split.delta1),
-                       (split.gamma2, split.delta2)), (none, none), {})
+    i = _interp(root, (Sequent(split.gamma1, split.delta1),
+                       Sequent(split.gamma2, split.delta2)), (none, none), {})
     return InterpolationResult(
         interpolant=i,
         left_obligation=Sequent(split.gamma1, split.delta1.add(i)),
@@ -111,14 +112,14 @@ _SUCCEDENT_RULES = (Rule.IMP_R, Rule.BOX_INF)
 
 
 def _interp(q, sides, lams, memo):
-    """The interpolant of node ``q`` under the split ``sides``, the pairs
-    (Gamma1, Delta1) and (Gamma2, Delta2), and the crossed box contents
-    ``lams``, the pair (Lambda1, Lambda2)."""
+    """The interpolant of node ``q`` under the split ``sides``, the pair of
+    sequents Gamma1 => Delta1 and Gamma2 => Delta2, and the crossed box
+    contents ``lams``, the pair (Lambda1, Lambda2)."""
     key = (id(q), sides, lams)
     out = memo.get(key)
     if out is not None:
         return out
-    (g1, d1), (g2, d2) = sides
+    g1, d1 = sides[0].ant, sides[0].suc
     inst = q.inst
     r = inst.rule
     pr = inst.principal
@@ -127,7 +128,7 @@ def _interp(q, sides, lams, memo):
     elif r == Rule.AX_ATOM:
         if pr in g1 and pr in d1:
             out = BOT
-        elif pr in g2 and pr in d2:
+        elif pr in sides[1].ant and pr in sides[1].suc:
             out = TOP
         elif pr in g1:
             out = pr
@@ -137,9 +138,9 @@ def _interp(q, sides, lams, memo):
         raise InterpolationError('unexpected %s step' % r.value)
     else:
         # The part that holds the principal formula: sides[False] is
-        # (Gamma1, Delta1), sides[True] is (Gamma2, Delta2).
+        # Gamma1 => Delta1, sides[True] is Gamma2 => Delta2.
         side = pr not in (d1 if r in _SUCCEDENT_RULES else g1)
-        ant, suc = sides[side]
+        part = sides[side]
         if r == Rule.BOX_INF and pr.inner not in lams[side]:
             # A fresh crossing: the boxed context goes to the left part as
             # far as Gamma1 holds it, the rest to the right part, and A is
@@ -151,28 +152,24 @@ def _interp(q, sides, lams, memo):
             for f in pi:
                 items[avail[f] <= 0].append(f)
                 avail[f] -= 1
-            above = [(Multiset(items[0]), EMPTY), (Multiset(items[1]), EMPTY)]
-            above[side] = (above[side][0], mset(a))
+            above = [Sequent(Multiset(items[0]), EMPTY),
+                     Sequent(Multiset(items[1]), EMPTY)]
+            above[side] = Sequent(above[side].ant, mset(a))
             crossed = list(lams)
             crossed[side] = lams[side] | {a}
             out = (diamond, Box)[side](_interp(
                 q.child(1), tuple(above), tuple(crossed), memo))
         else:
-            if r == Rule.IMP_R:
-                parts = ((ant.add(pr.left), suc.remove(pr).add(pr.right)),)
-            elif r == Rule.IMP_L:
-                rest = ant.remove(pr)
-                parts = ((rest.add(pr.right), suc), (rest, suc.add(pr.left)))
-            elif r == Rule.REFL:
-                parts = ((ant.add(pr.inner), suc),)
-            else:
+            if r == Rule.BOX_INF:
                 # Crossed on this content before: stay in the main fragment.
-                parts = ((ant, suc.remove(pr).add(pr.inner)),)
+                parts = (Sequent(part.ant, part.suc.remove(pr).add(pr.inner)),)
+            else:
+                parts = reinstance(inst, part).premises
             other = sides[not side]
             subs = []
-            for k, part in enumerate(parts):
+            for k, above in enumerate(parts):
                 subs.append(_interp(
-                    q.child(k), (other, part) if side else (part, other),
+                    q.child(k), (other, above) if side else (above, other),
                     lams, memo))
             out = subs[0] if len(subs) == 1 else (disj, conj)[side](*subs)
     memo[key] = out
@@ -182,8 +179,8 @@ def _interp(q, sides, lams, memo):
 def lyndon(a, b, max_crossings=64, max_model_size=4):
     """Interpolate a provable implication A -> B: prove A => B, extract,
     and verify both the signed variable inclusions and the obligations
-    A => I and I => B with the prover."""
-    from .prover import decide
+    A => I and I => B by proof search, which builds no proof of them."""
+    from .prover import decide, provable
 
     goal = Sequent(mset(a), mset(b))
     verdict = decide(goal, max_crossings, max_model_size)
@@ -203,8 +200,7 @@ def lyndon(a, b, max_crossings=64, max_model_size=4):
                     'polarity violation: %s occurs %s in interpolant %s but '
                     'not in both %s and %s' % (name, s, i, a, b))
     for obligation in (Sequent(mset(a), mset(i)), Sequent(mset(i), mset(b))):
-        v = decide(obligation, max_crossings, max_model_size)
-        if not v.is_proof:
+        if not provable(obligation, max_crossings):
             raise InterpolationError('obligation %s is not provable'
                                      % obligation)
     return result

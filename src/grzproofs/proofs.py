@@ -316,7 +316,9 @@ def check_cyclic(proof):
     """Validate a cyclic proof: tree shape, every rule step, and the
     back-link condition (target is a proper ancestor with an equal sequent
     and a box right premise strictly in between, which makes every
-    unraveled branch guarded)."""
+    unraveled branch guarded).  Each back-link's path is walked once, and
+    an edge on it crosses into a box right premise where ``regularize``
+    counts one."""
     v = []
     nodes = proof.nodes
     if proof.root not in nodes:
@@ -369,31 +371,22 @@ def check_cyclic(proof):
         if a not in nodes or d not in nodes:
             v.append('back-link %s -> %s references a missing node' % (a, d))
             continue
-        # Path from a up to d.
-        path = []
-        cur = a
-        while cur != d:
-            if cur not in parent:
-                path = None
-                break
-            cur = parent[cur]
-            path.append(cur)
-        if path is None:
+        # One walk from a's parent up to d, noting whether it takes an edge
+        # into a box right premise.  A leaf is not its own proper ancestor,
+        # and the edge into a is not strictly in between.
+        cur, crossed = parent.get(a), False
+        while cur is not None and cur != d:
+            up = parent.get(cur)
+            if not crossed and up is not None and nodes[up].inst is not None:
+                crossed = _crossing_child(nodes[up].inst.rule,
+                                          nodes[up].children.index(cur))
+            cur = up
+        if cur is None:
             v.append('back-link target %s is not an ancestor of %s' % (d, a))
             continue
         if nodes[a].sequent != nodes[d].sequent:
             v.append('back-link %s -> %s connects unequal sequents' % (a, d))
-        between = path[:-1]  # proper ancestors of a below d
-        ok = False
-        for b in between:
-            p = parent.get(b)
-            if p is not None and nodes[p].inst is not None \
-                    and nodes[p].inst.rule == Rule.BOX_INF \
-                    and len(nodes[p].children) == 2 \
-                    and nodes[p].children[1] == b:
-                ok = True
-                break
-        if not ok:
+        if not crossed:
             v.append('back-link %s -> %s has no box right premise strictly '
                      'in between' % (a, d))
 

@@ -384,6 +384,12 @@ def _to_cyclic(snode):
     return CyclicProof(nodes, 0, backlinks, System.GRZ_INF)
 
 
+def provable(goal, max_crossings=64):
+    """Does ``decide`` prove the sequent ``goal``?  The verdict of proof
+    search alone: no proof is built and no countermodel sought."""
+    return _search(goal, frozenset(), (), _Search(max_crossings)) is not None
+
+
 def decide(goal, max_crossings=64, max_model_size=4):
     """Decide a sequent: a cut-free cyclic proof, or a countermodel.
 

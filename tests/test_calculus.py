@@ -3,7 +3,7 @@ import pytest
 from grzproofs.calculus import (
     CalculusError, Rule, RuleInstance, System, applicable_instances,
     ax_atom, ax_bottom, ax_general, box_grz, box_inf, check_step, cut,
-    imp_l, imp_r, refl, step_violations,
+    imp_l, imp_r, refl, reinstance, step_violations,
 )
 from grzproofs.syntax import (
     Atom, Box, Implies, Sequent, BOT, mset, parse_sequent,
@@ -109,6 +109,28 @@ class TestStepChecking:
         out = step_violations(inst, System.GRZ_INF)
         assert any('principal atom must occur on both sides' in v
                    for v in out)
+
+    def test_malformed_steps_are_calculus_errors(self):
+        # Each is rebuilt through its rule's constructor, axioms included,
+        # so a step too malformed to rebuild is a CalculusError, which
+        # the check reports, never an IndexError or AttributeError.
+        c = parse_sequent('[]p => []p')
+        steps = {
+            System.GRZ_INF: [
+                RuleInstance(Rule.BOX_INF, c, (parse_sequent('[]p => p'),),
+                             Box(P)),
+                RuleInstance(Rule.AX_ATOM, parse_sequent('p => q'), (), P)],
+            System.GRZ_SEQ: [
+                RuleInstance(Rule.BOX_GRZ, parse_sequent('=> p'),
+                             (parse_sequent('=> p'),), P),
+                RuleInstance(Rule.AX_GENERAL, c, (), None)],
+            System.GRZ_SEQ_CUT: [RuleInstance(Rule.CUT, c, (c, c))],
+        }
+        for system, insts in steps.items():
+            for inst in insts:
+                with pytest.raises(CalculusError) as info:
+                    reinstance(inst, inst.conclusion)
+                assert step_violations(inst, system) == [str(info.value)]
 
 
 class TestApplicableInstances:

@@ -60,6 +60,17 @@ class TestProve:
         assert run('prove', 'p -> p') == 3
         assert capsys.readouterr().err == 'error: out of memory\n'
 
+    def test_an_interpreter_failure_exits_3(self, monkeypatch, capsys):
+        # Deep recursion that runs out of memory can surface as a
+        # SystemError, not a MemoryError: it is no negative result.
+        def failed(goal, **kwargs):
+            raise SystemError('error return without exception set')
+        monkeypatch.setattr('grzproofs.cli.decide', failed)
+        assert run('prove', 'p -> p') == 3
+        assert capsys.readouterr().err == (
+            'error: error return without exception set (interpreter '
+            'failure, most likely out of memory)\n')
+
 
 class TestCheck:
     def test_valid_proof(self, tmp_path, capsys):

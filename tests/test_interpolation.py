@@ -6,7 +6,8 @@ from grzproofs.interpolation import (
     InterpolationError, NotATheoremError, SplitSequent, interpolate, lyndon,
     sequent_polarity,
 )
-from grzproofs.prover import decide, eval_formula
+from grzproofs import prover
+from grzproofs.prover import decide, eval_formula, provable
 from grzproofs.proofs import check_cyclic
 from grzproofs.syntax import (
     Atom, Box, EMPTY, Implies, Sequent, atom_polarities, conj, diamond,
@@ -52,6 +53,22 @@ class TestLyndon:
     def test_shared_atoms_only(self):
         result = lyndon(parse_formula('p & q'), parse_formula('q | r'))
         assert set(atom_polarities(result.interpolant)) <= {'q'}
+
+    def test_obligations_are_checked_by_search_alone(self, monkeypatch):
+        # Only A => B is given a proof; the two obligations need a verdict.
+        # On this goal a proof of the obligation I => B has a million nodes.
+        built = []
+        to_cyclic = prover._to_cyclic
+        monkeypatch.setattr(prover, '_to_cyclic',
+                            lambda sn: built.append(sn) or to_cyclic(sn))
+        a = parse_formula('[]([]((p & q) -> [](p & q)) -> (p & q))')
+        b = parse_formula('[](p & q)')
+        result = lyndon(a, b)
+        assert len(built) == 1
+        i = result.interpolant
+        assert signed_atoms(i) <= signed_atoms(a) & signed_atoms(b)
+        assert provable(result.left_obligation)
+        assert provable(result.right_obligation)
 
     def test_non_theorem_raises_with_countermodel(self):
         with pytest.raises(NotATheoremError) as info:

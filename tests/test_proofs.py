@@ -343,3 +343,10 @@ class TestCheckCyclicRejections:
         report = check_cyclic(broken)
         assert not report.ok
         assert any('unreachable' in v for v in report.violations)
+
+    def test_backlink_to_itself(self, example):
+        # A leaf is not its own proper ancestor.
+        broken = CyclicProof(example.nodes, example.root, {9: 9},
+                             example.system)
+        assert check_cyclic(broken).violations == [
+            'back-link target 9 is not an ancestor of 9']

@@ -11,6 +11,7 @@ from grzproofs.prover import (
 from grzproofs.syntax import (
     Atom, Box, EMPTY, Sequent, mset, parse_formula, parse_sequent,
 )
+from grzproofs.transforms import regularize
 
 from helpers import formulas_up_to
 
@@ -224,6 +225,18 @@ def test_decide_output_bytes_are_unchanged():
             h.update(json.dumps([model.describe(), world],
                                 sort_keys=True).encode())
     assert h.hexdigest() == GOLDEN_DECIDE
+
+
+def test_decide_places_back_links_where_regularize_would():
+    # The search's rule for a back-link and the fold's rule are one rule:
+    # folding the unraveled proof gives back the same bytes.
+    goals = [parse_sequent(text) for text in HARD_GOALS]
+    goals += [goal_of(f) for f in formulas_up_to(7)]
+    for g in goals:
+        v = decide(g)
+        if v.is_proof:
+            assert (dump_proof(regularize(unravel(v.proof)))
+                    == dump_proof(v.proof))
 
 
 # sha256 of the outcomes below, as ``decide`` gave them when the table was
