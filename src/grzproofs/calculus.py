@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass
 
 from .syntax import (
-    Atom, Box, Implies, BOT, Multiset, Sequent, Formula, mset,
+    Atom, Box, Implies, BOT, Sequent, Formula, mset,
 )
 
 
@@ -138,8 +138,6 @@ def _box_principal(concl, principal):
 def box_context(concl, pi):
     """The boxed context ``pi`` of a box rule at ``concl``, checked.  The
     box steps at one conclusion with one context can share the check."""
-    if not isinstance(pi, Multiset):
-        pi = Multiset(pi)
     if not all(isinstance(f, Box) for f in pi):
         raise CalculusError('box context must be boxed: %s' % pi)
     if not pi.is_subset(concl.ant):
@@ -244,8 +242,8 @@ def fixed_premise(rule, k):
 def step_violations(inst, system):
     """Reasons why ``inst`` is not a valid step of ``system`` (empty list
     means valid): its rule is not one of ``system``, its constructor
-    rejects it at its own conclusion, or its premises are not the ones
-    the constructor builds."""
+    rejects it at its own conclusion, or its premises, principal formula
+    or cut formula are not the ones the constructor builds."""
     entry = _RULES.get(inst.rule)
     if entry is None:
         return ['unknown rule %r' % (inst.rule,)]
@@ -262,11 +260,13 @@ def step_violations(inst, system):
         out.append('%s: premises %s do not match the rule schema (expected '
                    '%s)' % (inst.rule.value, [str(s) for s in inst.premises],
                             [str(s) for s in canonical.premises]))
+    for field, got, expected in (
+            ('principal', inst.principal, canonical.principal),
+            ('cut_formula', inst.cut_formula, canonical.cut_formula)):
+        if got != expected:
+            out.append('%s: %s %s does not match the rule schema (expected '
+                       '%s)' % (inst.rule.value, field, got, expected))
     return out
-
-
-def check_step(inst, system):
-    return not step_violations(inst, system)
 
 
 def applicable_instances(goal, system):

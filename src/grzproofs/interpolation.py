@@ -28,6 +28,7 @@ from .syntax import (
 )
 from .calculus import Rule, reinstance
 from .proofs import unravel, check_cyclic
+from .prover import decide, provable
 
 
 class InterpolationError(ValueError):
@@ -61,25 +62,6 @@ class InterpolationResult:
     interpolant: 'Formula'
     left_obligation: Sequent   # Gamma1 => Delta1, I
     right_obligation: Sequent  # I, Gamma2 => Delta2
-
-
-def sequent_polarity(gamma, delta):
-    """Atoms occurring positively / negatively in the formula reading of
-    gamma => delta (antecedent occurrences flip)."""
-    pos, negs = set(), set()
-    for f in gamma:
-        for name, pols in atom_polarities(f).items():
-            if '+' in pols:
-                negs.add(name)
-            if '-' in pols:
-                pos.add(name)
-    for f in delta:
-        for name, pols in atom_polarities(f).items():
-            if '+' in pols:
-                pos.add(name)
-            if '-' in pols:
-                negs.add(name)
-    return pos, negs
 
 
 def interpolate(proof, split):
@@ -180,8 +162,6 @@ def lyndon(a, b, max_crossings=64, max_model_size=4):
     """Interpolate a provable implication A -> B: prove A => B, extract,
     and verify both the signed variable inclusions and the obligations
     A => I and I => B by proof search, which builds no proof of them."""
-    from .prover import decide, provable
-
     goal = Sequent(mset(a), mset(b))
     verdict = decide(goal, max_crossings, max_model_size)
     if not verdict.is_proof:

@@ -7,7 +7,9 @@ Two representations, with conversions:
                      children or callables that build them once, so
                      transformations can inspect a finite part of an input
                      and still produce every node of an infinite output on
-                     demand.  A finite proof has its children in place;
+                     demand.  A finite proof has its children in place
+                     (``leaf``, ``eager``); a callable is given the
+                     premise index;
 * ``CyclicProof`` -- a finite tree plus back-links from leaves to inner
                      ancestors, denoting a regular infinite tree.  Its
                      node ids are preorder positions, given by
@@ -120,12 +122,6 @@ class LazyProof:
 
 def leaf(inst):
     return LazyProof(inst, ())
-
-
-def node(inst, *thunks):
-    """A node whose children are built or come from nullary thunks."""
-    return LazyProof(inst, [t if t.__class__ is LazyProof
-                            else (lambda k, t=t: t()) for t in thunks])
 
 
 def eager(inst, *children):
@@ -277,23 +273,20 @@ class CyclicNode:
     inst: RuleInstance = None
     children: tuple = ()
 
+    def __init__(self, id, sequent, inst=None, children=()):
+        # Proof search and loading build a node per step.  The generated
+        # ``__init__`` of a frozen dataclass sets each field through
+        # ``object.__setattr__`` and took twice as long as these setters.
+        _set_id(self, id)
+        _set_sequent(self, sequent)
+        _set_inst(self, inst)
+        _set_children(self, children)
+
 
 _set_id = CyclicNode.id.__set__
 _set_sequent = CyclicNode.sequent.__set__
 _set_inst = CyclicNode.inst.__set__
 _set_children = CyclicNode.children.__set__
-
-
-def _cyclic_node(id, sequent, inst, children):
-    """``CyclicNode(id, sequent, inst, children)``, its slots filled in
-    directly: proof search builds a node per step, and building them
-    through the frozen dataclass ``__init__`` made it about 5 % slower."""
-    node = object.__new__(CyclicNode)
-    _set_id(node, id)
-    _set_sequent(node, sequent)
-    _set_inst(node, inst)
-    _set_children(node, children)
-    return node
 
 
 @dataclass

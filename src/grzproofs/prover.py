@@ -50,7 +50,7 @@ from .calculus import (
     box_inf_step,
 )
 from .proofs import (
-    CyclicProof, ResourceLimitError, _crossing_child, _cyclic_node,
+    CyclicNode, CyclicProof, ResourceLimitError, _crossing_child,
 )
 
 
@@ -174,21 +174,6 @@ def _relabel(order, perm):
     return new
 
 
-def _goal_atoms(goal):
-    names = set()
-    stack = list(goal.formulas())
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Atom):
-            names.add(f.name)
-        elif isinstance(f, Implies):
-            stack.append(f.left)
-            stack.append(f.right)
-        elif isinstance(f, Box):
-            stack.append(f.inner)
-    return sorted(names)
-
-
 def find_countermodel(goal, max_size=4):
     """Search finite reflexive posets of up to ``max_size`` worlds for a
     world falsifying the formula reading of ``goal``.  Frames are
@@ -197,7 +182,8 @@ def find_countermodel(goal, max_size=4):
     if not isinstance(goal, Sequent):
         goal = Sequent(EMPTY, mset(goal))
     f = sequent_to_formula(goal)
-    atoms = _goal_atoms(goal)
+    atoms = sorted(g.name for g in sequent_subformulas(goal)
+                   if type(g) is Atom)
     for n in range(1, max_size + 1):
         full = (1 << n) - 1
         for order in enumerate_orders(n):
@@ -365,7 +351,7 @@ def _to_cyclic(snode):
         # (sequent, id) pairs.
         i = len(nodes)
         if sn.inst is None:
-            nodes[i] = _cyclic_node(i, sn.sequent, None, ())
+            nodes[i] = CyclicNode(i, sn.sequent, None, ())
             backlinks[i] = next(d for s, d in reversed(crossings[:-1])
                                 if s == sn.sequent)
             return i
@@ -377,7 +363,7 @@ def _to_cyclic(snode):
                 kids.append(build(ch, crossings + ((ch.sequent, len(nodes)),)))
             else:
                 kids.append(build(ch, crossings))
-        nodes[i] = _cyclic_node(i, sn.sequent, sn.inst, tuple(kids))
+        nodes[i] = CyclicNode(i, sn.sequent, sn.inst, tuple(kids))
         return i
 
     build(snode, ())

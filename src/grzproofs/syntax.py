@@ -165,21 +165,6 @@ def diamond(a):
     return neg(Box(neg(a)))
 
 
-def formula_size(f):
-    """Number of AST nodes."""
-    if isinstance(f, (Bottom, Atom)):
-        return 1
-    if isinstance(f, Box):
-        return 1 + formula_size(f.inner)
-    return 1 + formula_size(f.left) + formula_size(f.right)
-
-
-def formula_key(f):
-    """A total order key for formulas, used to canonicalize multisets:
-    structural, so the order does not depend on when a formula was built."""
-    return f._key
-
-
 def subformulas(f):
     """The set of subformulas of a formula (including itself)."""
     out = set()
@@ -195,40 +180,6 @@ def subformulas(f):
         elif isinstance(g, Box):
             stack.append(g.inner)
     return frozenset(out)
-
-
-def star_closure(formulas):
-    """Close a set of formulas under subformulas and A |-> [](A -> []A).
-
-    For each boxed member []A of the subformula closure, the formula
-    [](A -> []A) and its subformulas are added as well.  The result is
-    finite: the extra formulas are not themselves expanded again.
-    """
-    base = set()
-    for f in formulas:
-        base |= subformulas(f)
-    out = set(base)
-    for g in base:
-        if isinstance(g, Box):
-            out |= subformulas(Box(Implies(g.inner, g)))
-    return frozenset(out)
-
-
-def polarity(f, positive=True, pos=None, neg_=None):
-    """Positive and negative subformula occurrences of a formula.
-
-    Returns a pair of frozensets ``(pos, neg)``.  The formula itself is a
-    positive occurrence; implication flips polarity on the left.
-    """
-    if pos is None:
-        pos, neg_ = set(), set()
-    (pos if positive else neg_).add(f)
-    if isinstance(f, Implies):
-        polarity(f.left, not positive, pos, neg_)
-        polarity(f.right, positive, pos, neg_)
-    elif isinstance(f, Box):
-        polarity(f.inner, positive, pos, neg_)
-    return frozenset(pos), frozenset(neg_)
 
 
 def atom_polarities(f, positive=True, out=None):
@@ -341,9 +292,6 @@ class Multiset:
                 seen.append(f)
         return tuple(seen)
 
-    def to_set(self):
-        return frozenset(self._items)
-
     def dedupe(self):
         """The underlying set, as a multiset with multiplicity one each."""
         return _canonical(self.distinct())
@@ -431,14 +379,6 @@ class Sequent:
 _set_ant = Sequent.ant.__set__
 _set_suc = Sequent.suc.__set__
 _set_hash = Sequent._hash.__set__
-
-
-def seq(ant, suc):
-    if not isinstance(ant, Multiset):
-        ant = Multiset(ant)
-    if not isinstance(suc, Multiset):
-        suc = Multiset(suc)
-    return Sequent(ant, suc)
 
 
 def sequent_subformulas(s):

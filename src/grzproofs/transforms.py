@@ -5,11 +5,14 @@ non-expansive for the fragment metric (output nodes up to crossing depth n
 depend only on input nodes up to depth n), they produce proofs of the
 expected sequent, and the structural ones do not increase local height.
 
-The centerpiece is cut elimination by productive corecursion: ``reduce_cut``
-removes one cut at the root, ``eliminate_cuts`` removes all of them,
-``slim`` contracts box right premises to set-like form, and ``regularize``
-folds a regular lazy proof back into a finite cyclic proof.  Conversions
-between the finitary and the non-well-founded calculus round out the set.
+Weakening (``wk``), the five inversions (``invert_*``, each docstring
+giving the paper's name for it) and contraction (``contract_left``,
+``contract_right``) serve the centerpiece, cut elimination by productive
+corecursion: ``reduce_cut`` (or ``re(A)``) removes one cut at the root,
+``eliminate_cuts`` removes all of them, ``slim`` contracts box right
+premises to set-like form, and ``regularize`` folds a regular lazy proof
+back into a finite cyclic proof.  Conversions between the finitary and the
+non-well-founded calculus round out the set.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .calculus import (
     ax_atom, ax_bottom, ax_general, imp_r, imp_l, refl, box_inf, box_grz, cut,
 )
 from .proofs import (
-    LazyProof, ResourceLimitError, leaf, node, eager, _crossing_child,
+    LazyProof, ResourceLimitError, leaf, eager, _crossing_child,
     _from_preorder,
 )
 
@@ -42,10 +45,6 @@ class RegularizeError(TransformError, ResourceLimitError):
 def wk(p, extra_ant=EMPTY, extra_suc=EMPTY):
     """Add ``extra_ant`` / ``extra_suc`` to every sequent of the main part
     of ``p``; box right premises are untouched."""
-    if not isinstance(extra_ant, Multiset):
-        extra_ant = Multiset(extra_ant)
-    if not isinstance(extra_suc, Multiset):
-        extra_suc = Multiset(extra_suc)
     if not extra_ant and not extra_suc:
         return p
     c = p.root
@@ -68,7 +67,8 @@ def _homomorphic(p, concl, rec):
 
 
 def invert_imp_right(p, t):
-    """From Gamma => A -> B, Delta derive Gamma, A => B, Delta."""
+    """From Gamma => A -> B, Delta derive Gamma, A => B, Delta: the
+    inversion ``i_imp``."""
     if not isinstance(t, Implies) or t not in p.root.suc:
         raise TransformError('%s is not a succedent implication of %s'
                              % (t, p.root))
@@ -81,7 +81,8 @@ def invert_imp_right(p, t):
 
 
 def invert_imp_left(p, t):
-    """From Gamma, A -> B => Delta derive Gamma, B => Delta."""
+    """From Gamma, A -> B => Delta derive Gamma, B => Delta: the
+    inversion ``li_imp``."""
     if not isinstance(t, Implies) or t not in p.root.ant:
         raise TransformError('%s is not an antecedent implication of %s'
                              % (t, p.root))
@@ -93,7 +94,8 @@ def invert_imp_left(p, t):
 
 
 def invert_imp_antecedent(p, t):
-    """From Gamma, A -> B => Delta derive Gamma => A, Delta."""
+    """From Gamma, A -> B => Delta derive Gamma => A, Delta: the
+    inversion ``ri_imp``."""
     if not isinstance(t, Implies) or t not in p.root.ant:
         raise TransformError('%s is not an antecedent implication of %s'
                              % (t, p.root))
@@ -105,7 +107,8 @@ def invert_imp_antecedent(p, t):
 
 
 def invert_bottom(p):
-    """From Gamma => false, Delta derive Gamma => Delta."""
+    """From Gamma => false, Delta derive Gamma => Delta: the inversion
+    ``i_bot``."""
     if BOT not in p.root.suc:
         raise TransformError('no false in the succedent of %s' % p.root)
     s = p.root
@@ -114,7 +117,8 @@ def invert_bottom(p):
 
 
 def invert_box_right(p, t):
-    """From Gamma => []A, Delta derive Gamma => A, Delta."""
+    """From Gamma => []A, Delta derive Gamma => A, Delta: the inversion
+    ``li_box``."""
     if not isinstance(t, Box) or t not in p.root.suc:
         raise TransformError('%s is not a boxed succedent formula of %s'
                              % (t, p.root))
@@ -155,10 +159,6 @@ def ax_proof(gamma, a, delta):
     ``a = []B`` both premises of the box step prove  []B, B => B  (the
     left one weakened), so they share one proof, and building the proof
     takes time linear in the box depth of ``a``."""
-    if not isinstance(gamma, Multiset):
-        gamma = Multiset(gamma)
-    if not isinstance(delta, Multiset):
-        delta = Multiset(delta)
     concl = Sequent(gamma.add(a), delta.add(a))
     if isinstance(a, Bottom):
         return leaf(ax_bottom(concl))
@@ -216,6 +216,14 @@ def reduce_cut(a, p, t):
     return _re_box(a, p, t)
 
 
+def re(a):
+    """The binary A-removing transformer for a fixed cut formula."""
+    def apply(p, t):
+        return reduce_cut(a, p, t)
+    apply.__name__ = 're_%s' % a
+    return apply
+
+
 def _cut_result(a, p):
     return Sequent(p.root.ant, p.root.suc.remove(a))
 
@@ -259,8 +267,7 @@ def _re_step(a, p, t, rec):
 def _re_atom(a, p, t):
     if p.inst.arity == 0:
         res = _cut_result(a, p)
-        if BOT in res.ant or any(isinstance(f, Atom) and f in res.suc
-                                 for f in res.ant.distinct()):
+        if res.is_initial():
             return _axiom_leaf(res)
         # The axiom of p must have used the cut occurrence of a, so a is
         # also in the antecedent and t carries a duplicate of it.
@@ -457,7 +464,7 @@ def _grz_knot(a):
     ax = ax_proof(mset(f), a, EMPTY)
     root = eager(r0, eager(r1, ax, eager(
         r3, eager(r4, ax_proof(mset(f), a, mset(box_a))),
-        eager(r7, node(r8, ax, lambda: root)))))
+        eager(r7, LazyProof(r8, (ax, lambda k: root))))))
     return root
 
 
@@ -603,43 +610,3 @@ def inf_to_seq(p):
             raise TransformError('cannot translate a %s step' % r.value)
         memo[key] = out
     return memo[root]
-
-
-# ---------------------------------------------------------------------------
-# Named dispatchers matching the transformer taxonomy
-
-
-def invert(p, kind, target=None):
-    """Apply one of the five inversions by name: ``li_imp`` / ``ri_imp`` /
-    ``i_imp`` on an implication, ``i_bot`` on a succedent falsity, and
-    ``li_box`` on a boxed succedent formula."""
-    if kind == 'li_imp':
-        return invert_imp_left(p, target)
-    if kind == 'ri_imp':
-        return invert_imp_antecedent(p, target)
-    if kind == 'i_imp':
-        return invert_imp_right(p, target)
-    if kind == 'i_bot':
-        return invert_bottom(p)
-    if kind == 'li_box':
-        return invert_box_right(p, target)
-    raise TransformError('unknown inversion kind %r' % (kind,))
-
-
-def contract(p, side, a):
-    if side == 'left':
-        return contract_left(p, a)
-    if side == 'right':
-        return contract_right(p, a)
-    raise TransformError('side must be left or right, not %r' % (side,))
-
-
-def re(a):
-    """The binary A-removing transformer for a fixed cut formula."""
-    def apply(p, t):
-        return reduce_cut(a, p, t)
-    apply.__name__ = 're_%s' % a
-    return apply
-
-
-ce = eliminate_cuts

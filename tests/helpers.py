@@ -7,7 +7,7 @@ from functools import lru_cache
 from grzproofs.calculus import (
     Rule, System, applicable_instances, ax_general, refl,
 )
-from grzproofs.proofs import CyclicNode, CyclicProof, eager, leaf, node
+from grzproofs.proofs import CyclicNode, CyclicProof, LazyProof, eager, leaf
 from grzproofs.syntax import (
     Atom, Box, Implies, BOT, PrintMemo, format_sequent, parse_sequent,
 )
@@ -63,11 +63,12 @@ def graft(p, depth, repl):
     the original and the graft agree up to fragment depth ``depth``."""
     if depth <= 0:
         return repl(p.root)
-    thunks = []
-    for i in range(p.inst.arity):
+
+    def make(i):
         d = depth - 1 if (p.rule == Rule.BOX_INF and i == 1) else depth
-        thunks.append(lambda i=i, d=d: graft(p.child(i), d, repl))
-    return node(p.inst, *thunks)
+        return graft(p.child(i), d, repl)
+
+    return LazyProof(p.inst, make=make)
 
 
 def refl_chain(n):

@@ -2,7 +2,7 @@ import pytest
 
 from grzproofs.calculus import (
     CalculusError, Rule, RuleInstance, System, applicable_instances,
-    ax_atom, ax_bottom, ax_general, box_grz, box_inf, check_step, cut,
+    ax_atom, ax_bottom, ax_general, box_grz, box_inf, cut,
     imp_l, imp_r, refl, reinstance, step_violations,
 )
 from grzproofs.syntax import (
@@ -83,18 +83,18 @@ class TestStepChecking:
 
     def test_atomic_axiom_only_in_nwf_systems(self):
         inst = ax_atom(parse_sequent('p => p'), P)
-        assert check_step(inst, System.GRZ_INF)
-        assert not check_step(inst, System.GRZ_SEQ)
+        assert not step_violations(inst, System.GRZ_INF)
+        assert step_violations(inst, System.GRZ_SEQ)
 
     def test_general_axiom_only_in_finitary_systems(self):
         inst = ax_general(parse_sequent('[]p => []p'), Box(P))
-        assert check_step(inst, System.GRZ_SEQ)
-        assert not check_step(inst, System.GRZ_INF)
+        assert not step_violations(inst, System.GRZ_SEQ)
+        assert step_violations(inst, System.GRZ_INF)
 
     def test_cut_needs_a_cut_system(self):
         inst = cut(parse_sequent('p => p'), Q)
-        assert check_step(inst, System.GRZ_SEQ_CUT)
-        assert not check_step(inst, System.GRZ_SEQ)
+        assert not step_violations(inst, System.GRZ_SEQ_CUT)
+        assert step_violations(inst, System.GRZ_SEQ)
 
     def test_tampered_premises_are_flagged(self):
         good = imp_r(parse_sequent('=> p -> q'), Implies(P, Q))
@@ -102,6 +102,25 @@ class TestStepChecking:
                            (parse_sequent('q => p'),), good.principal, None)
         out = step_violations(bad, System.GRZ_INF)
         assert any('do not match the rule schema' in v for v in out)
+
+    def test_stray_principal_and_cut_formulas_are_flagged(self):
+        # The recorded principal and cut formula are compared with the
+        # rebuilt step's, as the premises are; a proof file that records
+        # an axiom's principal as null fails the same way.
+        box = box_inf(parse_sequent('[]p => []p'), Box(P), mset(Box(P)))
+        steps = [
+            (RuleInstance(Rule.AX_BOTTOM, parse_sequent('false => q'), (),
+                          principal=Q), 'principal q', 'false'),
+            (RuleInstance(Rule.AX_BOTTOM, parse_sequent('false => q'), ()),
+             'principal None', 'false'),
+            (RuleInstance(Rule.BOX_INF, box.conclusion, box.premises,
+                          box.principal, cut_formula=Q),
+             'cut_formula q', 'None'),
+        ]
+        for inst, field, expected in steps:
+            assert step_violations(inst, System.GRZ_INF) == [
+                '%s: %s does not match the rule schema (expected %s)'
+                % (inst.rule.value, field, expected)]
 
     def test_compound_principal_fails_the_atomic_axiom(self):
         inst = RuleInstance(Rule.AX_ATOM, parse_sequent('[]p => []p'), (),

@@ -80,13 +80,27 @@ class TestCheck:
         assert 'valid' in capsys.readouterr().out
 
     def test_corrupted_proof(self, tmp_path, capsys):
+        # A wrong sequent, an axiom that records no principal formula, and
+        # a box step that records a cut formula.
         out = tmp_path / 'proof.json'
-        run('prove', '[]p -> p', '-o', str(out))
-        data = json.loads(out.read_text())
-        data['nodes'][0]['sequent'] = 'q => q'
-        out.write_text(json.dumps(data))
-        assert run('check', str(out)) == 1
-        assert 'invalid' in capsys.readouterr().out
+        for goal, i, field, value, violation in (
+                ('[]p -> p', 0, 'sequent', 'q => q', None),
+                ('false -> p', 1, 'principal', None,
+                 'ax_bottom: principal None does not match the rule schema '
+                 '(expected false)'),
+                ('[]p => []p', 1, 'cut_formula', 'q',
+                 'box_inf: cut_formula q does not match the rule schema '
+                 '(expected None)')):
+            run('prove', goal, '-o', str(out))
+            data = json.loads(out.read_text())
+            data['nodes'][i][field] = value
+            out.write_text(json.dumps(data))
+            capsys.readouterr()
+            assert run('check', str(out)) == 1
+            text = capsys.readouterr().out
+            assert 'invalid' in text
+            if violation is not None:
+                assert text == 'invalid:\n  - %s\n' % violation
 
     def test_missing_file_exits_2(self):
         assert run('check', '/no/such/file.json') == 2
@@ -112,6 +126,16 @@ class TestMalformedProofJson:
         data['nodes'][0]['children'] = [7]
         self.assert_input_error(tmp_path, capsys, data,
                                 'node 0 lists child 7, which has no node')
+
+    def test_not_exactly_one_root(self, tmp_path, capsys):
+        # Node 0 drops its child, so nodes 0 and 1 have no parent; or the
+        # last node lists node 0, so every node has one.
+        for i, children, roots in ((0, [], '[0, 1]'), (2, [0], '[]')):
+            data = self.proof_data(tmp_path)
+            data['nodes'][i]['children'] = children
+            self.assert_input_error(
+                tmp_path, capsys, data,
+                'proof must have exactly one root, found %s' % roots)
 
     def test_document_is_not_an_object(self, tmp_path, capsys):
         self.assert_input_error(tmp_path, capsys, [1, 2],

@@ -4,14 +4,16 @@ import pytest
 
 from grzproofs.interpolation import (
     InterpolationError, NotATheoremError, SplitSequent, interpolate, lyndon,
-    sequent_polarity,
 )
 from grzproofs import prover
 from grzproofs.prover import decide, eval_formula, provable
-from grzproofs.proofs import check_cyclic
+from grzproofs.calculus import System, ax_atom
+from grzproofs.proofs import CyclicProof, check_cyclic, cyclic_from_wf, leaf
+from grzproofs.transforms import build_cut
 from grzproofs.syntax import (
     Atom, Box, EMPTY, Implies, Sequent, atom_polarities, conj, diamond,
     format_formula, mset, neg, parse_formula, parse_sequent,
+    sequent_to_formula,
 )
 
 from helpers import formulas_up_to
@@ -127,6 +129,23 @@ class TestInterpolate:
         # With B empty the interpolant must be atom-free.
         assert atom_polarities(result.interpolant) == {}
 
+    def test_rejects_an_invalid_proof_and_a_proof_with_cut(self):
+        s = parse_sequent('p => p')
+        split = SplitSequent(s.ant, EMPTY, EMPTY, s.suc)
+        proof = decide(s).proof
+        # An atomic axiom is not a step of the finitary calculus.
+        finitary = CyclicProof(proof.nodes, proof.root, proof.backlinks,
+                               System.GRZ_SEQ)
+        with_cut = cyclic_from_wf(build_cut(
+            leaf(ax_atom(parse_sequent('p => p, q'), P)),
+            leaf(ax_atom(parse_sequent('q, p => p'), P)), Q),
+            System.GRZ_INF_CUT)
+        assert check_cyclic(with_cut).ok
+        for bad, message in ((finitary, 'invalid proof'),
+                             (with_cut, 'proof contains cut')):
+            with pytest.raises(InterpolationError, match=message):
+                interpolate(bad, split)
+
     def test_rejects_splits_that_do_not_cover_the_root(self):
         s = parse_sequent('p => p')
         verdict = decide(s)
@@ -136,12 +155,15 @@ class TestInterpolate:
 
 
 class TestSequentPolarity:
+    """The signs of the atoms of a sequent are those of its formula
+    reading."""
+
     def test_antecedent_flips_signs(self):
-        pos, neg = sequent_polarity(mset(parse_formula('p -> q')), mset(P))
-        assert pos == {'p'}
-        assert neg == {'q'}
+        s = Sequent(mset(parse_formula('p -> q')), mset(P))
+        assert atom_polarities(sequent_to_formula(s)) == {'p': {'+'},
+                                                          'q': {'-'}}
 
     def test_succedent_keeps_signs(self):
-        pos, neg = sequent_polarity(EMPTY, mset(parse_formula('p -> q')))
-        assert pos == {'q'}
-        assert neg == {'p'}
+        s = Sequent(EMPTY, mset(parse_formula('p -> q')))
+        assert atom_polarities(sequent_to_formula(s)) == {'p': {'-'},
+                                                          'q': {'+'}}

@@ -3,6 +3,7 @@ import io
 import json
 import random
 import weakref
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -14,7 +15,7 @@ from grzproofs.examples import grz_axiom_cyclic_proof
 from grzproofs.proofs import (
     CyclicNode, CyclicProof, Distance, LazyProof, check_cyclic, check_wf,
     cutfree_to_depth, cyclic_from_wf, distance, dump_proof, eager, frag_eq,
-    leaf, load_proof, local_height, node, proof_from_json, proof_to_dot,
+    leaf, load_proof, local_height, proof_from_json, proof_to_dot,
     unravel, validate_to_depth, wf_from_cyclic,
 )
 from grzproofs.prover import decide
@@ -111,7 +112,7 @@ class TestlazyProofs:
             LazyProof(inst, [])
         with pytest.raises(ValueError,
                            match='^arity mismatch: 2 thunks for 1 premises$'):
-            node(inst, small_wf_proof().child(0), small_wf_proof().child(0))
+            LazyProof(inst, [small_wf_proof().child(0)] * 2)
 
     def test_a_node_forced_in_full_holds_no_closure(self):
         inst = imp_l(parse_sequent('p, p -> p => p'), Implies(P, P))
@@ -343,6 +344,23 @@ class TestCheckCyclicRejections:
         report = check_cyclic(broken)
         assert not report.ok
         assert any('unreachable' in v for v in report.violations)
+
+    def test_malformed_nodes(self, example):
+        nodes = example.nodes
+        for i, change, violation in (
+                (6, {'children': (77,)}, 'node id 77 missing'),
+                (9, {'inst': nodes[0].inst},
+                 'node 9 has both a rule and a back-link'),
+                (2, {'sequent': parse_sequent('p => p')},
+                 'node 2 sequent disagrees with its rule conclusion'),
+                (2, {'children': (8,)},
+                 'node 2 has 1 children for 0 premises')):
+            broken = dict(nodes)
+            broken[i] = replace(nodes[i], **change)
+            report = check_cyclic(CyclicProof(broken, example.root,
+                                              example.backlinks,
+                                              example.system))
+            assert violation in report.violations
 
     def test_backlink_to_itself(self, example):
         # A leaf is not its own proper ancestor.

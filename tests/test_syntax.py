@@ -13,9 +13,8 @@ from grzproofs import syntax
 from grzproofs.syntax import (
     Atom, Bottom, Box, Implies, Multiset, ParseError, Sequent,
     BOT, EMPTY, TOP, atom_polarities, conj, diamond, disj, format_formula,
-    format_sequent, formula_key, formula_size, mset, neg, parse_formula,
-    parse_sequent, polarity, seq, sequent_subformulas, sequent_to_formula,
-    star_closure, subformulas,
+    format_sequent, mset, neg, parse_formula, parse_sequent,
+    sequent_subformulas, sequent_to_formula, subformulas,
 )
 
 P, Q, R = Atom('p'), Atom('q'), Atom('r')
@@ -86,7 +85,7 @@ class TestParsing:
 
     @given(st.tuples(formula_lists, formula_lists))
     def test_sequent_round_trip(self, sides):
-        s = seq(sides[0], sides[1])
+        s = Sequent(Multiset(sides[0]), Multiset(sides[1]))
         assert parse_sequent(format_sequent(s)) == s
 
 
@@ -274,7 +273,7 @@ parse_texts = st.one_of(
     st.lists(st.sampled_from(PARSE_PIECES), max_size=14).map(''.join),
     formulas.map(format_formula),
     st.tuples(formula_lists, formula_lists).map(
-        lambda sides: format_sequent(seq(*sides))))
+        lambda sides: format_sequent(Sequent(*map(Multiset, sides)))))
 
 
 def with_examples(texts):
@@ -356,7 +355,7 @@ class TestIterativeParser:
 
         monkeypatch.setattr(syntax, 'format_formula', counting)
         memo = syntax.PrintMemo()
-        s = seq([P, Box(Q)], [P, Implies(Q, P)])
+        s = Sequent(mset(P, Box(Q)), mset(P, Implies(Q, P)))
         texts = [format_sequent(s, memo) for _ in range(2)]
         assert texts == ['p, []q => p, q -> p'] * 2
         assert len(printed) == 3
@@ -364,27 +363,12 @@ class TestIterativeParser:
 
 
 class TestFormulaHelpers:
-    def test_formula_size(self):
-        assert formula_size(P) == 1
-        assert formula_size(BOT) == 1
-        assert formula_size(Box(P)) == 2
-        assert formula_size(Implies(P, Box(Q))) == 4
-
     def test_top_is_a_theorem_shape(self):
         assert TOP == Implies(BOT, BOT)
 
     def test_subformulas(self):
         f = Box(Implies(P, Q))
         assert subformulas(f) == {f, Implies(P, Q), P, Q}
-
-    def test_star_closure_adds_the_box_companions(self):
-        cl = star_closure([Box(P)])
-        assert cl == {P, Box(P), Implies(P, Box(P)),
-                      Box(Implies(P, Box(P)))}
-
-    @given(formulas)
-    def test_star_closure_contains_subformulas(self, f):
-        assert subformulas(f) <= star_closure([f])
 
     def test_polarity_of_implication(self):
         assert atom_polarities(Implies(P, Q)) == {'p': {'-'}, 'q': {'+'}}
@@ -393,19 +377,13 @@ class TestFormulaHelpers:
         assert atom_polarities(neg(P)) == {'p': {'-'}}
         assert atom_polarities(Implies(Box(P), P)) == {'p': {'-', '+'}}
 
-    @given(formulas)
-    def test_polarity_agrees_with_atom_polarities(self, f):
-        pos, neg_ = polarity(f)
-        names = {a.name for a in pos if isinstance(a, Atom)}
-        names |= {a.name for a in neg_ if isinstance(a, Atom)}
-        assert names == set(atom_polarities(f))
-
     @given(st.lists(formulas, min_size=2, max_size=6))
     def test_formula_key_is_a_total_order(self, fs):
-        ordered = sorted(fs, key=formula_key)
-        assert sorted(ordered, key=formula_key) == ordered
+        # The structural order key that multisets sort their items by.
+        ordered = sorted(fs, key=syntax._KEY)
+        assert sorted(ordered, key=syntax._KEY) == ordered
         for a, b in zip(ordered, ordered[1:]):
-            assert formula_key(a) <= formula_key(b)
+            assert a._key <= b._key
 
 
 class TestHashConsing:
@@ -533,7 +511,7 @@ class TestMultiset:
         # Edits build their items from the sorted items of their operands
         # without sorting again.
         def canonical(items):
-            return tuple(sorted(items, key=formula_key))
+            return tuple(sorted(items, key=syntax._KEY))
 
         def minus(items, gone):
             rest = list(items)
@@ -554,7 +532,6 @@ class TestMultiset:
         m = mset(P, P, Q)
         assert m.dedupe() == mset(P, Q)
         assert set(m.distinct()) == {P, Q}
-        assert m.to_set() == {P, Q}
 
 
 class TestSequent:

@@ -4,11 +4,11 @@ import time
 
 import pytest
 
-from grzproofs.calculus import Rule, System
+from grzproofs.calculus import Rule, System, ax_atom
 from grzproofs.proofs import (
     ResourceLimitError, check_cyclic, check_wf, cutfree_to_depth, frag_eq,
-    load_proof, local_height, unravel, validate_to_depth, walk_to_depth,
-    wf_from_cyclic,
+    leaf, load_proof, local_height, unravel, validate_to_depth,
+    walk_to_depth, wf_from_cyclic,
 )
 from grzproofs.prover import decide
 from grzproofs.syntax import (
@@ -16,9 +16,9 @@ from grzproofs.syntax import (
     parse_sequent,
 )
 from grzproofs.transforms import (
-    RegularizeError, TransformError, ax_proof, build_cut, ce, contract,
+    RegularizeError, TransformError, ax_proof, build_cut,
     contract_atom_left, contract_atom_right, contract_left, contract_right,
-    eliminate_cuts, grz_schema_proof, inf_to_seq, invert, invert_bottom,
+    eliminate_cuts, grz_schema_proof, inf_to_seq, invert_bottom,
     invert_box_right, invert_imp_antecedent, invert_imp_left,
     invert_imp_right, re, reduce_cut, regularize, seq_to_inf, slim, wk,
     _grz_knot,
@@ -98,14 +98,6 @@ class TestInversions:
         with pytest.raises(TransformError):
             invert_box_right(p, Box(P))
 
-    def test_dispatcher_matches_the_named_functions(self):
-        p = one_proof('=> p -> p')
-        a = invert(p, 'i_imp', Implies(P, P))
-        b = invert_imp_right(p, Implies(P, P))
-        assert frag_eq(a, b, 8)
-        with pytest.raises(TransformError):
-            invert(p, 'no_such_kind')
-
 
 class TestContractions:
     def test_atomic_contraction_left(self):
@@ -126,10 +118,11 @@ class TestContractions:
             contract_atom_left(p, P)
 
     def test_general_contraction_left(self):
-        p = one_proof('[]p, []p => []p', 7)
-        out = contract_left(p, Box(P))
-        assert out.root == parse_sequent('[]p => []p')
-        assert_valid(out)
+        for text, a, result in (('[]p, []p => []p', Box(P), '[]p => []p'),
+                                ('p, p => p', P, 'p => p')):
+            out = contract_left(one_proof(text, 7), a)
+            assert out.root == parse_sequent(result)
+            assert_valid(out)
 
     def test_general_contraction_right(self):
         p = one_proof('[]p => []p, []p', 7)
@@ -137,12 +130,16 @@ class TestContractions:
         assert out.root == parse_sequent('[]p => []p')
         assert_valid(out)
 
-    def test_dispatcher(self):
-        p = one_proof('p, p => p')
-        out = contract(p, 'left', P)
-        assert out.root == parse_sequent('p => p')
-        with pytest.raises(TransformError):
-            contract(p, 'middle', P)
+    def test_general_contraction_through_a_cut(self):
+        # Cut reduction pushes the contraction's cut past the cut step at
+        # the root, weakening its other premise by the cut formula.
+        p = build_cut(leaf(ax_atom(parse_sequent('p => p, q'), P)),
+                      leaf(ax_atom(parse_sequent('q, p => p, q'), P)), Q)
+        out = contract_right(p, P)
+        assert out.root == parse_sequent('p, p => p, q')
+        assert out.rule == Rule.CUT
+        report = validate_to_depth(out, System.GRZ_INF_CUT, 6)
+        assert report.ok, report.violations
 
 
 class TestAxiomExpansion:
@@ -190,6 +187,11 @@ class TestCutReduction:
         assert_valid(out)
         assert cutfree_to_depth(out, 8)
 
+    def test_roots_that_are_not_a_cut_pair_are_returned_unchanged(self):
+        lft, rgt = self.cut_pair('p => p, p', 'p, p => p')
+        assert reduce_cut(Q, lft, rgt) is lft
+        assert reduce_cut(P, lft, lft) is lft
+
     def test_re_factory_matches_reduce_cut(self):
         lft, rgt = self.cut_pair('p => p, p', 'p, p => p')
         assert frag_eq(re(P)(lft, rgt), reduce_cut(P, lft, rgt), 8)
@@ -214,17 +216,14 @@ class TestCutElimination:
     def test_removes_all_cuts(self):
         wf = self.build_proof_with_cut()
         assert wf.inst.rule == Rule.CUT
-        out = ce(wf)
+        out = eliminate_cuts(wf)
         assert out.root == wf.inst.conclusion
         assert cutfree_to_depth(out, 12)
         assert_valid(out, 12)
 
-    def test_ce_is_eliminate_cuts(self):
-        assert ce is eliminate_cuts
-
     def test_identity_on_cutfree_input(self):
         base = unravel(grz_schema_proof(P))
-        out = ce(base)
+        out = eliminate_cuts(base)
         assert frag_eq(out, base, 6)
 
 
@@ -361,7 +360,7 @@ class TestTranslations:
         wf = one_wf('=> ' + text)
         lazy = seq_to_inf(wf)
         assert lazy.root == wf.inst.conclusion
-        out = ce(lazy)
+        out = eliminate_cuts(lazy)
         assert cutfree_to_depth(out, 10)
         assert_valid(out, 10)
 
