@@ -1,6 +1,9 @@
 """Command-line interface: proving, checking, transforming, translating,
 interpolating, countermodel search, corpus generation, and DOT export.
 
+``cutfree``, ``slim``, ``regularize`` and ``translate --to inf`` share one
+path, so each takes a proof in any of the four systems.
+
 Each verb takes only the options it reads.  Exit codes: 0 success /
 valid / proved; 1 checked-and-negative (invalid proof, countermodel
 verdict, no countermodel found); 2 usage or input errors; 3 a resource
@@ -214,40 +217,31 @@ def _checked(proof, unraveled):
     return unraveled
 
 
-def _cutfree(proof, args, finitary):
-    """The cut-free, slim, folded proof that ``cutfree`` writes, and
-    ``translate --to inf`` too: a ``finitary`` proof is translated into
-    the non-well-founded calculus first."""
-    if finitary:
+# The lazy stages each folding verb applies before ``regularize``.
+_STAGES = {'cutfree': (eliminate_cuts, slim),
+           'translate': (eliminate_cuts, slim),
+           'slim': (slim,),
+           'regularize': ()}
+
+
+def _cmd_fold(args):
+    """The proof in the non-well-founded calculus, through the verb's
+    stages, folded.  ``translate --to inf`` rejects a non-finitary input."""
+    proof = _read_proof(args.proof)
+    if proof.system.is_finitary or args.verb == 'translate':
         lazy = seq_to_inf(_checked(proof, wf_from_cyclic(proof)))
     else:
         lazy = _checked(proof, unravel(proof))
-    return regularize(slim(eliminate_cuts(lazy)),
-                      max_crossings=args.max_crossings)
-
-
-def _cmd_cutfree(args):
-    proof = _read_proof(args.proof)
-    return _write_proof(_cutfree(proof, args, proof.system.is_finitary),
+    for stage in _STAGES[args.verb]:
+        lazy = stage(lazy)
+    return _write_proof(regularize(lazy, max_crossings=args.max_crossings),
                         args)
 
 
-def _cmd_slim(args):
-    proof = _read_proof(args.proof)
-    return _write_proof(regularize(slim(_checked(proof, unravel(proof))),
-                                   max_crossings=args.max_crossings), args)
-
-
-def _cmd_regularize(args):
-    proof = _read_proof(args.proof)
-    return _write_proof(regularize(_checked(proof, unravel(proof)),
-                                   max_crossings=args.max_crossings), args)
-
-
 def _cmd_translate(args):
-    proof = _read_proof(args.proof)
     if args.to == 'inf':
-        return _write_proof(_cutfree(proof, args, True), args)
+        return _cmd_fold(args)
+    proof = _read_proof(args.proof)
     wf = inf_to_seq(_checked(proof, unravel(proof)))
     return _write_proof(cyclic_from_wf(
         wf, System.GRZ_SEQ if cutfree_to_depth(wf, 1)
@@ -322,11 +316,11 @@ def build_parser():
          crossings=True, models=True)
     verb('check', _cmd_check, 'validate a proof JSON file', 'proof',
          output=False)
-    verb('cutfree', _cmd_cutfree, 'eliminate cuts from a proof', 'proof',
+    verb('cutfree', _cmd_fold, 'eliminate cuts from a proof', 'proof',
          crossings=True)
-    verb('slim', _cmd_slim, 'slim and regularize a cyclic proof', 'proof',
+    verb('slim', _cmd_fold, 'slim and regularize a cyclic proof', 'proof',
          crossings=True)
-    verb('regularize', _cmd_regularize, 'fold a cyclic proof minimally',
+    verb('regularize', _cmd_fold, 'fold a cyclic proof minimally',
          'proof', crossings=True)
     verb('translate', _cmd_translate, 'translate between the finitary and '
          'non-well-founded calculi', 'proof', crossings=True).add_argument(

@@ -472,12 +472,15 @@ def _field(d, name, where):
     return d[name]
 
 
-def _string(value, name, where):
-    """``value``, the ``name`` field of ``where``, which must be a string:
-    anything else is an input error naming the node and the field."""
-    if not isinstance(value, str):
-        raise ValueError('%s has a %r field that is not a string'
-                         % (where, name))
+_ID = (int, float, str)             # the JSON types of a node id
+
+
+def _typed(value, types, kind, name, where):
+    """``value``, the ``name`` field of ``where``, if it is ``kind`` (of
+    ``types``): anything else is an input error naming node and field."""
+    if not isinstance(value, types):
+        raise ValueError('%s has a %r field that is not %s'
+                         % (where, name, kind))
     return value
 
 
@@ -486,36 +489,45 @@ def proof_from_json(data):
     sequent text and each distinct formula text is parsed once."""
     system = System(_field(data, 'system', 'the proof'))
     raw = {}
-    for k, d in enumerate(_field(data, 'nodes', 'the proof')):
-        raw[_field(d, 'id', 'entry %d of nodes' % k)] = d
-    backlinks = {int(a): d for a, d in data.get('backlinks', {}).items()}
+    for k, d in enumerate(_typed(_field(data, 'nodes', 'the proof'), list,
+                                 'a list', 'nodes', 'the proof')):
+        where = 'entry %d of nodes' % k
+        raw[_typed(_field(d, 'id', where), _ID, 'a number or string', 'id',
+                   where)] = d
+    links = _typed(data.get('backlinks', {}), dict, 'an object',
+                   'backlinks', 'the proof')
+    backlinks = {int(a): _typed(d, _ID, 'a number or string', a,
+                                "the 'backlinks' object")
+                 for a, d in links.items()}
     # A node's sequent is also its parent's premise, and a formula occurs
     # in many sequents: parse each text once.
     parsed, formulas = {}, ParseMemo()
 
     def sequent(i):
         where = 'node %s' % i
-        text = _string(_field(raw[i], 'sequent', where), 'sequent', where)
+        text = _typed(_field(raw[i], 'sequent', where), str, 'a string',
+                      'sequent', where)
         s = parsed.get(text)
         if s is None:
             s = parsed[text] = parse_sequent(text, formulas)
         return s
 
     def formula(d, name, where):
-        text = d.get(name)
-        if text is not None:
-            _string(text, name, where)
+        text = _typed(d.get(name), (str, type(None)), 'a string', name, where)
         return formulas[text] if text else None
 
     nodes = {}
     for i, d in raw.items():
         where = 'node %s' % i
         s = sequent(i)
-        children = tuple(_field(d, 'children', where))
+        children = tuple(_typed(_field(d, 'children', where), list, 'a list',
+                                'children', where))
+        for c in children:
+            _typed(c, _ID, 'a list of numbers and strings', 'children', where)
         if d.get('rule') is None:
             nodes[i] = CyclicNode(i, s, None, children)
             continue
-        rule = Rule(_string(d['rule'], 'rule', where))
+        rule = Rule(_typed(d['rule'], str, 'a string', 'rule', where))
         principal = formula(d, 'principal', where)
         cutf = formula(d, 'cut_formula', where)
         for c in children:

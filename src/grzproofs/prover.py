@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .syntax import (
-    Atom, Bottom, Box, Implies, Sequent, EMPTY, mset, sequent_subformulas,
+    Atom, Bottom, Box, Implies, Sequent, EMPTY, mset, subformulas,
     sequent_to_formula, _canonical,
 )
 from .calculus import (
@@ -66,6 +66,21 @@ class SearchLimitError(ProverError, ResourceLimitError):
 # Kripke models
 
 
+def _order_fault(order, n):
+    """Why the successor bitmasks ``order`` of worlds 0..n-1 are not a
+    reflexive partial order (the frames of Grz), or None if they are."""
+    for w in range(n):
+        if not order[w] & (1 << w):
+            return 'order not reflexive at world %d' % w
+        for v in range(n):
+            if order[w] & (1 << v):
+                if v != w and order[v] & (1 << w):
+                    return 'order not antisymmetric'
+                if order[v] & ~order[w]:
+                    return 'order not transitive'
+    return None
+
+
 @dataclass(frozen=True)
 class KripkeModel:
     """A finite reflexive poset with a valuation.  ``order[w]`` is the
@@ -76,16 +91,9 @@ class KripkeModel:
     valuation: tuple  # sorted tuple of (name, bitmask)
 
     def __post_init__(self):
-        n = self.size
-        for w in range(n):
-            if not self.order[w] & (1 << w):
-                raise ValueError('order not reflexive at world %d' % w)
-            for v in range(n):
-                if self.order[w] & (1 << v):
-                    if v != w and self.order[v] & (1 << w):
-                        raise ValueError('order not antisymmetric')
-                    if self.order[v] & ~self.order[w]:
-                        raise ValueError('order not transitive')
+        fault = _order_fault(self.order, self.size)
+        if fault:
+            raise ValueError(fault)
 
     def val(self, name):
         for k, mask in self.valuation:
@@ -138,19 +146,7 @@ def enumerate_orders(n):
         for k, (i, j) in enumerate(pairs):
             if bits & (1 << k):
                 order[i] |= 1 << j
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                if order[i] & (1 << j):
-                    if i != j and order[j] & (1 << i):
-                        ok = False
-                        break
-                    if order[j] & ~order[i]:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if not ok:
+        if _order_fault(order, n):
             continue
         canon = min(
             tuple(sorted(_relabel(order, perm)))
@@ -182,7 +178,7 @@ def find_countermodel(goal, max_size=4):
     if not isinstance(goal, Sequent):
         goal = Sequent(EMPTY, mset(goal))
     f = sequent_to_formula(goal)
-    atoms = sorted(g.name for g in sequent_subformulas(goal)
+    atoms = sorted(g.name for g in subformulas(*goal.formulas())
                    if type(g) is Atom)
     for n in range(1, max_size + 1):
         full = (1 << n) - 1
@@ -290,7 +286,7 @@ def _search(s, refl_done, history, st):
         subs = st.boxes.get(s)
         if subs is None:
             subs = st.boxes[s] = frozenset(
-                f for f in sequent_subformulas(s) if type(f) is Box)
+                f for f in subformulas(*s.formulas()) if type(f) is Box)
         older = frozenset(p for f, p in history[:-1] if f in subs)
         box, newest = history[-1]
         visible = (older, newest if box in subs else None)

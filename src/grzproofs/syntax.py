@@ -165,10 +165,11 @@ def diamond(a):
     return neg(Box(neg(a)))
 
 
-def subformulas(f):
-    """The set of subformulas of a formula (including itself)."""
+def subformulas(*roots):
+    """The set of subformulas of the formulas ``roots`` (including
+    themselves), in one walk over all of them."""
     out = set()
-    stack = [f]
+    stack = list(roots)
     while stack:
         g = stack.pop()
         if g in out:
@@ -379,13 +380,6 @@ class Sequent:
 _set_ant = Sequent.ant.__set__
 _set_suc = Sequent.suc.__set__
 _set_hash = Sequent._hash.__set__
-
-
-def sequent_subformulas(s):
-    out = set()
-    for f in s.formulas():
-        out |= subformulas(f)
-    return frozenset(out)
 
 
 def sequent_to_formula(s):

@@ -401,7 +401,8 @@ def regularize(p, max_crossings=64, max_nodes=1000000):
     nodes; both are ``ResourceLimitError``s.  The walk is a preorder over
     an explicit stack, so proofs of any depth fold; each child is forced
     only when its turn comes, and node ids are preorder positions.  The
-    result is a proof of the non-well-founded calculus without cut.
+    result is a proof of the non-well-founded calculus, in
+    ``GRZ_INF_CUT`` if it keeps a cut step and in ``GRZ_INF`` otherwise.
     """
     order, backlinks = [], {}
     parent, crossings = [], []      # of each node id
@@ -441,7 +442,10 @@ def regularize(p, max_crossings=64, max_nodes=1000000):
                     'input does not look regular' % max_crossings)
             ncross += 1
         visit(child, i, ncross)
-    return _from_preorder(order, backlinks, System.GRZ_INF)
+    has_cut = any(inst is not None and inst.rule is Rule.CUT
+                  for _, inst in order)
+    return _from_preorder(order, backlinks,
+                          System.GRZ_INF_CUT if has_cut else System.GRZ_INF)
 
 
 # ---------------------------------------------------------------------------

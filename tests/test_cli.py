@@ -2,18 +2,21 @@ import argparse
 import json
 import random
 import time
+from functools import reduce
 from importlib import resources
+from operator import getitem
 
 import pytest
 
-from grzproofs.calculus import System
+from grzproofs.calculus import System, ax_atom
 from grzproofs.cli import build_parser, main, random_wf_proof
 from grzproofs.proofs import (
-    check_cyclic, check_wf, cyclic_from_wf, dump_proof, load_proof,
+    check_cyclic, check_wf, cyclic_from_wf, dump_proof, leaf, load_proof,
 )
 from grzproofs.syntax import parse_sequent
+from grzproofs.transforms import build_cut
 
-from helpers import proof_to_json, refl_chain
+from helpers import P, Q, proof_to_json, refl_chain
 
 EXAMPLE = str(resources.files('grzproofs') / 'data' / 'grz_axiom_cyclic.json')
 
@@ -160,6 +163,31 @@ class TestMalformedProofJson:
             tmp_path, capsys, data,
             "node 1 has a '%s' field that is not a string" % name)
 
+    @pytest.mark.parametrize('keys, value, message', [
+        (('nodes',), 5, "the proof has a 'nodes' field that is not a list"),
+        (('nodes', 1, 'children'), 5,
+         "node 1 has a 'children' field that is not a list"),
+        (('nodes', 0, 'id'), [0],
+         "entry 0 of nodes has a 'id' field that is not a number or string"),
+        (('nodes', 0, 'children'), [[1]],
+         "node 0 has a 'children' field that is not a list of numbers and "
+         "strings"),
+        (('backlinks',), [1],
+         "the proof has a 'backlinks' field that is not an object"),
+        (('backlinks',), {'2': [1]},
+         "the 'backlinks' object has a '2' field that is not a number or "
+         "string"),
+        (('backlinks',), {'2': {'a': 1}},
+         "the 'backlinks' object has a '2' field that is not a number or "
+         "string"),
+    ])
+    def test_field_of_the_wrong_json_type(self, tmp_path, capsys, keys,
+                                          value, message):
+        data = self.proof_data(tmp_path)
+        *path, last = keys
+        reduce(getitem, path, data)[last] = value
+        self.assert_input_error(tmp_path, capsys, data, message)
+
     @pytest.mark.parametrize('backlinks, message', [
         ({'0': 9}, 'back-link 0 -> 9 references a missing node'),
         ({}, 'node 0 has no rule and no back-link'),
@@ -297,6 +325,40 @@ class TestCorpusAndPipeline:
             out = tmp_path / (verb + '.json')
             assert run(verb, str(inf), '-o', str(out)) == 0
             assert check_cyclic(load_proof(out.read_text())).ok
+
+    def write_proof_in(self, system, path):
+        """Write a proof in ``system`` to ``path``: a prover output, its
+        finitary translation, a corpus entry, or a cut of two axioms."""
+        if system in ('grz_inf', 'grz_seq'):
+            inf = path.with_name('inf.json')
+            run('prove', '[]p -> [][]p', '-o', str(inf))
+            if system == 'grz_seq':
+                run('translate', str(inf), '--to', 'seq', '-o', str(path))
+            else:
+                path.write_text(inf.read_text())
+        elif system == 'grz_seq_cut':
+            corpus = path.with_name('corpus.json')
+            run('corpus', '--count', '1', '--seed', '3', '-o', str(corpus))
+            path.write_text(json.dumps(json.loads(corpus.read_text())[0]))
+        else:
+            path.write_text(dump_proof(cyclic_from_wf(build_cut(
+                leaf(ax_atom(parse_sequent('p => p, q'), P)),
+                leaf(ax_atom(parse_sequent('q, p => p'), P)), Q),
+                System.GRZ_INF_CUT)))
+        assert load_proof(path.read_text()).system.value == system
+
+    @pytest.mark.parametrize('system', ['grz_seq', 'grz_seq_cut', 'grz_inf',
+                                        'grz_inf_cut'])
+    @pytest.mark.parametrize('verb', ['cutfree', 'slim', 'regularize'])
+    def test_folding_verbs_write_a_valid_proof_from_every_system(
+            self, tmp_path, verb, system):
+        given = tmp_path / 'given.json'
+        self.write_proof_in(system, given)
+        out = tmp_path / 'out.json'
+        assert run(verb, str(given), '-o', str(out)) == 0
+        assert run('check', str(out)) == 0
+        a, b = load_proof(given.read_text()), load_proof(out.read_text())
+        assert b.node(b.root).sequent == a.node(a.root).sequent
 
 
 class TestOtherVerbs:

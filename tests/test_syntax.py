@@ -14,7 +14,7 @@ from grzproofs.syntax import (
     Atom, Bottom, Box, Implies, Multiset, ParseError, Sequent,
     BOT, EMPTY, TOP, atom_polarities, conj, diamond, disj, format_formula,
     format_sequent, mset, neg, parse_formula, parse_sequent,
-    sequent_subformulas, sequent_to_formula, subformulas,
+    sequent_to_formula, subformulas,
 )
 
 P, Q, R = Atom('p'), Atom('q'), Atom('r')
@@ -590,4 +590,4 @@ class TestSequent:
 
     def test_sequent_subformulas(self):
         s = parse_sequent('[]p => q')
-        assert sequent_subformulas(s) == {Box(P), P, Q}
+        assert subformulas(*s.formulas()) == {Box(P), P, Q}

@@ -279,6 +279,17 @@ class TestRegularize:
         with pytest.raises(RegularizeError, match='exceeded 5 nodes'):
             regularize(base, max_nodes=5)
 
+    def test_a_proof_that_keeps_a_cut_folds_into_the_calculus_with_cut(
+            self):
+        # The translation of a box step cuts against the schema's knot,
+        # whose fold has a back-link.
+        wf = inf_to_seq(unravel(decide(parse_sequent('[]p => [][]p')).proof))
+        cyc = regularize(seq_to_inf(wf))
+        assert cyc.system == System.GRZ_INF_CUT and cyc.backlinks
+        assert check_cyclic(cyc).ok
+        assert regularize(unravel(grz_schema_proof(P))).system == \
+            System.GRZ_INF
+
 
 class TestDeepProofs:
     def test_a_1200_step_chain_runs_the_pipeline_at_the_default_limit(
