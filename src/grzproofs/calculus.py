@@ -267,37 +267,3 @@ def step_violations(inst, system):
             out.append('%s: %s %s does not match the rule schema (expected '
                        '%s)' % (inst.rule.value, field, got, expected))
     return out
-
-
-def applicable_instances(goal, system):
-    """All backward-applicable rule instances with conclusion ``goal``, up
-    to the choice of principal occurrence.  Box rules are enumerated with
-    the maximal boxed context.  Cut is not enumerated (its cut formula is
-    unconstrained)."""
-    out = []
-    if system.is_nwf:
-        for a in goal.ant.distinct():
-            if isinstance(a, Atom) and a in goal.suc:
-                out.append(ax_atom(goal, a))
-    else:
-        for a in goal.ant.distinct():
-            if a in goal.suc:
-                out.append(ax_general(goal, a))
-    if BOT in goal.ant:
-        out.append(ax_bottom(goal))
-    for a in goal.suc.distinct():
-        if isinstance(a, Implies):
-            out.append(imp_r(goal, a))
-    for a in goal.ant.distinct():
-        if isinstance(a, Implies):
-            out.append(imp_l(goal, a))
-        elif isinstance(a, Box):
-            out.append(refl(goal, a))
-    boxed = goal.boxed_ant()
-    for a in goal.suc.distinct():
-        if isinstance(a, Box):
-            if system.is_nwf:
-                out.append(box_inf(goal, a, boxed))
-            else:
-                out.append(box_grz(goal, a, boxed))
-    return out

@@ -9,7 +9,8 @@ valid / proved; 1 checked-and-negative (invalid proof, countermodel
 verdict, no countermodel found); 2 usage or input errors; 3 a resource
 limit was hit (the search passed ``--max-crossings``, ``regularize`` passed
 its crossing or node cap), the input is nested too deeply, or the program
-ran out of memory.
+ran out of memory; 4 a folded or translated proof failed ``check_cyclic``
+and was not written, which is a fault of the program.
 """
 
 from __future__ import annotations
@@ -170,6 +171,17 @@ def _write_proof(proof, args):
     return 0
 
 
+def _write_checked(proof, args):
+    """Write ``proof`` once ``check_cyclic`` accepts it; else write
+    nothing, print the first violation and return 4."""
+    report = check_cyclic(proof)
+    if not report.ok:
+        print('error: the proof to write fails its check: %s'
+              % report.violations[0], file=sys.stderr)
+        return 4
+    return _write_proof(proof, args)
+
+
 def _countermodel_text(found):
     """The JSON text of a countermodel and the world that refutes the
     goal in it."""
@@ -226,7 +238,8 @@ _STAGES = {'cutfree': (eliminate_cuts, slim),
 
 def _cmd_fold(args):
     """The proof in the non-well-founded calculus, through the verb's
-    stages, folded.  ``translate --to inf`` rejects a non-finitary input."""
+    stages, folded and checked.  ``translate --to inf`` rejects a
+    non-finitary input."""
     proof = _read_proof(args.proof)
     if proof.system.is_finitary or args.verb == 'translate':
         lazy = seq_to_inf(_checked(proof, wf_from_cyclic(proof)))
@@ -234,8 +247,8 @@ def _cmd_fold(args):
         lazy = _checked(proof, unravel(proof))
     for stage in _STAGES[args.verb]:
         lazy = stage(lazy)
-    return _write_proof(regularize(lazy, max_crossings=args.max_crossings),
-                        args)
+    return _write_checked(regularize(lazy, max_crossings=args.max_crossings),
+                          args)
 
 
 def _cmd_translate(args):
@@ -243,7 +256,7 @@ def _cmd_translate(args):
         return _cmd_fold(args)
     proof = _read_proof(args.proof)
     wf = inf_to_seq(_checked(proof, unravel(proof)))
-    return _write_proof(cyclic_from_wf(
+    return _write_checked(cyclic_from_wf(
         wf, System.GRZ_SEQ if cutfree_to_depth(wf, 1)
         else System.GRZ_SEQ_CUT), args)
 

@@ -388,7 +388,9 @@ def check_cyclic(proof):
 
 def unravel(proof):
     """The lazy infinite proof denoted by a cyclic proof.  Nodes reached
-    through back-links are shared, so the result is a regular tree."""
+    through back-links are shared, so the result is a regular tree.  A
+    rule-less node without a back-link, and a back-link to a missing or
+    rule-less node, are input errors (``ValueError``)."""
     cache = {}
 
     def build(i):
@@ -402,6 +404,9 @@ def unravel(proof):
             if d not in proof.nodes:
                 raise ValueError('back-link %s -> %s references a missing '
                                  'node' % (i, d))
+            if proof.nodes[d].inst is None:
+                raise ValueError('back-link %s -> %s targets a node without '
+                                 'a rule' % (i, d))
             return build(d)
         p = LazyProof(n.inst, make=lambda k: build(n.children[k]))
         cache[i] = p
@@ -472,32 +477,47 @@ def _field(d, name, where):
     return d[name]
 
 
-_ID = (int, float, str)             # the JSON types of a node id
-
-
 def _typed(value, types, kind, name, where):
-    """``value``, the ``name`` field of ``where``, if it is ``kind`` (of
-    ``types``): anything else is an input error naming node and field."""
-    if not isinstance(value, types):
+    """``value``, the ``name`` field of ``where``, if its type is one of
+    ``types`` (``kind`` in words; a JSON ``true`` is no integer): anything
+    else is an input error naming node and field."""
+    if type(value) not in types:
         raise ValueError('%s has a %r field that is not %s'
                          % (where, name, kind))
     return value
 
 
+def _link_key(a):
+    """The node id written as the ``backlinks`` key ``a``, which must be
+    the decimal text of an integer."""
+    try:
+        i = int(a)
+    except ValueError:
+        i = None
+    if i is None or str(i) != a:
+        raise ValueError("the 'backlinks' object has a key %r that is not "
+                         "an integer" % a)
+    return i
+
+
 def proof_from_json(data):
-    """The proof of a JSON object in the proof format.  Each distinct
-    sequent text and each distinct formula text is parsed once."""
+    """The proof of a JSON object in the proof format.  Node ids, child
+    ids and back-link targets are JSON integers, back-link keys their
+    decimal texts, and no two nodes share an id.  Each distinct sequent
+    text and each distinct formula text is parsed once."""
     system = System(_field(data, 'system', 'the proof'))
     raw = {}
-    for k, d in enumerate(_typed(_field(data, 'nodes', 'the proof'), list,
+    for k, d in enumerate(_typed(_field(data, 'nodes', 'the proof'), (list,),
                                  'a list', 'nodes', 'the proof')):
         where = 'entry %d of nodes' % k
-        raw[_typed(_field(d, 'id', where), _ID, 'a number or string', 'id',
-                   where)] = d
-    links = _typed(data.get('backlinks', {}), dict, 'an object',
+        i = _typed(_field(d, 'id', where), (int,), 'an integer', 'id', where)
+        if i in raw:
+            raise ValueError('%s repeats the id %d' % (where, i))
+        raw[i] = d
+    links = _typed(data.get('backlinks', {}), (dict,), 'an object',
                    'backlinks', 'the proof')
-    backlinks = {int(a): _typed(d, _ID, 'a number or string', a,
-                                "the 'backlinks' object")
+    backlinks = {_link_key(a): _typed(d, (int,), 'an integer', a,
+                                      "the 'backlinks' object")
                  for a, d in links.items()}
     # A node's sequent is also its parent's premise, and a formula occurs
     # in many sequents: parse each text once.
@@ -505,7 +525,7 @@ def proof_from_json(data):
 
     def sequent(i):
         where = 'node %s' % i
-        text = _typed(_field(raw[i], 'sequent', where), str, 'a string',
+        text = _typed(_field(raw[i], 'sequent', where), (str,), 'a string',
                       'sequent', where)
         s = parsed.get(text)
         if s is None:
@@ -520,14 +540,14 @@ def proof_from_json(data):
     for i, d in raw.items():
         where = 'node %s' % i
         s = sequent(i)
-        children = tuple(_typed(_field(d, 'children', where), list, 'a list',
-                                'children', where))
+        children = tuple(_typed(_field(d, 'children', where), (list,),
+                                'a list', 'children', where))
         for c in children:
-            _typed(c, _ID, 'a list of numbers and strings', 'children', where)
+            _typed(c, (int,), 'a list of integers', 'children', where)
         if d.get('rule') is None:
             nodes[i] = CyclicNode(i, s, None, children)
             continue
-        rule = Rule(_typed(d['rule'], str, 'a string', 'rule', where))
+        rule = Rule(_typed(d['rule'], (str,), 'a string', 'rule', where))
         principal = formula(d, 'principal', where)
         cutf = formula(d, 'cut_formula', where)
         for c in children:
@@ -544,12 +564,7 @@ def proof_from_json(data):
     return CyclicProof(nodes, roots.pop(), backlinks, system)
 
 
-def _scalar(v):
-    """A node id as ``json.dumps`` writes it."""
-    return int.__repr__(v) if v.__class__ is int else json.dumps(v)
-
-
-_NODE = ('    {\n      "id": %s,\n      "sequent": %s,\n      "rule": %s,\n'
+_NODE = ('    {\n      "id": %d,\n      "sequent": %s,\n      "rule": %s,\n'
          '      "principal": %s,\n      "children": %s%s\n    }')
 
 
@@ -574,13 +589,12 @@ def _json_text(proof):
                 cut = (',\n      "cut_formula": '
                        + quote(texts[inst.cut_formula]))
         kids = ('[\n        %s\n      ]'
-                % ',\n        '.join(map(_scalar, n.children))
+                % ',\n        '.join(map(str, n.children))
                 if n.children else '[]')
-        nodes.append(_NODE % (_scalar(n.id),
+        nodes.append(_NODE % (n.id,
                               quote(format_sequent(n.sequent, texts)),
                               rule, principal, kids, cut))
-    links = [quote(str(a)) + ': ' + _scalar(d)
-             for a, d in sorted(proof.backlinks.items())]
+    links = ['"%d": %d' % link for link in sorted(proof.backlinks.items())]
     return ('{\n  "system": %s,\n  "nodes": %s,\n  "backlinks": %s\n}'
             % (quote(proof.system.value),
                '[\n%s\n  ]' % ',\n'.join(nodes) if nodes else '[]',

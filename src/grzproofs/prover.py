@@ -130,10 +130,6 @@ def truth_mask(model, f):
     return mask
 
 
-def eval_formula(model, world, f):
-    return bool(truth_mask(model, f) & (1 << world))
-
-
 @lru_cache(maxsize=None)
 def enumerate_orders(n):
     """All reflexive partial orders on n worlds, up to isomorphism.

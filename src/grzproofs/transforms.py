@@ -39,23 +39,9 @@ class RegularizeError(TransformError, ResourceLimitError):
 
 
 # ---------------------------------------------------------------------------
-# Weakening
-
-
-def wk(p, extra_ant=EMPTY, extra_suc=EMPTY):
-    """Add ``extra_ant`` / ``extra_suc`` to every sequent of the main part
-    of ``p``; box right premises are untouched."""
-    if not extra_ant and not extra_suc:
-        return p
-    c = p.root
-    return _homomorphic(
-        p, Sequent(c.ant.union(extra_ant), c.suc.union(extra_suc)),
-        lambda k: wk(p.child(k), extra_ant, extra_suc))
-
-
-# ---------------------------------------------------------------------------
-# Inversions.  Each tracks one occurrence of the target formula; the
-# recursion stays within the main fragment, so it terminates.
+# Weakening, the five inversions and the atomic contractions: each checks
+# its precondition once, at the root, and maps every sequent of the main
+# fragment through the one recursion ``_edit``.
 
 
 def _homomorphic(p, concl, rec):
@@ -66,18 +52,35 @@ def _homomorphic(p, concl, rec):
                             for k in range(inst.arity)])
 
 
+def _edit(p, edit, stop=None):
+    """``p`` with every sequent ``s`` of its main fragment replaced by
+    ``edit(s)``.  An inversion stops at the step ``stop = (rule, principal,
+    k)`` on its target: there premise ``k`` itself takes the step's place."""
+    if (stop is not None and p.rule is stop[0]
+            and p.inst.principal == stop[1]):
+        return p.child(stop[2])
+    return _homomorphic(p, edit(p.root),
+                        lambda k: _edit(p.child(k), edit, stop))
+
+
+def wk(p, extra_ant=EMPTY, extra_suc=EMPTY):
+    """Add ``extra_ant`` / ``extra_suc`` to every sequent of the main part
+    of ``p``; box right premises are untouched."""
+    if not extra_ant and not extra_suc:
+        return p
+    return _edit(p, lambda s: Sequent(s.ant.union(extra_ant),
+                                      s.suc.union(extra_suc)))
+
+
 def invert_imp_right(p, t):
     """From Gamma => A -> B, Delta derive Gamma, A => B, Delta: the
     inversion ``i_imp``."""
     if not isinstance(t, Implies) or t not in p.root.suc:
         raise TransformError('%s is not a succedent implication of %s'
                              % (t, p.root))
-    if p.rule == Rule.IMP_R and p.inst.principal == t:
-        return p.child(0)
-    s = p.root
-    return _homomorphic(p, Sequent(s.ant.add(t.left),
-                                   s.suc.remove(t).add(t.right)),
-                        lambda k: invert_imp_right(p.child(k), t))
+    return _edit(p, lambda s: Sequent(s.ant.add(t.left),
+                                      s.suc.remove(t).add(t.right)),
+                 (Rule.IMP_R, t, 0))
 
 
 def invert_imp_left(p, t):
@@ -86,11 +89,8 @@ def invert_imp_left(p, t):
     if not isinstance(t, Implies) or t not in p.root.ant:
         raise TransformError('%s is not an antecedent implication of %s'
                              % (t, p.root))
-    if p.rule == Rule.IMP_L and p.inst.principal == t:
-        return p.child(0)
-    s = p.root
-    return _homomorphic(p, Sequent(s.ant.remove(t).add(t.right), s.suc),
-                        lambda k: invert_imp_left(p.child(k), t))
+    return _edit(p, lambda s: Sequent(s.ant.remove(t).add(t.right), s.suc),
+                 (Rule.IMP_L, t, 0))
 
 
 def invert_imp_antecedent(p, t):
@@ -99,11 +99,8 @@ def invert_imp_antecedent(p, t):
     if not isinstance(t, Implies) or t not in p.root.ant:
         raise TransformError('%s is not an antecedent implication of %s'
                              % (t, p.root))
-    if p.rule == Rule.IMP_L and p.inst.principal == t:
-        return p.child(1)
-    s = p.root
-    return _homomorphic(p, Sequent(s.ant.remove(t), s.suc.add(t.left)),
-                        lambda k: invert_imp_antecedent(p.child(k), t))
+    return _edit(p, lambda s: Sequent(s.ant.remove(t), s.suc.add(t.left)),
+                 (Rule.IMP_L, t, 1))
 
 
 def invert_bottom(p):
@@ -111,9 +108,7 @@ def invert_bottom(p):
     ``i_bot``."""
     if BOT not in p.root.suc:
         raise TransformError('no false in the succedent of %s' % p.root)
-    s = p.root
-    return _homomorphic(p, Sequent(s.ant, s.suc.remove(BOT)),
-                        lambda k: invert_bottom(p.child(k)))
+    return _edit(p, lambda s: Sequent(s.ant, s.suc.remove(BOT)))
 
 
 def invert_box_right(p, t):
@@ -122,11 +117,8 @@ def invert_box_right(p, t):
     if not isinstance(t, Box) or t not in p.root.suc:
         raise TransformError('%s is not a boxed succedent formula of %s'
                              % (t, p.root))
-    if p.rule == Rule.BOX_INF and p.inst.principal == t:
-        return p.child(0)
-    s = p.root
-    return _homomorphic(p, Sequent(s.ant, s.suc.remove(t).add(t.inner)),
-                        lambda k: invert_box_right(p.child(k), t))
+    return _edit(p, lambda s: Sequent(s.ant, s.suc.remove(t).add(t.inner)),
+                 (Rule.BOX_INF, t, 0))
 
 
 def contract_atom_left(p, q):
@@ -134,9 +126,7 @@ def contract_atom_left(p, q):
     if not isinstance(q, Atom) or p.root.ant.count(q) < 2:
         raise TransformError('need two antecedent copies of %s in %s'
                              % (q, p.root))
-    s = p.root
-    return _homomorphic(p, Sequent(s.ant.remove(q), s.suc),
-                        lambda k: contract_atom_left(p.child(k), q))
+    return _edit(p, lambda s: Sequent(s.ant.remove(q), s.suc))
 
 
 def contract_atom_right(p, q):
@@ -144,9 +134,7 @@ def contract_atom_right(p, q):
     if not isinstance(q, Atom) or p.root.suc.count(q) < 2:
         raise TransformError('need two succedent copies of %s in %s'
                              % (q, p.root))
-    s = p.root
-    return _homomorphic(p, Sequent(s.ant, s.suc.remove(q)),
-                        lambda k: contract_atom_right(p.child(k), q))
+    return _edit(p, lambda s: Sequent(s.ant, s.suc.remove(q)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Builders shared by the test modules: exhaustive formula enumeration,
-exhaustive small-proof search, grafting of lazy proofs, deep finite
-proofs, and a reference proof-to-JSON encoder."""
+the backward-applicable rule instances of a goal, exhaustive small-proof
+search, grafting of lazy proofs, deep finite proofs, a reference
+proof-to-JSON encoder, and truth at one world of a Kripke model."""
 
 from functools import lru_cache
 
 from grzproofs.calculus import (
-    Rule, System, applicable_instances, ax_general, refl,
+    Rule, System, ax_atom, ax_bottom, ax_general, box_grz, box_inf, imp_l,
+    imp_r, refl,
 )
 from grzproofs.proofs import CyclicNode, CyclicProof, LazyProof, eager, leaf
+from grzproofs.prover import truth_mask
 from grzproofs.syntax import (
     Atom, Box, Implies, BOT, PrintMemo, format_sequent, parse_sequent,
 )
@@ -35,6 +38,40 @@ def formulas_up_to(n, atoms=(P, Q)):
     out = []
     for k in range(1, n + 1):
         out.extend(formulas_of_size(k, atoms))
+    return out
+
+
+def applicable_instances(goal, system):
+    """All backward-applicable rule instances with conclusion ``goal``, up
+    to the choice of principal occurrence.  Box rules are enumerated with
+    the maximal boxed context.  Cut is not enumerated (its cut formula is
+    unconstrained)."""
+    out = []
+    if system.is_nwf:
+        for a in goal.ant.distinct():
+            if isinstance(a, Atom) and a in goal.suc:
+                out.append(ax_atom(goal, a))
+    else:
+        for a in goal.ant.distinct():
+            if a in goal.suc:
+                out.append(ax_general(goal, a))
+    if BOT in goal.ant:
+        out.append(ax_bottom(goal))
+    for a in goal.suc.distinct():
+        if isinstance(a, Implies):
+            out.append(imp_r(goal, a))
+    for a in goal.ant.distinct():
+        if isinstance(a, Implies):
+            out.append(imp_l(goal, a))
+        elif isinstance(a, Box):
+            out.append(refl(goal, a))
+    boxed = goal.boxed_ant()
+    for a in goal.suc.distinct():
+        if isinstance(a, Box):
+            if system.is_nwf:
+                out.append(box_inf(goal, a, boxed))
+            else:
+                out.append(box_grz(goal, a, boxed))
     return out
 
 
@@ -111,3 +148,8 @@ def proof_to_json(proof):
         'nodes': [node_json(proof.nodes[i]) for i in sorted(proof.nodes)],
         'backlinks': {str(a): d for a, d in sorted(proof.backlinks.items())},
     }
+
+
+def eval_formula(model, world, f):
+    """Does ``f`` hold at ``world`` of ``model``?"""
+    return bool(truth_mask(model, f) & (1 << world))

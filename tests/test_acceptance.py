@@ -21,7 +21,7 @@ from grzproofs.proofs import (
     CyclicNode, CyclicProof, check_cyclic, check_wf, cutfree_to_depth,
     distance, frag_eq, local_height, unravel, validate_to_depth,
 )
-from grzproofs.prover import decide, eval_formula, find_countermodel
+from grzproofs.prover import decide, find_countermodel
 from grzproofs.syntax import (
     Atom, Box, Implies, Sequent, BOT, EMPTY, atom_polarities, conj, diamond,
     disj, mset, neg, parse_formula, parse_sequent,
@@ -197,7 +197,7 @@ def test_criterion_3_axiom_coverage():
         if verdict.is_proof:
             continue
         model, world = verdict.countermodel
-        if model.size <= 4 and not eval_formula(model, world, g):
+        if model.size <= 4 and not helpers.eval_formula(model, world, g):
             refuted += 1
 
     ok = not failed and refuted == len(non_theorems)

@@ -1,13 +1,15 @@
 import pytest
 
 from grzproofs.calculus import (
-    CalculusError, Rule, RuleInstance, System, applicable_instances,
-    ax_atom, ax_bottom, ax_general, box_grz, box_inf, cut,
-    imp_l, imp_r, refl, reinstance, step_violations,
+    CalculusError, Rule, RuleInstance, System, ax_atom, ax_bottom,
+    ax_general, box_grz, box_inf, cut, imp_l, imp_r, refl, reinstance,
+    step_violations,
 )
 from grzproofs.syntax import (
     Atom, Box, Implies, Sequent, BOT, mset, parse_sequent,
 )
+
+from helpers import applicable_instances
 
 P, Q = Atom('p'), Atom('q')
 

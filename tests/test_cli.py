@@ -8,13 +8,15 @@ from operator import getitem
 
 import pytest
 
-from grzproofs.calculus import System, ax_atom
+from grzproofs import cli
+from grzproofs.calculus import RuleInstance, System, ax_atom
 from grzproofs.cli import build_parser, main, random_wf_proof
 from grzproofs.proofs import (
-    check_cyclic, check_wf, cyclic_from_wf, dump_proof, leaf, load_proof,
+    LazyProof, check_cyclic, check_wf, cyclic_from_wf, dump_proof, leaf,
+    load_proof,
 )
 from grzproofs.syntax import parse_sequent
-from grzproofs.transforms import build_cut
+from grzproofs.transforms import build_cut, inf_to_seq
 
 from helpers import P, Q, proof_to_json, refl_chain
 
@@ -23,6 +25,16 @@ EXAMPLE = str(resources.files('grzproofs') / 'data' / 'grz_axiom_cyclic.json')
 
 def run(*argv):
     return main(list(argv))
+
+
+def node(i, sequent='p => p', children=()):
+    """The proof-file entry of a node with id ``i``: an axiom on p, or a
+    refl step on []p over ``children``."""
+    if not children:
+        return {'id': i, 'sequent': sequent, 'rule': 'ax_atom',
+                'principal': 'p', 'children': []}
+    return {'id': i, 'sequent': sequent, 'rule': 'refl', 'principal': '[]p',
+            'children': list(children)}
 
 
 class TestProve:
@@ -120,7 +132,7 @@ class TestMalformedProofJson:
     def assert_input_error(self, tmp_path, capsys, data, message):
         path = tmp_path / 'bad.json'
         path.write_text(json.dumps(data))
-        for verb in ('check', 'cutfree'):
+        for verb in ('check', 'cutfree', 'export-dot'):
             assert run(verb, str(path)) == 2
             assert ('error: %s' % message) in capsys.readouterr().err
 
@@ -168,18 +180,15 @@ class TestMalformedProofJson:
         (('nodes', 1, 'children'), 5,
          "node 1 has a 'children' field that is not a list"),
         (('nodes', 0, 'id'), [0],
-         "entry 0 of nodes has a 'id' field that is not a number or string"),
+         "entry 0 of nodes has a 'id' field that is not an integer"),
         (('nodes', 0, 'children'), [[1]],
-         "node 0 has a 'children' field that is not a list of numbers and "
-         "strings"),
+         "node 0 has a 'children' field that is not a list of integers"),
         (('backlinks',), [1],
          "the proof has a 'backlinks' field that is not an object"),
         (('backlinks',), {'2': [1]},
-         "the 'backlinks' object has a '2' field that is not a number or "
-         "string"),
+         "the 'backlinks' object has a '2' field that is not an integer"),
         (('backlinks',), {'2': {'a': 1}},
-         "the 'backlinks' object has a '2' field that is not a number or "
-         "string"),
+         "the 'backlinks' object has a '2' field that is not an integer"),
     ])
     def test_field_of_the_wrong_json_type(self, tmp_path, capsys, keys,
                                           value, message):
@@ -187,6 +196,29 @@ class TestMalformedProofJson:
         *path, last = keys
         reduce(getitem, path, data)[last] = value
         self.assert_input_error(tmp_path, capsys, data, message)
+
+    @pytest.mark.parametrize('nodes, backlinks, message', [
+        # export-dot crashed on a string id in its %d format.
+        ([node('a')], {},
+         "entry 0 of nodes has a 'id' field that is not an integer"),
+        # Both ids printed as n1, a self-loop in the drawing.
+        ([node(1.5, '[]p => p', [1.25]), node(1.25, '[]p, p => p')], {},
+         "entry 0 of nodes has a 'id' field that is not an integer"),
+        # check crashed sorting an int with a string.
+        ([node(0, '[]p => p', ['x']), node('x', '[]p, p => p')], {},
+         "entry 1 of nodes has a 'id' field that is not an integer"),
+        # The key went through int() and the error named no field.
+        ([{'id': 0, 'sequent': 'p => p', 'rule': None, 'children': []}],
+         {'a': 0},
+         "the 'backlinks' object has a key 'a' that is not an integer"),
+        # The second entry replaced the first, and check said valid.
+        ([node(0), node(0)], {}, 'entry 1 of nodes repeats the id 0'),
+    ])
+    def test_node_ids_are_unique_integers(self, tmp_path, capsys, nodes,
+                                          backlinks, message):
+        self.assert_input_error(tmp_path, capsys, {
+            'system': 'grz_inf', 'nodes': nodes, 'backlinks': backlinks},
+            message)
 
     @pytest.mark.parametrize('backlinks, message', [
         ({'0': 9}, 'back-link 0 -> 9 references a missing node'),
@@ -206,6 +238,25 @@ class TestMalformedProofJson:
         assert message in capsys.readouterr().out
         assert run('cutfree', str(path)) == 2
         assert ('error: %s' % message) in capsys.readouterr().err
+
+    @pytest.mark.parametrize('argv', [['cutfree'], ['slim'], ['regularize'],
+                                      ['translate', '--to', 'seq']])
+    def test_backlink_to_a_node_without_a_rule(self, tmp_path, capsys,
+                                               argv):
+        # The rule-less root links to itself: unraveling it used to follow
+        # the link until the recursion ran out.
+        path = tmp_path / 'bad.json'
+        path.write_text(json.dumps({
+            'system': 'grz_inf',
+            'nodes': [{'id': 0, 'sequent': '[]p => p', 'rule': None,
+                       'children': []}],
+            'backlinks': {'0': 0}}))
+        assert run('check', str(path)) == 1
+        assert ('back-link target 0 is not an ancestor of 0'
+                in capsys.readouterr().out)
+        assert run(*argv, str(path)) == 2
+        assert capsys.readouterr().err == (
+            'error: back-link 0 -> 0 targets a node without a rule\n')
 
     def refl_steps(self, children_of_last):
         """A finitary proof file of  []p => p  made of three ``refl``
@@ -359,6 +410,36 @@ class TestCorpusAndPipeline:
         assert run('check', str(out)) == 0
         a, b = load_proof(given.read_text()), load_proof(out.read_text())
         assert b.node(b.root).sequent == a.node(a.root).sequent
+
+    @staticmethod
+    def wrong_root(p):
+        """``p`` with a cut formula recorded on its root step, which is no
+        cut: a wrong step."""
+        i = p.inst
+        return LazyProof(RuleInstance(i.rule, i.conclusion, i.premises,
+                                      i.principal, Q), make=p.child)
+
+    @pytest.mark.parametrize('argv', [['cutfree'], ['slim'], ['regularize'],
+                                      ['translate', '--to', 'inf'],
+                                      ['translate', '--to', 'seq']])
+    def test_a_wrong_output_is_not_written(self, tmp_path, capsys,
+                                           monkeypatch, argv):
+        given = tmp_path / 'given.json'
+        if argv[-1] == 'seq':
+            run('prove', '[]p -> [][]p', '-o', str(given))
+            monkeypatch.setattr(cli, 'inf_to_seq',
+                                lambda p: self.wrong_root(inf_to_seq(p)))
+        else:
+            self.write_proof_in('grz_seq', given)
+            monkeypatch.setitem(cli._STAGES, argv[0],
+                                cli._STAGES[argv[0]] + (self.wrong_root,))
+        capsys.readouterr()
+        out = tmp_path / 'out.json'
+        assert run(*argv, str(given), '-o', str(out)) == 4
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            'error: the proof to write fails its check: imp_r: cut_formula q '
+            'does not match the rule schema (expected None)\n')
 
 
 class TestOtherVerbs:

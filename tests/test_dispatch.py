@@ -7,8 +7,7 @@ import random
 import pytest
 
 from grzproofs.calculus import (
-    Rule, RuleInstance, System, applicable_instances, ax_general, cut,
-    fixed_premise, reinstance,
+    Rule, RuleInstance, System, ax_general, cut, fixed_premise, reinstance,
 )
 from grzproofs.cli import main, random_wf_proof
 from grzproofs.proofs import cyclic_from_wf, dump_proof, eager, leaf, unravel
@@ -18,7 +17,7 @@ from grzproofs.transforms import (
     build_cut, eliminate_cuts, inf_to_seq, regularize, seq_to_inf, slim,
 )
 
-from helpers import P, Q, formulas_up_to
+from helpers import P, Q, applicable_instances, formulas_up_to
 
 
 def small_instances(system):

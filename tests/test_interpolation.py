@@ -6,7 +6,7 @@ from grzproofs.interpolation import (
     InterpolationError, NotATheoremError, SplitSequent, interpolate, lyndon,
 )
 from grzproofs import prover
-from grzproofs.prover import decide, eval_formula, provable
+from grzproofs.prover import decide, provable
 from grzproofs.calculus import System, ax_atom
 from grzproofs.proofs import CyclicProof, check_cyclic, cyclic_from_wf, leaf
 from grzproofs.transforms import build_cut
@@ -16,7 +16,7 @@ from grzproofs.syntax import (
     sequent_to_formula,
 )
 
-from helpers import formulas_up_to
+from helpers import eval_formula, formulas_up_to
 
 P, Q = Atom('p'), Atom('q')
 

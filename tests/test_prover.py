@@ -6,14 +6,14 @@ import pytest
 from grzproofs import prover
 from grzproofs.proofs import CyclicNode, check_cyclic, dump_proof, unravel
 from grzproofs.prover import (
-    KripkeModel, decide, eval_formula, find_countermodel, truth_mask,
+    KripkeModel, decide, find_countermodel, truth_mask,
 )
 from grzproofs.syntax import (
     Atom, Box, EMPTY, Sequent, mset, parse_formula, parse_sequent,
 )
 from grzproofs.transforms import regularize
 
-from helpers import formulas_up_to
+from helpers import eval_formula, formulas_up_to
 
 P = Atom('p')
 

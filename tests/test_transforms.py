@@ -4,10 +4,12 @@ import time
 
 import pytest
 
-from grzproofs.calculus import Rule, System, ax_atom
+from grzproofs.calculus import (
+    Rule, System, ax_atom, box_inf, imp_l, imp_r, refl,
+)
 from grzproofs.proofs import (
     ResourceLimitError, check_cyclic, check_wf, cutfree_to_depth, frag_eq,
-    leaf, load_proof, local_height, unravel, validate_to_depth,
+    eager, leaf, load_proof, local_height, unravel, validate_to_depth,
     walk_to_depth, wf_from_cyclic,
 )
 from grzproofs.prover import decide
@@ -98,6 +100,28 @@ class TestInversions:
         with pytest.raises(TransformError):
             invert_box_right(p, Box(P))
 
+    @pytest.mark.parametrize('invert, step, k, text, target', [
+        (invert_imp_right, imp_r, 0, '[]q, q => p -> q', 'p -> q'),
+        (invert_imp_left, imp_l, 0, '[]q, q, p -> q => q', 'p -> q'),
+        (invert_imp_antecedent, imp_l, 1, '[]q, q, p -> q => q', 'p -> q'),
+        (invert_box_right, lambda s, t: box_inf(s, t, s.boxed_ant()), 0,
+         '[]q, q => []q', '[]q'),
+    ])
+    def test_the_step_on_the_target_gives_its_premise_itself(
+            self, invert, step, k, text, target):
+        # A refl step on []q sits above the step on the target; inverting
+        # rebuilds the refl step, and its child is the target step's
+        # premise k, the same object.
+        s, t = parse_sequent(text), parse_formula(target)
+        inst = step(s, t)
+        below = eager(inst, *(next(complete_proofs(prem, 7))
+                              for prem in inst.premises))
+        top = eager(refl(Sequent(s.ant.remove(Q), s.suc), Box(Q)), below)
+        out = invert(top, t)
+        assert out.rule == Rule.REFL
+        assert out.child(0) is below.child(k)
+        assert_valid(out)
+
 
 class TestContractions:
     def test_atomic_contraction_left(self):
@@ -116,6 +140,8 @@ class TestContractions:
         p = one_proof('p => p')
         with pytest.raises(TransformError):
             contract_atom_left(p, P)
+        with pytest.raises(TransformError):
+            contract_atom_right(p, P)
 
     def test_general_contraction_left(self):
         for text, a, result in (('[]p, []p => []p', Box(P), '[]p => []p'),
