@@ -154,9 +154,11 @@ def box_inf(concl, principal, pi):
 def box_inf_step(concl, principal, pi):
     """``box_inf`` with a context ``pi`` that ``box_context`` returned."""
     _box_principal(concl, principal)
-    a = principal.inner
-    left = Sequent(concl.ant, concl.suc.remove(principal).add(a))
-    right = Sequent(pi, mset(a))
+    return _box_inf_at(concl, principal, Sequent(pi, mset(principal.inner)))
+
+
+def _box_inf_at(concl, principal, right):
+    left = Sequent(concl.ant, concl.suc.remove(principal).add(principal.inner))
     return RuleInstance(Rule.BOX_INF, concl, (left, right), principal)
 
 
@@ -186,6 +188,21 @@ def _premises(inst, n):
     return inst.premises
 
 
+def _rebuild_box_inf(inst, concl):
+    """The box step ``inst`` at ``concl``, keeping its recorded right
+    premise  []Pi => A  itself when its succedent is exactly A and
+    ``box_context`` accepts []Pi at ``concl``; any other right premise is
+    built anew, as ``box_inf`` builds it, so that ``step_violations``
+    reports it."""
+    right = _premises(inst, 2)[1]
+    p = inst.principal
+    if not (isinstance(p, Box) and right.suc.items == (p.inner,)):
+        return box_inf(concl, p, right.ant)
+    box_context(concl, right.ant)
+    _box_principal(concl, p)
+    return _box_inf_at(concl, p, right)
+
+
 def _rebuild_box_grz(inst, concl):
     p = inst.principal
     _box_principal(concl, p)
@@ -207,8 +224,7 @@ _RULES = {
     Rule.IMP_L: (_ALL, lambda inst, c: imp_l(c, inst.principal)),
     Rule.IMP_R: (_ALL, lambda inst, c: imp_r(c, inst.principal)),
     Rule.REFL: (_ALL, lambda inst, c: refl(c, inst.principal)),
-    Rule.BOX_INF: (_NWF, lambda inst, c: box_inf(
-        c, inst.principal, _premises(inst, 2)[1].ant)),
+    Rule.BOX_INF: (_NWF, _rebuild_box_inf),
     Rule.BOX_GRZ: (_FINITARY, _rebuild_box_grz),
     Rule.CUT: (tuple(s for s in System if s.allows_cut),
                lambda inst, c: cut(c, inst.cut_formula)),

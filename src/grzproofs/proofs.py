@@ -64,7 +64,12 @@ class LazyProof:
     builds it from the premise index, and ``make`` is one such callable
     for all premises; a forced entry holds the child, so a fully forced
     node keeps no transformer state.  A child is checked against its
-    premise when first asked for, until which bit i of ``_open`` is set."""
+    premise when first asked for, until which bit i of ``_open`` is set.
+    The transformers build each child at its parent's premise object
+    itself, where the check ends at the identity test of
+    ``Sequent.__eq__``; a child made elsewhere, such as the input node an
+    inversion puts in place of the step on its target, is compared by
+    value."""
 
     __slots__ = ('inst', '_kids', '_open')
 
@@ -133,10 +138,13 @@ def eager(inst, *children):
 # Fragments
 
 
+_BOX_INF = Rule.BOX_INF       # bound once: ``Rule.X`` is a class lookup
+
+
 def _crossing_child(rule, i):
     """Does the edge to child ``i`` of a ``rule`` node cross into a box
     right premise?"""
-    return rule == Rule.BOX_INF and i == 1
+    return rule is _BOX_INF and i == 1
 
 
 def local_height(proof):
@@ -501,16 +509,19 @@ def _link_key(a):
 
 
 def proof_from_json(data):
-    """The proof of a JSON object in the proof format.  Node ids, child
-    ids and back-link targets are JSON integers, back-link keys their
-    decimal texts, and no two nodes share an id.  Each distinct sequent
-    text and each distinct formula text is parsed once."""
+    """The proof of a JSON object in the proof format.  Node ids are
+    non-negative JSON integers, child ids and back-link targets JSON
+    integers, back-link keys their decimal texts, and no two nodes share
+    an id.  Each distinct sequent text and each distinct formula text is
+    parsed once."""
     system = System(_field(data, 'system', 'the proof'))
     raw = {}
     for k, d in enumerate(_typed(_field(data, 'nodes', 'the proof'), (list,),
                                  'a list', 'nodes', 'the proof')):
         where = 'entry %d of nodes' % k
         i = _typed(_field(d, 'id', where), (int,), 'an integer', 'id', where)
+        if i < 0:
+            raise ValueError('%s has the negative id %d' % (where, i))
         if i in raw:
             raise ValueError('%s repeats the id %d' % (where, i))
         raw[i] = d

@@ -30,6 +30,12 @@ from .proofs import (
 )
 
 
+# Bound once: each ``Rule.X`` lookup on a per-node path costs an attribute
+# lookup on the enum class.
+_IMP_R, _IMP_L, _REFL, _BOX_INF, _CUT = (
+    Rule.IMP_R, Rule.IMP_L, Rule.REFL, Rule.BOX_INF, Rule.CUT)
+
+
 class TransformError(ValueError):
     pass
 
@@ -40,27 +46,34 @@ class RegularizeError(TransformError, ResourceLimitError):
 
 # ---------------------------------------------------------------------------
 # Weakening, the five inversions and the atomic contractions: each checks
-# its precondition once, at the root, and maps every sequent of the main
-# fragment through the one recursion ``_edit``.
+# its precondition once, at the root, edits the root sequent and rebuilds
+# the main fragment from it through the one recursion ``_edit``.
 
 
 def _homomorphic(p, concl, rec):
     """The root step of ``p`` rebuilt at ``concl``.  Premise ``k`` gets the
-    proof ``rec(k)``, built on demand; a fixed premise keeps its proof."""
+    proof ``rec(k, s)``, built on demand at the new step's premise ``s``
+    itself, so a child never works out its conclusion again; a fixed
+    premise keeps its proof."""
     inst = reinstance(p.inst, concl)
-    return LazyProof(inst, [p.child if fixed_premise(inst.rule, k) else rec
+    premises = inst.premises
+
+    def make(k):
+        return rec(k, premises[k])
+    return LazyProof(inst, [p.child if fixed_premise(inst.rule, k) else make
                             for k in range(inst.arity)])
 
 
-def _edit(p, edit, stop=None):
-    """``p`` with every sequent ``s`` of its main fragment replaced by
-    ``edit(s)``.  An inversion stops at the step ``stop = (rule, principal,
-    k)`` on its target: there premise ``k`` itself takes the step's place."""
+def _edit(p, concl, stop=None):
+    """``p`` with its root sequent replaced by ``concl``, an edit of it
+    that every rule of the main fragment carries up as a side formula:
+    each step is rebuilt at the premise its rebuilt parent holds.  An
+    inversion stops at the step ``stop = (rule, principal, k)`` on its
+    target: there premise ``k`` itself takes the step's place."""
     if (stop is not None and p.rule is stop[0]
             and p.inst.principal == stop[1]):
         return p.child(stop[2])
-    return _homomorphic(p, edit(p.root),
-                        lambda k: _edit(p.child(k), edit, stop))
+    return _homomorphic(p, concl, lambda k, s: _edit(p.child(k), s, stop))
 
 
 def wk(p, extra_ant=EMPTY, extra_suc=EMPTY):
@@ -68,73 +81,79 @@ def wk(p, extra_ant=EMPTY, extra_suc=EMPTY):
     of ``p``; box right premises are untouched."""
     if not extra_ant and not extra_suc:
         return p
-    return _edit(p, lambda s: Sequent(s.ant.union(extra_ant),
-                                      s.suc.union(extra_suc)))
+    s = p.root
+    return _edit(p, Sequent(s.ant.union(extra_ant), s.suc.union(extra_suc)))
 
 
 def invert_imp_right(p, t):
     """From Gamma => A -> B, Delta derive Gamma, A => B, Delta: the
     inversion ``i_imp``."""
-    if not isinstance(t, Implies) or t not in p.root.suc:
+    s = p.root
+    if not isinstance(t, Implies) or t not in s.suc:
         raise TransformError('%s is not a succedent implication of %s'
-                             % (t, p.root))
-    return _edit(p, lambda s: Sequent(s.ant.add(t.left),
-                                      s.suc.remove(t).add(t.right)),
-                 (Rule.IMP_R, t, 0))
+                             % (t, s))
+    return _edit(p, Sequent(s.ant.add(t.left), s.suc.remove(t).add(t.right)),
+                 (_IMP_R, t, 0))
 
 
 def invert_imp_left(p, t):
     """From Gamma, A -> B => Delta derive Gamma, B => Delta: the
     inversion ``li_imp``."""
-    if not isinstance(t, Implies) or t not in p.root.ant:
+    s = p.root
+    if not isinstance(t, Implies) or t not in s.ant:
         raise TransformError('%s is not an antecedent implication of %s'
-                             % (t, p.root))
-    return _edit(p, lambda s: Sequent(s.ant.remove(t).add(t.right), s.suc),
-                 (Rule.IMP_L, t, 0))
+                             % (t, s))
+    return _edit(p, Sequent(s.ant.remove(t).add(t.right), s.suc),
+                 (_IMP_L, t, 0))
 
 
 def invert_imp_antecedent(p, t):
     """From Gamma, A -> B => Delta derive Gamma => A, Delta: the
     inversion ``ri_imp``."""
-    if not isinstance(t, Implies) or t not in p.root.ant:
+    s = p.root
+    if not isinstance(t, Implies) or t not in s.ant:
         raise TransformError('%s is not an antecedent implication of %s'
-                             % (t, p.root))
-    return _edit(p, lambda s: Sequent(s.ant.remove(t), s.suc.add(t.left)),
-                 (Rule.IMP_L, t, 1))
+                             % (t, s))
+    return _edit(p, Sequent(s.ant.remove(t), s.suc.add(t.left)),
+                 (_IMP_L, t, 1))
 
 
 def invert_bottom(p):
     """From Gamma => false, Delta derive Gamma => Delta: the inversion
     ``i_bot``."""
-    if BOT not in p.root.suc:
-        raise TransformError('no false in the succedent of %s' % p.root)
-    return _edit(p, lambda s: Sequent(s.ant, s.suc.remove(BOT)))
+    s = p.root
+    if BOT not in s.suc:
+        raise TransformError('no false in the succedent of %s' % s)
+    return _edit(p, Sequent(s.ant, s.suc.remove(BOT)))
 
 
 def invert_box_right(p, t):
     """From Gamma => []A, Delta derive Gamma => A, Delta: the inversion
     ``li_box``."""
-    if not isinstance(t, Box) or t not in p.root.suc:
+    s = p.root
+    if not isinstance(t, Box) or t not in s.suc:
         raise TransformError('%s is not a boxed succedent formula of %s'
-                             % (t, p.root))
-    return _edit(p, lambda s: Sequent(s.ant, s.suc.remove(t).add(t.inner)),
-                 (Rule.BOX_INF, t, 0))
+                             % (t, s))
+    return _edit(p, Sequent(s.ant, s.suc.remove(t).add(t.inner)),
+                 (_BOX_INF, t, 0))
 
 
 def contract_atom_left(p, q):
     """From Gamma, q, q => Delta derive Gamma, q => Delta (q an atom)."""
-    if not isinstance(q, Atom) or p.root.ant.count(q) < 2:
+    s = p.root
+    if not isinstance(q, Atom) or s.ant.count(q) < 2:
         raise TransformError('need two antecedent copies of %s in %s'
-                             % (q, p.root))
-    return _edit(p, lambda s: Sequent(s.ant.remove(q), s.suc))
+                             % (q, s))
+    return _edit(p, Sequent(s.ant.remove(q), s.suc))
 
 
 def contract_atom_right(p, q):
     """From Gamma => q, q, Delta derive Gamma => q, Delta (q an atom)."""
-    if not isinstance(q, Atom) or p.root.suc.count(q) < 2:
+    s = p.root
+    if not isinstance(q, Atom) or s.suc.count(q) < 2:
         raise TransformError('need two succedent copies of %s in %s'
-                             % (q, p.root))
-    return _edit(p, lambda s: Sequent(s.ant, s.suc.remove(q)))
+                             % (q, s))
+    return _edit(p, Sequent(s.ant, s.suc.remove(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,18 +209,23 @@ def reduce_cut(a, p, t):
     """
     if not _is_cut_pair(a, p, t):
         return p
+    return _reduce(a, p, t, _cut_result(a, p))
+
+
+def _reduce(a, p, t, concl):
+    """``reduce_cut`` of a cut pair, its root built at ``concl``."""
     if isinstance(a, Bottom):
-        return invert_bottom(p)
+        return _edit(p, concl)          # invert_bottom(p), at concl
     if isinstance(a, Atom):
-        return _re_atom(a, p, t)
+        return _re_atom(a, p, t, concl)
     if isinstance(a, Implies):
         b, c = a.left, a.right
         left = reduce_cut(
             b,
             wk(invert_imp_antecedent(t, a), EMPTY, mset(c)),
             invert_imp_right(p, a))
-        return reduce_cut(c, left, invert_imp_left(t, a))
-    return _re_box(a, p, t)
+        return _reduce(c, left, invert_imp_left(t, a), concl)
+    return _re_box(a, p, t, concl)
 
 
 def re(a):
@@ -232,55 +256,55 @@ def _side(inst, k, q):
     weakening that matches the rule of ``inst``."""
     r = inst.rule
     pr = inst.principal
-    if r == Rule.IMP_R:
+    if r is _IMP_R:
         return invert_imp_right(q, pr)
-    if r == Rule.IMP_L:
+    if r is _IMP_L:
         return (invert_imp_left, invert_imp_antecedent)[k](q, pr)
-    if r == Rule.REFL:
+    if r is _REFL:
         return wk(q, mset(pr.inner), EMPTY)
-    if r == Rule.BOX_INF:
+    if r is _BOX_INF:
         return invert_box_right(q, pr)
     c = mset(inst.cut_formula)
     return wk(q, EMPTY, c) if k == 0 else wk(q, c, EMPTY)
 
 
-def _re_step(a, p, t, rec):
+def _re_step(a, p, t, rec, concl):
     """The homomorphic-on-``p`` cases of cut reduction: rebuild the root
-    rule of ``p`` and push the cut into its premises, adapting ``t`` with
-    an inversion or weakening."""
-    return _homomorphic(p, _cut_result(a, p),
-                        lambda k: rec(a, p.child(k), _side(p.inst, k, t)))
+    rule of ``p`` at ``concl`` and push the cut into its premises,
+    adapting ``t`` with an inversion or weakening."""
+    return _homomorphic(p, concl, lambda k, s: rec(
+        a, p.child(k), _side(p.inst, k, t), s))
 
 
-def _re_atom(a, p, t):
+def _re_atom(a, p, t, concl):
     if p.inst.arity == 0:
-        res = _cut_result(a, p)
-        if res.is_initial():
-            return _axiom_leaf(res)
+        if concl.is_initial():
+            return _axiom_leaf(concl)
         # The axiom of p must have used the cut occurrence of a, so a is
-        # also in the antecedent and t carries a duplicate of it.
-        return contract_atom_left(t, a)
-    return _re_step(a, p, t, _re_atom)
+        # also in the antecedent and t carries a duplicate of it: this is
+        # contract_atom_left(t, a), at concl.
+        return _edit(t, concl)
+    return _re_step(a, p, t, _re_atom, concl)
 
 
-def _re_box(a, p, t):
+def _re_box(a, p, t, concl):
     if p.inst.arity == 0 or t.inst.arity == 0:
-        return _axiom_leaf(_cut_result(a, p))
-    if p.rule == Rule.BOX_INF and p.inst.principal == a:
-        return _re_box_tau(a, p, t)
-    return _re_step(a, p, t, _re_box)
+        return _axiom_leaf(concl)
+    if p.rule is _BOX_INF and p.inst.principal == a:
+        return _re_box_tau(a, p, t, concl)
+    return _re_step(a, p, t, _re_box, concl)
 
 
-def _re_box_tau(a, p, t):
+def _re_box_tau(a, p, t, concl):
     """Cut on []B where ``p`` ends in the box rule on the cut occurrence:
     descend into ``t`` until its own box rule on []B is met."""
     inst = t.inst
     pr = inst.principal
-    if inst.rule == Rule.REFL and pr == a:
-        inner = _re_box(a, wk(p, mset(a.inner), EMPTY), t.child(0))
-        return reduce_cut(a.inner, p.child(0), inner)
-    res = _cut_result(a, p)
-    if inst.rule == Rule.BOX_INF and a in inst.premises[1].ant:
+    if inst.rule is _REFL and pr == a:
+        wp = wk(p, mset(a.inner), EMPTY)
+        inner = _re_box(a, wp, t.child(0), _cut_result(a, wp))
+        return _reduce(a.inner, p.child(0), inner, concl)
+    if inst.rule is _BOX_INF and a in inst.premises[1].ant:
         # Both box rules keep the cut formula: merge the boxed contexts.
         pi_p = p.inst.premises[1].ant
         pi_t = inst.premises[1].ant.remove(a)
@@ -290,12 +314,15 @@ def _re_box_tau(a, p, t):
             box_inf(Sequent(merged, mset(a, c)), a, pi_p),
             wk(p.child(1), pi_t.difference(pi_p), mset(c)),
             p.child(1))
-        return LazyProof(box_inf(res, pr, merged), make=lambda k: (
-            _re_box(a, invert_box_right(p, pr), t.child(0)) if k == 0
+        step = box_inf(concl, pr, merged)
+        return LazyProof(step, make=lambda k: (
+            _re_box(a, invert_box_right(p, pr), t.child(0),
+                    step.premises[0]) if k == 0
             else _re_box(a, p_side,
-                         wk(t.child(1), pi_p.difference(pi_t), EMPTY))))
-    return _homomorphic(t, res,
-                        lambda k: _re_box(a, _side(inst, k, p), t.child(k)))
+                         wk(t.child(1), pi_p.difference(pi_t), EMPTY),
+                         step.premises[1])))
+    return _homomorphic(t, concl, lambda k, s: _re_box(
+        a, _side(inst, k, p), t.child(k), s))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +360,7 @@ def eliminate_cuts(p):
         hit = memo.get(q)
         if hit is not None:
             return hit
-        if q.rule == Rule.CUT:
+        if q.rule is _CUT:
             out = reduce_cut(q.inst.cut_formula, go(q.child(0)),
                              go(q.child(1)))
         elif q.is_leaf:
@@ -358,7 +385,7 @@ def slim(p):
             out = q
         else:
             inst, extra = q.inst, ()
-            if q.rule == Rule.BOX_INF:
+            if q.rule is _BOX_INF:
                 pi = inst.premises[1].ant
                 slim_pi = pi.dedupe()
                 extra = pi.difference(slim_pi)
@@ -430,7 +457,7 @@ def regularize(p, max_crossings=64, max_nodes=1000000):
                     'input does not look regular' % max_crossings)
             ncross += 1
         visit(child, i, ncross)
-    has_cut = any(inst is not None and inst.rule is Rule.CUT
+    has_cut = any(inst is not None and inst.rule is _CUT
                   for _, inst in order)
     return _from_preorder(order, backlinks,
                           System.GRZ_INF_CUT if has_cut else System.GRZ_INF)
@@ -548,6 +575,7 @@ def inf_to_seq(p):
     ``TransformError``.
     """
     memo = {}                       # (id of node, lam) -> proof; None: open
+    contexts = {}                   # lam -> its obligations, built once
     root = (id(p), frozenset())
     stack = [(p, root[1], None)]    # (node, lam, its subproblems once open)
     while stack:
@@ -564,7 +592,7 @@ def inf_to_seq(p):
                                          % q.root)
                 continue
             memo[key] = None
-            if r == Rule.BOX_INF:
+            if r is _BOX_INF:
                 a = pr.inner
                 subs = (((q.child(0), lam),) if a in lam
                         else ((q.child(1), frozenset(lam | {a})),))
@@ -576,7 +604,9 @@ def inf_to_seq(p):
             stack.extend((c, m, None) for c, m in reversed(subs))
             continue
         kids = [memo[id(c), m] for c, m in subs]
-        extra = _trace_context(lam)
+        extra = contexts.get(lam)
+        if extra is None:
+            extra = contexts[lam] = _trace_context(lam)
         c = q.root
         target = Sequent(extra.union(c.ant), c.suc)
         if r == Rule.AX_ATOM:
@@ -585,7 +615,7 @@ def inf_to_seq(p):
             out = leaf(ax_bottom(target))
         elif r in _HOMOMORPHIC_RULES:
             out = eager(reinstance(inst, target), *kids)
-        elif r == Rule.BOX_INF:
+        elif r is _BOX_INF:
             a = pr.inner
             trace = Box(Implies(a, pr))
             if a in lam:

@@ -124,6 +124,29 @@ class TestStepChecking:
                 '%s: %s does not match the rule schema (expected %s)'
                 % (inst.rule.value, field, expected)]
 
+    @pytest.mark.parametrize('right, message', [
+        ('[]p => q', "box_inf: premises ['p, []p, []q => p', '[]p => q'] "
+         "do not match the rule schema (expected ['p, []p, []q => p', "
+         "'[]p => p'])"),
+        ('[]p => p, p', "box_inf: premises ['p, []p, []q => p', "
+         "'[]p => p, p'] do not match the rule schema (expected "
+         "['p, []p, []q => p', '[]p => p'])"),
+        ('p, []p => p', 'box context must be boxed: Multiset([p, []p])'),
+        ('[]r => p', 'box context Multiset([[]r]) not contained in '
+         'p, []p, []q => []p'),
+        ('[]p, []p => p', 'box context Multiset([[]p, []p]) not contained '
+         'in p, []p, []q => []p'),
+    ])
+    def test_a_wrong_box_right_premise_is_flagged(self, right, message):
+        # A rebuilt box step keeps its recorded right premise only when
+        # the rule would build that premise; these are flagged as before.
+        good = box_inf(parse_sequent('[]q, []p, p => []p'), Box(P),
+                       mset(Box(P)))
+        assert step_violations(good, System.GRZ_INF) == []
+        inst = RuleInstance(Rule.BOX_INF, good.conclusion,
+                            (good.premises[0], parse_sequent(right)), Box(P))
+        assert step_violations(inst, System.GRZ_INF) == [message]
+
     def test_compound_principal_fails_the_atomic_axiom(self):
         inst = RuleInstance(Rule.AX_ATOM, parse_sequent('[]p => []p'), (),
                             Box(P), None)

@@ -213,6 +213,9 @@ class TestMalformedProofJson:
          "the 'backlinks' object has a key 'a' that is not an integer"),
         # The second entry replaced the first, and check said valid.
         ([node(0), node(0)], {}, 'entry 1 of nodes repeats the id 0'),
+        # check said valid, and export-dot named the node n-1, which is
+        # not a Graphviz identifier.
+        ([node(-1)], {}, 'entry 0 of nodes has the negative id -1'),
     ])
     def test_node_ids_are_unique_integers(self, tmp_path, capsys, nodes,
                                           backlinks, message):

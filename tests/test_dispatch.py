@@ -47,6 +47,8 @@ def test_reinstance_keeps_fixed_premises(system):
         for k in range(inst.arity):
             if fixed_premise(inst.rule, k):
                 assert out.premises[k] == inst.premises[k]
+                if inst.rule == Rule.BOX_INF:
+                    assert out.premises[k] is inst.premises[k]
             else:
                 s = inst.premises[k]
                 assert out.premises[k] == Sequent(s.ant.add(Q), s.suc.add(Q))

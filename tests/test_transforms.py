@@ -5,8 +5,9 @@ import time
 import pytest
 
 from grzproofs.calculus import (
-    Rule, System, ax_atom, box_inf, imp_l, imp_r, refl,
+    Rule, System, ax_atom, box_inf, fixed_premise, imp_l, imp_r, refl,
 )
+from grzproofs.examples import grz_axiom_cyclic_proof
 from grzproofs.proofs import (
     ResourceLimitError, check_cyclic, check_wf, cutfree_to_depth, frag_eq,
     eager, leaf, load_proof, local_height, unravel, validate_to_depth,
@@ -166,6 +167,77 @@ class TestContractions:
         assert out.rule == Rule.CUT
         report = validate_to_depth(out, System.GRZ_INF_CUT, 6)
         assert report.ok, report.violations
+
+
+def edits(p):
+    """(inputs, output) pairs of ``wk``, the five inversions,
+    ``contract_atom_left`` and ``reduce_cut`` on ``p`` and on ``p``
+    weakened by a formula of each kind they act on."""
+    imp = Implies(Q, P)
+    w = wk(p, mset(P, P, imp), mset(imp, Box(Q), BOT))
+    out = [((p,), w)]
+    for q in (p, w):
+        s = q.root
+        for f in s.suc.distinct():
+            if isinstance(f, Implies):
+                out.append(((q,), invert_imp_right(q, f)))
+            elif isinstance(f, Box):
+                out.append(((q,), invert_box_right(q, f)))
+            elif f == BOT:
+                out.append(((q,), invert_bottom(q)))
+            # Cut q, weakened by f, against an axiom proof of f.
+            d = wk(q, EMPTY, mset(f))
+            r = reduce_cut(f, d, ax_proof(s.ant, f, s.suc.remove(f)))
+            assert r.root == s
+            out.append(((d,), r))
+        for f in s.ant.distinct():
+            if isinstance(f, Implies):
+                out.append(((q,), invert_imp_left(q, f)))
+                out.append(((q,), invert_imp_antecedent(q, f)))
+            elif isinstance(f, Atom) and s.ant.count(f) > 1:
+                out.append(((q,), contract_atom_left(q, f)))
+            d = wk(q, mset(f), EMPTY)
+            r = reduce_cut(f, ax_proof(s.ant.remove(f), f, s.suc), d)
+            assert r.root == s
+            out.append(((d,), r))
+    return out
+
+
+class TestChildrenAtTheirPremise:
+    """A transformer builds each lazy child at the premise object that its
+    parent's rebuilt step holds, so no child works its conclusion out
+    again; only the root computes its own."""
+
+    def checked_children(self, inputs, out, depth=6):
+        """Assert that every forced non-fixed child of the nodes of
+        ``out`` up to crossing depth ``depth`` proves its parent's premise
+        object, and count them.  A child that is a node of an input, as
+        where an inversion meets the step on its target, keeps the
+        input's own conclusion and is skipped."""
+        given = {id(q) for p in inputs
+                 for q, _ in walk_to_depth(p, depth + 1)}
+        n = 0
+        for q, _ in walk_to_depth(out, depth):
+            if id(q) in given:
+                continue
+            for k in range(q.inst.arity):
+                c = q.child(k)
+                if fixed_premise(q.rule, k) or id(c) in given:
+                    continue
+                assert c.root is q.inst.premises[k], (q, k)
+                n += 1
+        return n
+
+    def test_on_the_bundled_example(self):
+        counts = [self.checked_children(*case)
+                  for case in edits(unravel(grz_axiom_cyclic_proof()))]
+        assert len(counts) == 16 and sum(counts) > 100
+
+    @pytest.mark.parametrize('f', helpers.formulas_up_to(4), ids=str)
+    def test_on_axiom_proofs(self, f):
+        p = ax_proof(EMPTY, f, EMPTY)
+        counts = [self.checked_children(*case) for case in edits(p)]
+        assert sum(counts) > 0 or p.is_leaf
 
 
 class TestAxiomExpansion:
