@@ -243,12 +243,17 @@ def reinstance(inst, concl):
     return entry[1](inst, concl)
 
 
+# Bound once: each ``Rule.X`` lookup costs an attribute lookup on the enum
+# class, and ``fixed_premise`` runs once per premise of a rebuilt step.
+_BOX_GRZ, _BOX_INF = Rule.BOX_GRZ, Rule.BOX_INF
+
+
 def fixed_premise(rule, k):
     """Is premise ``k`` of a ``rule`` step independent of the side formulas
     of the conclusion?  So are the right premise of the two-premise box
     rule and the premise of the finitary box rule: both hold only the boxed
     context."""
-    return rule == Rule.BOX_GRZ or (rule == Rule.BOX_INF and k == 1)
+    return rule is _BOX_GRZ or (rule is _BOX_INF and k == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,13 @@ fragment equivalence and the proof metric are all defined from fragments;
 each walks the n-fragment of the lazy proof in place, without building it.
 
 Proofs serialize to JSON.  Loading parses each distinct sequent text and
-each distinct formula text once, and dumping prints each distinct formula
-once; the memos live for one call.  Dumping writes the indented layout of
-``json.dumps(..., indent=2)`` itself, byte for byte.
+each distinct formula text once, and builds one ``RuleInstance`` per
+distinct step, shared by every node that records it; dumping prints each
+distinct formula once.  ``check_cyclic``, ``check_wf`` and ``inf_to_seq``
+key their work by step object, so each distinct step of a loaded proof is
+checked once and translated once per context.  Every memo lives for one
+call.  Dumping writes the indented layout of ``json.dumps(...,
+indent=2)`` itself, byte for byte.
 """
 
 from __future__ import annotations
@@ -138,7 +142,8 @@ def eager(inst, *children):
 # Fragments
 
 
-_BOX_INF = Rule.BOX_INF       # bound once: ``Rule.X`` is a class lookup
+# Bound once: ``Rule.X`` is a class lookup.
+_BOX_INF, _CUT = Rule.BOX_INF, Rule.CUT
 
 
 def _crossing_child(rule, i):
@@ -213,15 +218,17 @@ def distance(a, b, max_n):
 
 def cutfree_to_depth(proof, n):
     """Is the n-fragment free of cut?"""
-    return not any(p.rule == Rule.CUT for p, _ in walk_to_depth(proof, n))
+    return not any(p.rule is _CUT for p, _ in walk_to_depth(proof, n))
 
 
 def validate_to_depth(proof, system, n):
-    """Check every rule step in the n-fragment against ``system``.  Child
-    sequents are checked against premises when thunks are forced."""
+    """Check every rule step in the n-fragment against ``system``, once
+    per distinct step object.  Child sequents are checked against premises
+    when thunks are forced."""
     violations = []
+    check = _step_checker(system)
     for p, _ in walk_to_depth(proof, n):
-        violations.extend(step_violations(p.inst, system))
+        violations.extend(check(p.inst))
     return Report(not violations, violations)
 
 
@@ -252,14 +259,33 @@ class Report:
         return self.ok
 
 
+def _step_checker(system):
+    """``step_violations`` against ``system`` for one check: each distinct
+    step object is checked once, and its list is reused at every node
+    that holds it.  Keyed by identity, since a ``RuleInstance`` hashes by
+    value through ``Rule.__hash__``; each entry keeps its step, so no id
+    is reused while the memo lives."""
+    memo = {}
+
+    def check(inst):
+        hit = memo.get(id(inst))
+        if hit is None:
+            hit = memo[id(inst)] = (inst, step_violations(inst, system))
+        return hit[1]
+    return check
+
+
 def check_wf(proof, system=System.GRZ_SEQ):
     """Validate every step of a finite proof against ``system``, and
-    report each child that cannot be built or proves another sequent."""
+    report each child that cannot be built or proves another sequent.
+    Every node position is reported, but ``step_violations`` runs once per
+    distinct step object: a translated proof shares its equal steps."""
     violations = []
+    check = _step_checker(system)
     stack = [proof]
     while stack:
         p = stack.pop()
-        violations.extend(step_violations(p.inst, system))
+        violations.extend(check(p.inst))
         for i in range(p.inst.arity):
             try:
                 stack.append(p.child(i))
@@ -319,8 +345,11 @@ def check_cyclic(proof):
     and a box right premise strictly in between, which makes every
     unraveled branch guarded).  Each back-link's path is walked once, and
     an edge on it crosses into a box right premise where ``regularize``
-    counts one."""
+    counts one.  ``step_violations`` runs once per distinct step object,
+    which a loaded proof shares among its equal steps; each node still
+    gets its own entries, in node order."""
     v = []
+    check = _step_checker(proof.system)
     nodes = proof.nodes
     if proof.root not in nodes:
         return Report(False, ['root id %s missing' % proof.root])
@@ -357,7 +386,7 @@ def check_cyclic(proof):
             v.append('node %s has both a rule and a back-link' % i)
         if n.inst.conclusion != n.sequent:
             v.append('node %s sequent disagrees with its rule conclusion' % i)
-        v.extend(step_violations(n.inst, proof.system))
+        v.extend(check(n.inst))
         if len(n.children) != n.inst.arity:
             v.append('node %s has %d children for %d premises'
                      % (i, len(n.children), n.inst.arity))
@@ -508,12 +537,20 @@ def _link_key(a):
     return i
 
 
+# Each rule by its JSON text: a dict lookup, where ``Rule(text)`` takes
+# about 0.4 us.
+_RULE_OF_TEXT = {r.value: r for r in Rule}
+
+
 def proof_from_json(data):
     """The proof of a JSON object in the proof format.  Node ids are
     non-negative JSON integers, child ids and back-link targets JSON
     integers, back-link keys their decimal texts, and no two nodes share
     an id.  Each distinct sequent text and each distinct formula text is
-    parsed once."""
+    parsed once, and each distinct step -- rule, sequent, premises,
+    principal and cut formula -- is one ``RuleInstance``, shared by every
+    node that records it, so later stages can check and translate it
+    once."""
     system = System(_field(data, 'system', 'the proof'))
     raw = {}
     for k, d in enumerate(_typed(_field(data, 'nodes', 'the proof'), (list,),
@@ -548,6 +585,7 @@ def proof_from_json(data):
         return formulas[text] if text else None
 
     nodes = {}
+    steps = {}      # (rule text, ids of the sequents and formulas) -> step
     for i, d in raw.items():
         where = 'node %s' % i
         s = sequent(i)
@@ -558,7 +596,8 @@ def proof_from_json(data):
         if d.get('rule') is None:
             nodes[i] = CyclicNode(i, s, None, children)
             continue
-        rule = Rule(_typed(d['rule'], (str,), 'a string', 'rule', where))
+        text = _typed(d['rule'], (str,), 'a string', 'rule', where)
+        rule = _RULE_OF_TEXT.get(text) or Rule(text)    # raises if unknown
         principal = formula(d, 'principal', where)
         cutf = formula(d, 'cut_formula', where)
         for c in children:
@@ -566,7 +605,13 @@ def proof_from_json(data):
                 raise ValueError('node %s lists child %s, which has no node'
                                  % (i, c))
         premises = tuple(sequent(c) for c in children)
-        inst = RuleInstance(rule, s, premises, principal, cutf)
+        # Sequents and formulas are one object per text for the whole
+        # call, so ids key them; the step holds every keyed object.
+        key = (text, id(s), id(principal), id(cutf), *map(id, premises))
+        inst = steps.get(key)
+        if inst is None:
+            inst = steps[key] = RuleInstance(rule, s, premises, principal,
+                                             cutf)
         nodes[i] = CyclicNode(i, s, inst, children)
     roots = set(nodes) - {c for n in nodes.values() for c in n.children}
     if len(roots) != 1:

@@ -34,6 +34,8 @@ from .proofs import (
 # lookup on the enum class.
 _IMP_R, _IMP_L, _REFL, _BOX_INF, _CUT = (
     Rule.IMP_R, Rule.IMP_L, Rule.REFL, Rule.BOX_INF, Rule.CUT)
+_AX_ATOM, _AX_BOTTOM, _AX_GENERAL, _BOX_GRZ = (
+    Rule.AX_ATOM, Rule.AX_BOTTOM, Rule.AX_GENERAL, Rule.BOX_GRZ)
 
 
 class TransformError(ValueError):
@@ -69,7 +71,9 @@ def _edit(p, concl, stop=None):
     that every rule of the main fragment carries up as a side formula:
     each step is rebuilt at the premise its rebuilt parent holds.  An
     inversion stops at the step ``stop = (rule, principal, k)`` on its
-    target: there premise ``k`` itself takes the step's place."""
+    target: there premise ``k`` itself takes the step's place.  The
+    inversions test their root for that step before they build its edited
+    sequent, which the step on the target never needs."""
     if (stop is not None and p.rule is stop[0]
             and p.inst.principal == stop[1]):
         return p.child(stop[2])
@@ -92,6 +96,8 @@ def invert_imp_right(p, t):
     if not isinstance(t, Implies) or t not in s.suc:
         raise TransformError('%s is not a succedent implication of %s'
                              % (t, s))
+    if p.rule is _IMP_R and p.inst.principal == t:
+        return p.child(0)
     return _edit(p, Sequent(s.ant.add(t.left), s.suc.remove(t).add(t.right)),
                  (_IMP_R, t, 0))
 
@@ -103,6 +109,8 @@ def invert_imp_left(p, t):
     if not isinstance(t, Implies) or t not in s.ant:
         raise TransformError('%s is not an antecedent implication of %s'
                              % (t, s))
+    if p.rule is _IMP_L and p.inst.principal == t:
+        return p.child(0)
     return _edit(p, Sequent(s.ant.remove(t).add(t.right), s.suc),
                  (_IMP_L, t, 0))
 
@@ -114,6 +122,8 @@ def invert_imp_antecedent(p, t):
     if not isinstance(t, Implies) or t not in s.ant:
         raise TransformError('%s is not an antecedent implication of %s'
                              % (t, s))
+    if p.rule is _IMP_L and p.inst.principal == t:
+        return p.child(1)
     return _edit(p, Sequent(s.ant.remove(t), s.suc.add(t.left)),
                  (_IMP_L, t, 1))
 
@@ -134,6 +144,8 @@ def invert_box_right(p, t):
     if not isinstance(t, Box) or t not in s.suc:
         raise TransformError('%s is not a boxed succedent formula of %s'
                              % (t, s))
+    if p.rule is _BOX_INF and p.inst.principal == t:
+        return p.child(0)
     return _edit(p, Sequent(s.ant, s.suc.remove(t).add(t.inner)),
                  (_BOX_INF, t, 0))
 
@@ -516,7 +528,7 @@ def build_cut(p1, p2, a):
 
 
 # The rules both calculi share, step for step.
-_HOMOMORPHIC_RULES = (Rule.IMP_R, Rule.IMP_L, Rule.REFL, Rule.CUT)
+_HOMOMORPHIC_RULES = (_IMP_R, _IMP_L, _REFL, _CUT)
 
 
 def seq_to_inf(p):
@@ -527,14 +539,14 @@ def seq_to_inf(p):
     r = inst.rule
     c = inst.conclusion
     pr = inst.principal
-    if r == Rule.AX_GENERAL:
+    if r is _AX_GENERAL:
         return ax_proof(c.ant.remove(pr), pr, c.suc.remove(pr))
-    if r == Rule.AX_BOTTOM:
+    if r is _AX_BOTTOM:
         return leaf(ax_bottom(c))
     if r in _HOMOMORPHIC_RULES:
         return LazyProof(reinstance(inst, c),
                          make=lambda k: seq_to_inf(p.child(k)))
-    if r == Rule.BOX_GRZ:
+    if r is _BOX_GRZ:
         a = pr.inner
         trace = Box(Implies(a, pr))
         g = Implies(trace, a)
@@ -572,9 +584,14 @@ def inf_to_seq(p):
     any depth translate, and each (node, Lam) pair is translated once.
     Meeting a pair again inside its own translation means a loop that
     never crosses a box right premise: an unguarded input, reported as a
-    ``TransformError``.
+    ``TransformError``.  Each output node is built once per distinct
+    (step object, Lam, child outputs): the equal steps that a loaded proof
+    shares give one output node, so a subproof that the finite proof
+    repeats is one object.
     """
     memo = {}                       # (id of node, lam) -> proof; None: open
+    built = {}                      # (id of step, lam, ids of the kids)
+                                    # -> (proof, step)
     contexts = {}                   # lam -> its obligations, built once
     root = (id(p), frozenset())
     stack = [(p, root[1], None)]    # (node, lam, its subproblems once open)
@@ -604,14 +621,19 @@ def inf_to_seq(p):
             stack.extend((c, m, None) for c, m in reversed(subs))
             continue
         kids = [memo[id(c), m] for c, m in subs]
+        step = (id(inst), lam, *map(id, kids))
+        hit = built.get(step)
+        if hit is not None:
+            memo[key] = hit[0]
+            continue
         extra = contexts.get(lam)
         if extra is None:
             extra = contexts[lam] = _trace_context(lam)
         c = q.root
         target = Sequent(extra.union(c.ant), c.suc)
-        if r == Rule.AX_ATOM:
+        if r is _AX_ATOM:
             out = leaf(ax_general(target, pr))
-        elif r == Rule.AX_BOTTOM:
+        elif r is _AX_BOTTOM:
             out = leaf(ax_bottom(target))
         elif r in _HOMOMORPHIC_RULES:
             out = eager(reinstance(inst, target), *kids)
@@ -630,5 +652,6 @@ def inf_to_seq(p):
                 out = eager(box_grz(target, pr, extra.union(pi)), kids[0])
         else:
             raise TransformError('cannot translate a %s step' % r.value)
+        built[step] = (out, inst)
         memo[key] = out
     return memo[root]

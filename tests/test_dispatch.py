@@ -10,7 +10,10 @@ from grzproofs.calculus import (
     Rule, RuleInstance, System, ax_general, cut, fixed_premise, reinstance,
 )
 from grzproofs.cli import main, random_wf_proof
-from grzproofs.proofs import cyclic_from_wf, dump_proof, eager, leaf, unravel
+from grzproofs.proofs import (
+    check_cyclic, check_wf, cyclic_from_wf, dump_proof, eager, leaf,
+    load_proof, unravel,
+)
 from grzproofs.prover import decide
 from grzproofs.syntax import EMPTY, Sequent, mset, parse_formula, parse_sequent
 from grzproofs.transforms import (
@@ -129,11 +132,40 @@ _GP = '[]([](p -> []p) -> p)'
 _GQ = '[]([](q -> []q) -> q)'
 
 
-def test_back_links_of_folded_cut_compositions_are_unchanged():
+_CHAINS = (('%s & %s' % (_GP, _GQ), '[]p', '[][]p'),
+           (_GP, '[]p', '[][][]p'),
+           ('%s & []q' % _GP, '[]p & []q', '[](p & q)'),
+           ('%s & []q' % _GP, '[](p & q)', '[]p & []q'))
+
+
+@pytest.fixture(scope='module')
+def chain_outputs():
+    return [_cutfree(_chain(*chain)) for chain in _CHAINS]
+
+
+def test_back_links_of_folded_cut_compositions_are_unchanged(chain_outputs):
     h = hashlib.sha256()
-    for chain in (('%s & %s' % (_GP, _GQ), '[]p', '[][]p'),
-                  (_GP, '[]p', '[][][]p'),
-                  ('%s & []q' % _GP, '[]p & []q', '[](p & q)'),
-                  ('%s & []q' % _GP, '[](p & q)', '[]p & []q')):
-        h.update(dump_proof(_cutfree(_chain(*chain))).encode())
+    for out in chain_outputs:
+        h.update(dump_proof(out).encode())
     assert h.hexdigest() == GOLDEN_CHAINS
+
+
+# sha256 of the finitary translations of the four proofs above after a
+# dump and a load, each followed by the ``repr`` of the loaded proof's
+# ``check_cyclic`` report and of the translation's ``check_wf`` report, as
+# the code produced them before loading shared equal steps.  A loaded
+# proof's repeated steps are what the translation and the checks share.
+GOLDEN_LOADED_FINITARY = ('4b7d0ae439579baaa94ffe1fb4cbc7c4'
+                          'b7396b538e6cfa60e522d6c2182a599e')
+
+
+def test_finitary_translations_of_loaded_outputs_are_unchanged(
+        chain_outputs):
+    h = hashlib.sha256()
+    for out in chain_outputs:
+        loaded = load_proof(dump_proof(out))
+        wf = inf_to_seq(unravel(loaded))
+        h.update(dump_proof(cyclic_from_wf(wf)).encode())
+        h.update(repr(check_cyclic(loaded)).encode())
+        h.update(repr(check_wf(wf)).encode())
+    assert h.hexdigest() == GOLDEN_LOADED_FINITARY

@@ -323,6 +323,89 @@ class TestLoad:
         assert once + '\n' == bundled
 
 
+def _node(i, rule, principal, children, **extra):
+    return dict(id=i, sequent='p => q', rule=rule, principal=principal,
+                children=children, **extra)
+
+
+# A grz_inf_cut proof whose two leaves record one and the same wrong step:
+# ax_atom on p, which is not in the succedent of p => q.  The cut above
+# them records both premises as p => q, so they prove its premises.
+REPEATED_WRONG_STEP = json.dumps({
+    'system': 'grz_inf_cut',
+    'nodes': [_node(0, 'cut', None, [1, 2], cut_formula='r'),
+              _node(1, 'ax_atom', 'p', []),
+              _node(2, 'ax_atom', 'p', [])],
+    'backlinks': {}})
+
+_CUT_PREMISES = ("cut: premises ['p => q', 'p => q'] do not match the rule "
+                 "schema (expected ['p => q, r', 'p, r => q'])")
+_AX_ATOM = 'ax_atom: principal atom must occur on both sides of p => q'
+
+
+def _rule_nodes(proof_json):
+    """The node entries of a proof's JSON that record a rule, grouped by
+    the step they record: rule, sequent, premises, principal and cut
+    formula."""
+    nodes = json.loads(proof_json)['nodes']
+    sequent = {n['id']: n['sequent'] for n in nodes}
+    groups = {}
+    for n in nodes:
+        if n['rule'] is not None:
+            key = (n['rule'], n['sequent'], n['principal'],
+                   n.get('cut_formula'),
+                   tuple(sequent[c] for c in n['children']))
+            groups.setdefault(key, []).append(n['id'])
+    return list(groups.values())
+
+
+class TestSharedSteps:
+    """A loaded proof holds one step object per distinct step; the checks
+    and the translation do their work once per step object."""
+
+    def test_two_equal_steps_are_one_object(self):
+        nodes = load_proof(REPEATED_WRONG_STEP).nodes
+        assert nodes[1].inst is nodes[2].inst
+
+    def test_every_group_of_equal_steps_is_one_object(self,
+                                                      cutfree_chain_json):
+        nodes = load_proof(cutfree_chain_json).nodes
+        groups = _rule_nodes(cutfree_chain_json)
+        assert sum(map(len, groups)) > 2 * len(groups)
+        for ids in groups:
+            assert all(nodes[i].inst is nodes[ids[0]].inst for i in ids)
+        assert len({id(nodes[ids[0]].inst) for ids in groups}) == len(groups)
+
+    def test_a_repeated_wrong_step_is_reported_at_each_node(self):
+        # The lists the checks gave before steps were shared: one entry per
+        # node, in node order.
+        proof = load_proof(REPEATED_WRONG_STEP)
+        assert check_cyclic(proof).violations == [
+            _CUT_PREMISES, _AX_ATOM, _AX_ATOM]
+        wf = wf_from_cyclic(proof)
+        assert check_wf(wf).violations == [
+            'cut: not available in grz_seq', _CUT_PREMISES,
+            'ax_atom: not available in grz_seq', _AX_ATOM,
+            'ax_atom: not available in grz_seq', _AX_ATOM]
+        assert check_wf(wf, System.GRZ_INF_CUT).violations == [
+            _CUT_PREMISES, _AX_ATOM, _AX_ATOM]
+        assert validate_to_depth(unravel(proof), System.GRZ_INF_CUT,
+                                 1).violations == [
+            _CUT_PREMISES, _AX_ATOM, _AX_ATOM]
+
+    def test_inf_to_seq_shares_the_translation_of_equal_steps(
+            self, cutfree_chain_json):
+        wf = inf_to_seq(unravel(load_proof(cutfree_chain_json)))
+        positions, objects, stack = 0, set(), [wf]
+        while stack:
+            p = stack.pop()
+            positions += 1
+            objects.add(id(p))
+            stack.extend(p.children)
+        assert check_wf(wf).ok
+        assert 2 * len(objects) < positions
+
+
 class TestCheckCyclicRejections:
     def test_missing_root(self, example):
         broken = CyclicProof(dict(example.nodes), 99, dict(example.backlinks),

@@ -7,6 +7,7 @@ import pytest
 from grzproofs.calculus import (
     Rule, System, ax_atom, box_inf, fixed_premise, imp_l, imp_r, refl,
 )
+from grzproofs import transforms
 from grzproofs.examples import grz_axiom_cyclic_proof
 from grzproofs.proofs import (
     ResourceLimitError, check_cyclic, check_wf, cutfree_to_depth, frag_eq,
@@ -101,13 +102,29 @@ class TestInversions:
         with pytest.raises(TransformError):
             invert_box_right(p, Box(P))
 
-    @pytest.mark.parametrize('invert, step, k, text, target', [
+    ON_TARGET = pytest.mark.parametrize('invert, step, k, text, target', [
         (invert_imp_right, imp_r, 0, '[]q, q => p -> q', 'p -> q'),
         (invert_imp_left, imp_l, 0, '[]q, q, p -> q => q', 'p -> q'),
         (invert_imp_antecedent, imp_l, 1, '[]q, q, p -> q => q', 'p -> q'),
         (invert_box_right, lambda s, t: box_inf(s, t, s.boxed_ant()), 0,
          '[]q, q => []q', '[]q'),
     ])
+
+    @ON_TARGET
+    def test_the_step_on_the_target_at_the_root_builds_no_sequent(
+            self, invert, step, k, text, target, monkeypatch):
+        s, t = parse_sequent(text), parse_formula(target)
+        inst = step(s, t)
+        below = eager(inst, *(next(complete_proofs(prem, 7))
+                              for prem in inst.premises))
+
+        def no_sequent(*args):
+            raise AssertionError('the edited root sequent was built')
+
+        monkeypatch.setattr(transforms, 'Sequent', no_sequent)
+        assert invert(below, t) is below.child(k)
+
+    @ON_TARGET
     def test_the_step_on_the_target_gives_its_premise_itself(
             self, invert, step, k, text, target):
         # A refl step on []q sits above the step on the target; inverting
