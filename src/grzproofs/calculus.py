@@ -46,6 +46,11 @@ class System(enum.Enum):
 
 
 class Rule(enum.Enum):
+    # Identity hashing, at C speed: ``Enum.__hash__`` hashes the member's
+    # name in Python, and a rule is a key on every checked step.  No set
+    # of rules is iterated into an output.
+    __hash__ = object.__hash__
+
     AX_ATOM = 'ax_atom'
     AX_BOTTOM = 'ax_bottom'
     AX_GENERAL = 'ax_general'
@@ -55,6 +60,14 @@ class Rule(enum.Enum):
     BOX_INF = 'box_inf'
     BOX_GRZ = 'box_grz'
     CUT = 'cut'
+
+
+# Bound once: each ``Rule.X`` lookup costs an attribute lookup on the enum
+# class, and search and the transformers build a step per node.
+(_AX_ATOM, _AX_BOTTOM, _AX_GENERAL, _IMP_L, _IMP_R, _REFL, _BOX_INF,
+ _BOX_GRZ, _CUT) = (
+    Rule.AX_ATOM, Rule.AX_BOTTOM, Rule.AX_GENERAL, Rule.IMP_L, Rule.IMP_R,
+    Rule.REFL, Rule.BOX_INF, Rule.BOX_GRZ, Rule.CUT)
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,9 +80,28 @@ class RuleInstance:
     principal: Formula = None
     cut_formula: Formula = None
 
+    def __init__(self, rule, conclusion, premises=(), principal=None,
+                 cut_formula=None):
+        # Search, loading and every transformer build a step per node.
+        # The generated ``__init__`` of a frozen dataclass sets each field
+        # through ``object.__setattr__`` and took about twice as long as
+        # these setters.
+        _set_rule(self, rule)
+        _set_conclusion(self, conclusion)
+        _set_premises(self, premises)
+        _set_principal(self, principal)
+        _set_cut_formula(self, cut_formula)
+
     @property
     def arity(self):
         return len(self.premises)
+
+
+_set_rule = RuleInstance.rule.__set__
+_set_conclusion = RuleInstance.conclusion.__set__
+_set_premises = RuleInstance.premises.__set__
+_set_principal = RuleInstance.principal.__set__
+_set_cut_formula = RuleInstance.cut_formula.__set__
 
 
 class CalculusError(ValueError):
@@ -85,21 +117,21 @@ def ax_atom(concl, p):
     if not (isinstance(p, Atom) and p in concl.ant and p in concl.suc):
         raise CalculusError('ax_atom: principal atom must occur on both '
                             'sides of %s' % concl)
-    return RuleInstance(Rule.AX_ATOM, concl, (), p)
+    return RuleInstance(_AX_ATOM, concl, (), p)
 
 
 def ax_bottom(concl):
     if BOT not in concl.ant:
         raise CalculusError('ax_bottom: false must occur in the antecedent '
                             'of %s' % concl)
-    return RuleInstance(Rule.AX_BOTTOM, concl, (), BOT)
+    return RuleInstance(_AX_BOTTOM, concl, (), BOT)
 
 
 def ax_general(concl, a):
     if not (a in concl.ant and a in concl.suc):
         raise CalculusError('ax_general: principal formula must occur on '
                             'both sides of %s' % concl)
-    return RuleInstance(Rule.AX_GENERAL, concl, (), a)
+    return RuleInstance(_AX_GENERAL, concl, (), a)
 
 
 def imp_r(concl, principal):
@@ -108,7 +140,7 @@ def imp_r(concl, principal):
                             % (principal, concl))
     prem = Sequent(concl.ant.add(principal.left),
                    concl.suc.remove(principal).add(principal.right))
-    return RuleInstance(Rule.IMP_R, concl, (prem,), principal)
+    return RuleInstance(_IMP_R, concl, (prem,), principal)
 
 
 def imp_l(concl, principal):
@@ -118,7 +150,7 @@ def imp_l(concl, principal):
     rest = concl.ant.remove(principal)
     left = Sequent(rest.add(principal.right), concl.suc)
     right = Sequent(rest, concl.suc.add(principal.left))
-    return RuleInstance(Rule.IMP_L, concl, (left, right), principal)
+    return RuleInstance(_IMP_L, concl, (left, right), principal)
 
 
 def refl(concl, principal):
@@ -126,7 +158,7 @@ def refl(concl, principal):
         raise CalculusError('refl principal %s not in antecedent of %s'
                             % (principal, concl))
     prem = Sequent(concl.ant.add(principal.inner), concl.suc)
-    return RuleInstance(Rule.REFL, concl, (prem,), principal)
+    return RuleInstance(_REFL, concl, (prem,), principal)
 
 
 def _box_principal(concl, principal):
@@ -159,7 +191,7 @@ def box_inf_step(concl, principal, pi):
 
 def _box_inf_at(concl, principal, right):
     left = Sequent(concl.ant, concl.suc.remove(principal).add(principal.inner))
-    return RuleInstance(Rule.BOX_INF, concl, (left, right), principal)
+    return RuleInstance(_BOX_INF, concl, (left, right), principal)
 
 
 def box_grz(concl, principal, pi):
@@ -168,7 +200,7 @@ def box_grz(concl, principal, pi):
     _box_principal(concl, principal)
     a = principal.inner
     prem = Sequent(pi.add(Box(Implies(a, principal))), mset(a))
-    return RuleInstance(Rule.BOX_GRZ, concl, (prem,), principal)
+    return RuleInstance(_BOX_GRZ, concl, (prem,), principal)
 
 
 def cut(concl, cut_formula):
@@ -176,7 +208,7 @@ def cut(concl, cut_formula):
         raise CalculusError('cut: needs a cut formula')
     left = Sequent(concl.ant, concl.suc.add(cut_formula))
     right = Sequent(concl.ant.add(cut_formula), concl.suc)
-    return RuleInstance(Rule.CUT, concl, (left, right), None, cut_formula)
+    return RuleInstance(_CUT, concl, (left, right), None, cut_formula)
 
 
 def _premises(inst, n):
@@ -241,11 +273,6 @@ def reinstance(inst, concl):
     if entry is None:
         raise CalculusError('unknown rule %r' % (inst.rule,))
     return entry[1](inst, concl)
-
-
-# Bound once: each ``Rule.X`` lookup costs an attribute lookup on the enum
-# class, and ``fixed_premise`` runs once per premise of a rebuilt step.
-_BOX_GRZ, _BOX_INF = Rule.BOX_GRZ, Rule.BOX_INF
 
 
 def fixed_premise(rule, k):

@@ -72,7 +72,7 @@ def interpolate(proof, split):
     if not report.ok:
         raise InterpolationError('invalid proof: %s' % report.violations[:3])
     for n in proof.nodes.values():
-        if n.inst is not None and n.inst.rule == Rule.CUT:
+        if n.inst is not None and n.inst.rule is _CUT:
             raise InterpolationError('proof contains cut')
     root = unravel(proof)
     if split.merged() != root.root:
@@ -87,10 +87,14 @@ def interpolate(proof, split):
         right_obligation=Sequent(split.gamma2.add(i), split.delta2))
 
 
+# Bound once: each ``Rule.X`` lookup on a per-step path costs an attribute
+# lookup on the enum class.
+_AX_ATOM, _AX_BOTTOM, _BOX_INF, _CUT = (
+    Rule.AX_ATOM, Rule.AX_BOTTOM, Rule.BOX_INF, Rule.CUT)
 # The rules with premises, and those of them whose principal formula is
 # in the succedent.
-_INNER_RULES = (Rule.IMP_R, Rule.IMP_L, Rule.REFL, Rule.BOX_INF)
-_SUCCEDENT_RULES = (Rule.IMP_R, Rule.BOX_INF)
+_INNER_RULES = (Rule.IMP_R, Rule.IMP_L, Rule.REFL, _BOX_INF)
+_SUCCEDENT_RULES = (Rule.IMP_R, _BOX_INF)
 
 
 def _interp(q, sides, lams, memo):
@@ -105,9 +109,9 @@ def _interp(q, sides, lams, memo):
     inst = q.inst
     r = inst.rule
     pr = inst.principal
-    if r == Rule.AX_BOTTOM:
+    if r is _AX_BOTTOM:
         out = BOT if BOT in g1 else TOP
-    elif r == Rule.AX_ATOM:
+    elif r is _AX_ATOM:
         if pr in g1 and pr in d1:
             out = BOT
         elif pr in sides[1].ant and pr in sides[1].suc:
@@ -123,7 +127,7 @@ def _interp(q, sides, lams, memo):
         # Gamma1 => Delta1, sides[True] is Gamma2 => Delta2.
         side = pr not in (d1 if r in _SUCCEDENT_RULES else g1)
         part = sides[side]
-        if r == Rule.BOX_INF and pr.inner not in lams[side]:
+        if r is _BOX_INF and pr.inner not in lams[side]:
             # A fresh crossing: the boxed context goes to the left part as
             # far as Gamma1 holds it, the rest to the right part, and A is
             # the succedent of its side and joins that side's Lambda.
@@ -142,7 +146,7 @@ def _interp(q, sides, lams, memo):
             out = (diamond, Box)[side](_interp(
                 q.child(1), tuple(above), tuple(crossed), memo))
         else:
-            if r == Rule.BOX_INF:
+            if r is _BOX_INF:
                 # Crossed on this content before: stay in the main fragment.
                 parts = (Sequent(part.ant, part.suc.remove(pr).add(pr.inner)),)
             else:

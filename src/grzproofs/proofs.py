@@ -263,8 +263,8 @@ def _step_checker(system):
     """``step_violations`` against ``system`` for one check: each distinct
     step object is checked once, and its list is reused at every node
     that holds it.  Keyed by identity, since a ``RuleInstance`` hashes by
-    value through ``Rule.__hash__``; each entry keeps its step, so no id
-    is reused while the memo lives."""
+    value, sequents and all; each entry keeps its step, so no id is reused
+    while the memo lives."""
     memo = {}
 
     def check(inst):

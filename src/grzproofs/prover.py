@@ -8,21 +8,27 @@ formula with the maximal set-like boxed context.  Box right premises are
 recorded in a per-branch history; when one repeats an ancestor entry with
 another crossing strictly in between, the branch closes with a back-link.
 
-The box rule is the only choice point, so only the box stage can meet a
-search state twice.  Its results, proofs and failures alike, are tabled
-for the length of one ``decide`` call, keyed by the sequent, the set of
-``refl``-saturated formulas, and the part of the branch history that a
-back-link further on could reach: the entries  Pi => A  with []A a
-subformula of the sequent, the newest kept apart from the set of the
-others, as no box step before the next crossing can link to it.  No other
-entry can ever equal a box right premise further on, so a result depends
-on nothing else, apart from the crossing bound: each entry also records
-how many crossings deep its search went, and is searched again where
-reusing it would pass the bound.  So on ``=> []q1, ..., []qn`` search
-visits each subset of the box choices once, and its cost grows
-exponentially in n, not factorially; on ``[]p => []^n p``, where both
-premises of each box step reach one box-stage sequent, it grows linearly
-in n.
+The box rule is the only choice point, and a failed left premise ends
+it: box inversion (``transforms.invert_box_right``) is admissible, so if
+Gamma => A, Delta  has no proof, neither has  Gamma => []A, Delta, whichever
+box is chosen; the inversion edits only the main fragment, below the box
+right premises, so it keeps the branch history that back-links reach.
+Only a failed right premise goes on to the next box.  On
+``=> []q1, ..., []qn`` search so makes n + 1 calls: the goal, then the
+left premise of its first box, which fails.
+
+Only the box stage can meet a search state twice.  Its results, proofs
+and failures alike, are tabled for the length of one ``decide`` call,
+keyed by the sequent, the set of ``refl``-saturated formulas, and the
+part of the branch history that a back-link further on could reach: the
+entries  Pi => A  with []A a subformula of the sequent, the newest kept
+apart from the set of the others, as no box step before the next
+crossing can link to it.  No other entry can ever equal a box right
+premise further on, so a result depends on nothing else, apart from the
+crossing bound: each entry also records how many crossings deep its
+search went, and is searched again where reusing it would pass the bound.
+So on ``[]p => []^n p``, where both premises of each box step reach one
+box-stage sequent, search grows linearly in n.
 Back-link leaves name no target: ``_to_cyclic`` finds it on each leaf's
 own branch.
 
@@ -32,7 +38,13 @@ once, and a sequent keeps its hash once worked out.
 
 Countermodels come from exhaustive enumeration of finite reflexive partial
 orders (Grz frames: finiteness rules out infinite ascending chains), not
-from failed search branches.
+from failed search branches.  The oracle compiles the formula reading of
+the goal once, into the post-order list of its distinct subformulas, and
+evaluates each candidate frame and valuation in one flat loop over that
+list, which ``truth_mask`` runs too; so no formula's depth makes it
+recurse.  The frames of each size are built once per process: each
+labelled poset extends a smaller one by one world, and the first of each
+isomorphism class is kept.
 """
 
 from __future__ import annotations
@@ -114,43 +126,168 @@ class KripkeModel:
 
 
 def truth_mask(model, f):
-    """Bitmask of worlds satisfying ``f``."""
-    full = (1 << model.size) - 1
-    if isinstance(f, Bottom):
-        return 0
-    if isinstance(f, Atom):
-        return model.val(f.name)
-    if isinstance(f, Implies):
-        return (full & ~truth_mask(model, f.left)) | truth_mask(model, f.right)
-    inner = truth_mask(model, f.inner)
+    """Bitmask of worlds of ``model`` satisfying ``f``: ``f`` compiled, and
+    run by the evaluator of ``find_countermodel``, so formulas of any depth
+    evaluate without recursion."""
+    steps, atoms = _compile(f)
+    return _evaluate(steps, (1 << model.size) - 1, _BoxMasks(model.order),
+                     tuple(model.val(name) for name in atoms))
+
+
+# The kinds of a compiled step.
+_BOTTOM, _ATOM, _IMPLIES, _BOX = range(4)
+
+
+def _compile(f):
+    """``f`` as a program: its distinct subformulas in post-order, each a
+    step ``(kind, a, b)``, and the sorted names of its atoms.  An
+    implication's ``a`` and ``b`` and a box's ``a`` are the indices of the
+    steps of its parts; an atom's ``a`` is the index of its name.  One walk
+    with an explicit stack, so a formula of any depth compiles.  Formulas
+    are hash-consed, so the steps are keyed by identity, hashed in C."""
+    index = {}          # id of a compiled formula -> its step's index
+    steps = []
+    atoms = []          # (step index, name) of each atom
+    # Each formula on the stack is a part of the one below it, not yet
+    # compiled; the top one is compiled once its parts are.
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        t = type(g)
+        if t is Implies:
+            a = index.get(id(g.left))
+            if a is None:
+                stack.append(g.left)
+                continue
+            b = index.get(id(g.right))
+            if b is None:
+                stack.append(g.right)
+                continue
+            step = (_IMPLIES, a, b)
+        elif t is Box:
+            a = index.get(id(g.inner))
+            if a is None:
+                stack.append(g.inner)
+                continue
+            step = (_BOX, a, 0)
+        elif t is Atom:
+            atoms.append((len(steps), g.name))
+            step = None
+        else:
+            step = (_BOTTOM, 0, 0)
+        stack.pop()
+        index[id(g)] = len(steps)
+        steps.append(step)
+    names = sorted(name for _, name in atoms)
+    for k, name in atoms:
+        steps[k] = (_ATOM, names.index(name), 0)
+    return steps, names
+
+
+def _evaluate(steps, full, boxes, vals):
+    """The truth mask of the last of the compiled ``steps`` on a frame of
+    the worlds in ``full``, where ``boxes[m]`` is the mask of the worlds
+    all of whose successors are in ``m``, and ``vals[i]`` is the mask of
+    atom i."""
+    masks = []
+    push = masks.append
+    for kind, a, b in steps:
+        if kind == _IMPLIES:
+            push(full & ~masks[a] | masks[b])
+        elif kind == _BOX:
+            push(boxes[masks[a]])
+        elif kind == _ATOM:
+            push(vals[a])
+        else:
+            push(0)
+    return masks[-1]
+
+
+class _BoxMasks(dict):
+    """``boxes`` for ``_evaluate`` on the frame ``order`` of any size: the
+    mask of each box is worked out when first asked for, where a table of
+    every mask, as ``_frames`` holds, would take 2^n entries."""
+
+    def __init__(self, order):
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, inner):
+        mask = self[inner] = _box_mask(self.order, inner)
+        return mask
+
+
+def _box_mask(order, inner):
+    """The worlds of the frame ``order`` all of whose successors are in
+    ``inner``."""
     mask = 0
-    for w in range(model.size):
-        if model.order[w] & ~inner == 0:
+    for w, succ in enumerate(order):
+        if not succ & ~inner:
             mask |= 1 << w
     return mask
 
 
+def _labelled_orders(n):
+    """Every reflexive partial order on the worlds 0..n-1.  Each extends
+    one on 0..n-2 by world n-1, placed above a down-closed set D and below
+    an up-closed set U, disjoint, with every world of D below every world
+    of U; so each arises once."""
+    if n == 0:
+        return ((),)
+    x = n - 1
+    bit = 1 << x
+    out = []
+    for order in _labelled_orders(x):
+        # D holds every world below one of its own; U holds every world
+        # above one of its own.
+        downs = [d for d in range(bit)
+                 if all(not succ & d or d >> w & 1
+                        for w, succ in enumerate(order))]
+        ups = [u for u in range(bit)
+               if all(not u >> w & 1 or not succ & ~u
+                      for w, succ in enumerate(order))]
+        for d in downs:
+            below = bit - 1     # the worlds above every world of D
+            for w, succ in enumerate(order):
+                if d >> w & 1:
+                    below &= succ
+            for u in ups:
+                if not u & d and not u & ~below:
+                    out.append(tuple(succ | bit if d >> w & 1 else succ
+                                     for w, succ in enumerate(order))
+                               + (bit | u,))
+    return tuple(out)
+
+
+def _pair_bits(order):
+    """The bitmask over the pairs (i, j), i != j, in order, of the pairs
+    with i <= j in ``order``: the order in which ``enumerate_orders``
+    meets its frames."""
+    n = len(order)
+    bits = 0
+    k = 0
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                if order[i] >> j & 1:
+                    bits |= 1 << k
+                k += 1
+    return bits
+
+
 @lru_cache(maxsize=None)
 def enumerate_orders(n):
-    """All reflexive partial orders on n worlds, up to isomorphism.
-    Each order is a tuple of successor bitmasks."""
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    """All reflexive partial orders on n worlds, up to isomorphism: of
+    each class, the labelled order first by ``_pair_bits``.  Each order is
+    a tuple of successor bitmasks."""
     seen = set()
     out = []
-    for bits in range(1 << len(pairs)):
-        order = [1 << i for i in range(n)]
-        for k, (i, j) in enumerate(pairs):
-            if bits & (1 << k):
-                order[i] |= 1 << j
-        if _order_fault(order, n):
+    for order in sorted(_labelled_orders(n), key=_pair_bits):
+        if order in seen:
             continue
-        canon = min(
-            tuple(sorted(_relabel(order, perm)))
-            for perm in itertools.permutations(range(n)))
-        if canon in seen:
-            continue
-        seen.add(canon)
-        out.append(tuple(order))
+        out.append(order)
+        seen.update(tuple(_relabel(order, perm))
+                    for perm in itertools.permutations(range(n)))
     return tuple(out)
 
 
@@ -166,27 +303,40 @@ def _relabel(order, perm):
     return new
 
 
+@lru_cache(maxsize=None)
+def _frames(n):
+    """The frames of ``enumerate_orders(n)``, each checked once, with the
+    mask of each box on it: ``boxes[m]`` for each mask m of worlds."""
+    out = []
+    for order in enumerate_orders(n):
+        fault = _order_fault(order, n)
+        if fault:
+            raise ProverError('frame table: %s in %s' % (fault, order))
+        out.append((order, tuple(_box_mask(order, m)
+                                 for m in range(1 << n))))
+    return tuple(out)
+
+
 def find_countermodel(goal, max_size=4):
     """Search finite reflexive posets of up to ``max_size`` worlds for a
     world falsifying the formula reading of ``goal``.  Frames are
     enumerated up to isomorphism (exhaustive for validity checking, since
-    satisfaction is isomorphism-invariant)."""
+    satisfaction is isomorphism-invariant), smallest first; on each,
+    every valuation of the goal's atoms, in sorted name order.  The
+    formula is compiled once, and each candidate is one run of
+    ``_evaluate``; only the model returned is built as a ``KripkeModel``,
+    with the first world that falsifies the formula."""
     if not isinstance(goal, Sequent):
         goal = Sequent(EMPTY, mset(goal))
-    f = sequent_to_formula(goal)
-    atoms = sorted(g.name for g in subformulas(*goal.formulas())
-                   if type(g) is Atom)
+    steps, atoms = _compile(sequent_to_formula(goal))
     for n in range(1, max_size + 1):
         full = (1 << n) - 1
-        for order in enumerate_orders(n):
+        for order, boxes in _frames(n):
             for vals in itertools.product(range(1 << n), repeat=len(atoms)):
-                model = KripkeModel(n, order,
-                                    tuple(zip(atoms, vals)))
-                mask = truth_mask(model, f)
+                mask = _evaluate(steps, full, boxes, vals)
                 if mask != full:
-                    for w in range(n):
-                        if not mask & (1 << w):
-                            return model, w
+                    world = (~mask & (mask + 1)).bit_length() - 1
+                    return KripkeModel(n, order, tuple(zip(atoms, vals))), world
     return None
 
 
@@ -304,7 +454,8 @@ def _search(s, refl_done, history, st):
         inst = box_inf_step(s, f, boxed)
         left = _search(inst.premises[0], refl_done, history, st)
         if left is None:
-            continue
+            # Box inversion is admissible: s has no proof, by any box.
+            break
         target = inst.premises[1]
         if older is not None and target in older:
             right = _SNode(target)

@@ -1,8 +1,10 @@
 """Builders shared by the test modules: exhaustive formula enumeration,
 the backward-applicable rule instances of a goal, exhaustive small-proof
 search, grafting of lazy proofs, deep finite proofs, a reference
-proof-to-JSON encoder, and truth at one world of a Kripke model."""
+proof-to-JSON encoder, truth at one world of a Kripke model, and the
+frames of the oracle by brute force."""
 
+import itertools
 from functools import lru_cache
 
 from grzproofs.calculus import (
@@ -10,9 +12,10 @@ from grzproofs.calculus import (
     imp_r, refl,
 )
 from grzproofs.proofs import CyclicNode, CyclicProof, LazyProof, eager, leaf
-from grzproofs.prover import truth_mask
+from grzproofs.prover import _order_fault, _relabel
 from grzproofs.syntax import (
-    Atom, Box, Implies, BOT, PrintMemo, format_sequent, parse_sequent,
+    Atom, Bottom, Box, Implies, BOT, PrintMemo, format_sequent,
+    parse_sequent,
 )
 
 P = Atom('p')
@@ -150,6 +153,53 @@ def proof_to_json(proof):
     }
 
 
+def reference_mask(model, f):
+    """Bitmask of worlds of ``model`` satisfying ``f``, by recursion on
+    ``f``: a check on ``truth_mask``, which runs the oracle's compiled
+    evaluator."""
+    full = (1 << model.size) - 1
+    if isinstance(f, Bottom):
+        return 0
+    if isinstance(f, Atom):
+        return model.val(f.name)
+    if isinstance(f, Implies):
+        return (full & ~reference_mask(model, f.left)
+                | reference_mask(model, f.right))
+    inner = reference_mask(model, f.inner)
+    mask = 0
+    for w in range(model.size):
+        if model.order[w] & ~inner == 0:
+            mask |= 1 << w
+    return mask
+
+
 def eval_formula(model, world, f):
-    """Does ``f`` hold at ``world`` of ``model``?"""
-    return bool(truth_mask(model, f) & (1 << world))
+    """Does ``f`` hold at ``world`` of ``model``?  Independent of the
+    program's evaluator."""
+    return bool(reference_mask(model, f) & (1 << world))
+
+
+def brute_force_orders(n):
+    """All reflexive partial orders on n worlds, up to isomorphism: every
+    relation on n worlds, as a bitmask over the pairs (i, j), i != j, in
+    order, is filtered by ``_order_fault`` and canonicalized under every
+    relabelling, and the first of each class is kept.  The reference for
+    ``prover.enumerate_orders``."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    seen = set()
+    out = []
+    for bits in range(1 << len(pairs)):
+        order = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(pairs):
+            if bits & (1 << k):
+                order[i] |= 1 << j
+        if _order_fault(order, n):
+            continue
+        canon = min(
+            tuple(sorted(_relabel(order, perm)))
+            for perm in itertools.permutations(range(n)))
+        if canon in seen:
+            continue
+        seen.add(canon)
+        out.append(tuple(order))
+    return tuple(out)

@@ -66,6 +66,37 @@ class TestConstructors:
         assert ax_bottom(parse_sequent('false => q')).premises == ()
         assert ax_general(parse_sequent('[]p => []p'), Box(P)).premises == ()
 
+    def test_instances_hold_what_init_would_set(self):
+        # RuleInstance sets its slots itself, not through the generated
+        # __init__ of its frozen dataclass; a field left unset would raise
+        # here, and equality, hash, repr and immutability stay the
+        # dataclass's.
+        c = parse_sequent('p -> q, p => q')
+        steps = [imp_l(c, Implies(P, Q)), cut(c, Q),
+                 ax_atom(parse_sequent('p => p'), P)]
+        for inst in steps:
+            fields = (inst.rule, inst.conclusion, inst.premises,
+                      inst.principal, inst.cut_formula)
+            again = RuleInstance(*fields)
+            assert again == inst and hash(again) == hash(inst)
+            assert again == RuleInstance(
+                rule=inst.rule, conclusion=inst.conclusion,
+                premises=inst.premises, principal=inst.principal,
+                cut_formula=inst.cut_formula)
+            assert repr(again) == (
+                'RuleInstance(rule=%r, conclusion=%r, premises=%r, '
+                'principal=%r, cut_formula=%r)' % fields)
+        bare = RuleInstance(Rule.AX_BOTTOM, parse_sequent('false =>'))
+        assert (bare.premises, bare.principal, bare.cut_formula) == (
+            (), None, None)
+        with pytest.raises(AttributeError):
+            bare.principal = BOT
+
+    def test_rules_hash_by_identity(self):
+        # Rule keys the step table; an identity hash runs in C.
+        assert all(hash(r) == object.__hash__(r) for r in Rule)
+        assert len({r: r.value for r in Rule}) == len(Rule)
+
     def test_constructors_reject_missing_principal(self):
         with pytest.raises(CalculusError):
             imp_r(parse_sequent('p => q'), Implies(P, Q))

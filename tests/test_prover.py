@@ -1,19 +1,24 @@
 import hashlib
+import itertools
 import json
 
 import pytest
 
 from grzproofs import prover
+from grzproofs.calculus import Rule
 from grzproofs.proofs import CyclicNode, check_cyclic, dump_proof, unravel
 from grzproofs.prover import (
     KripkeModel, decide, find_countermodel, truth_mask,
 )
 from grzproofs.syntax import (
-    Atom, Box, EMPTY, Sequent, mset, parse_formula, parse_sequent,
+    Atom, BOT, Box, EMPTY, Implies, Sequent, mset, parse_formula,
+    parse_sequent,
 )
 from grzproofs.transforms import regularize
 
-from helpers import eval_formula, formulas_up_to
+from helpers import (
+    brute_force_orders, eval_formula, formulas_up_to, reference_mask,
+)
 
 P = Atom('p')
 
@@ -85,27 +90,35 @@ class TestDecide:
         v = decide(goal('p'))
         assert v.proof is None and v.countermodel is not None
 
-    def test_box_choices_grow_exponentially_not_factorially(self,
-                                                            search_calls):
-        # => []q1, ..., []qn: each order of box choices reaches the same
-        # states, which are searched once per decide call.
-        counts = []
-        for n in range(5, 10):
+    def test_box_choices_take_one_call_each(self, search_calls):
+        # => []q1, ..., []qn: the left premise of the first box step fails,
+        # and box inversion is admissible, so no other box is tried: one
+        # call for the goal and one for that left premise.
+        for n in range(5, 41):
             search_calls[0] = 0
             text = ' => ' + ', '.join('[]q%d' % i for i in range(1, n + 1))
             assert not decide(parse_sequent(text)).is_proof
-            counts.append(search_calls[0])
-        for a, b in zip(counts, counts[1:]):
-            assert b <= 3 * a, counts
+            assert search_calls[0] == n + 1, n
+
+    def test_a_failed_right_premise_tries_the_next_box(self):
+        # After refl, the first box, []p, proves its left premise
+        # p, q, []q => p, []q  but not its right one  []q => p; the
+        # second box, []q, succeeds.
+        verdict = decide(parse_sequent('p, []q => []p, []q'))
+        assert verdict.is_proof
+        assert check_cyclic(verdict.proof).ok
+        boxes = [n.inst.principal for n in verdict.proof.nodes.values()
+                 if n.inst is not None and n.inst.rule is Rule.BOX_INF]
+        assert boxes == [Box(Atom('q'))]
 
     @pytest.mark.parametrize('text, theorem, calls', [
-        (' => ' + ', '.join('[]q%d' % i for i in range(1, 9)), False, 1025),
+        (' => ' + ', '.join('[]q%d' % i for i in range(1, 9)), False, 9),
         ('[]p => %sp' % ('[]' * 8), True, 47),
     ])
     def test_search_visits_the_same_states(self, search_calls, text,
                                            theorem, calls):
-        # The number of search calls, recursive ones included, as search
-        # made them before it classified each sequent in one pass.
+        # The number of search calls, recursive ones included.  A failed
+        # left premise of a box step ends the box stage.
         assert decide(parse_sequent(text)).is_proof == theorem
         assert search_calls[0] == calls
 
@@ -189,6 +202,41 @@ class TestKripkeModel:
     def test_describe_is_serializable(self):
         import json
         json.dumps(self.two_chain().describe())
+
+    def test_truth_mask_agrees_with_reference_on_small_frames(self):
+        # Every formula of AST size <= 5 over p, q on every frame of up to
+        # three worlds under every valuation.
+        formulas = formulas_up_to(5)
+        for n in range(1, 4):
+            for order in prover.enumerate_orders(n):
+                for p, q in itertools.product(range(1 << n), repeat=2):
+                    m = KripkeModel(n, order, (('p', p), ('q', q)))
+                    for f in formulas:
+                        assert truth_mask(m, f) == reference_mask(m, f), \
+                            (m, f)
+
+    def test_truth_mask_of_deep_formulas_does_not_recurse(self):
+        # p holds at the top world 1 only, so each []^k p, k >= 1, holds
+        # there only.
+        m = KripkeModel(2, (0b11, 0b10), (('p', 0b10),))
+        f = P
+        for _ in range(5000):
+            f = Box(f)
+        assert truth_mask(m, f) == 0b10
+        assert truth_mask(m, Implies(f, BOT)) == 0b01
+
+
+class TestFrames:
+    @pytest.mark.parametrize('n', range(1, 5))
+    def test_frames_match_brute_force(self, n):
+        assert prover.enumerate_orders(n) == brute_force_orders(n)
+
+    def test_frame_counts(self):
+        # Labelled posets and posets up to isomorphism on 1..4 worlds.
+        assert [len(prover._labelled_orders(n)) for n in range(1, 5)] == [
+            1, 3, 19, 219]
+        assert [len(prover.enumerate_orders(n)) for n in range(1, 5)] == [
+            1, 2, 5, 16]
 
 
 # The hard goals with known answers that ``decide`` settles: wide box
