@@ -168,8 +168,7 @@ def _box_principal(concl, principal):
 
 
 def box_context(concl, pi):
-    """The boxed context ``pi`` of a box rule at ``concl``, checked.  The
-    box steps at one conclusion with one context can share the check."""
+    """The boxed context ``pi`` of a box rule at ``concl``, checked."""
     if not all(isinstance(f, Box) for f in pi):
         raise CalculusError('box context must be boxed: %s' % pi)
     if not pi.is_subset(concl.ant):
@@ -180,11 +179,7 @@ def box_context(concl, pi):
 def box_inf(concl, principal, pi):
     """The two-premise box rule.  ``pi`` is the multiset of boxed
     antecedent formulas retained in the right premise."""
-    return box_inf_step(concl, principal, box_context(concl, pi))
-
-
-def box_inf_step(concl, principal, pi):
-    """``box_inf`` with a context ``pi`` that ``box_context`` returned."""
+    pi = box_context(concl, pi)
     _box_principal(concl, principal)
     return _box_inf_at(concl, principal, Sequent(pi, mset(principal.inner)))
 

@@ -43,6 +43,7 @@ indent=2)`` itself, byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass
 from fractions import Fraction
@@ -222,13 +223,25 @@ def cutfree_to_depth(proof, n):
 
 
 def validate_to_depth(proof, system, n):
-    """Check every rule step in the n-fragment against ``system``, once
-    per distinct step object.  Child sequents are checked against premises
-    when thunks are forced."""
+    """Check every rule step in the n-fragment against ``system``, and
+    report each child of one of its steps that cannot be built or proves
+    another sequent.  Every node position is reported, but
+    ``step_violations`` runs once per distinct step object: a translated
+    proof shares its equal steps."""
     violations = []
     check = _step_checker(system)
-    for p, _ in walk_to_depth(proof, n):
+    stack = [(proof, 0)]
+    while stack:
+        p, count = stack.pop()
+        if count >= n:
+            continue
         violations.extend(check(p.inst))
+        for i in range(p.inst.arity):
+            cc = count + 1 if _crossing_child(p.rule, i) else count
+            try:
+                stack.append((p.child(i), cc))
+            except ValueError as e:
+                violations.append(str(e))
     return Report(not violations, violations)
 
 
@@ -276,22 +289,9 @@ def _step_checker(system):
 
 
 def check_wf(proof, system=System.GRZ_SEQ):
-    """Validate every step of a finite proof against ``system``, and
-    report each child that cannot be built or proves another sequent.
-    Every node position is reported, but ``step_violations`` runs once per
-    distinct step object: a translated proof shares its equal steps."""
-    violations = []
-    check = _step_checker(system)
-    stack = [proof]
-    while stack:
-        p = stack.pop()
-        violations.extend(check(p.inst))
-        for i in range(p.inst.arity):
-            try:
-                stack.append(p.child(i))
-            except ValueError as e:
-                violations.append(str(e))
-    return Report(not violations, violations)
+    """Validate a finite proof against ``system``: ``validate_to_depth``
+    with no depth bound."""
+    return validate_to_depth(proof, system, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +381,9 @@ def check_cyclic(proof):
         if n.inst is None:
             if i not in proof.backlinks:
                 v.append('node %s has no rule and no back-link' % i)
+            elif n.children:
+                v.append('back-link leaf %s lists children %s'
+                         % (i, list(n.children)))
             continue
         if i in proof.backlinks:
             v.append('node %s has both a rule and a back-link' % i)

@@ -58,8 +58,7 @@ from .syntax import (
     sequent_to_formula, _canonical,
 )
 from .calculus import (
-    System, ax_atom, ax_bottom, imp_r, imp_l, refl, box_context,
-    box_inf_step,
+    System, ax_atom, ax_bottom, imp_r, imp_l, refl, box_inf,
 )
 from .proofs import (
     CyclicNode, CyclicProof, ResourceLimitError, _crossing_child,
@@ -275,7 +274,6 @@ def _pair_bits(order):
     return bits
 
 
-@lru_cache(maxsize=None)
 def enumerate_orders(n):
     """All reflexive partial orders on n worlds, up to isomorphism: of
     each class, the labelled order first by ``_pair_bits``.  Each order is
@@ -449,9 +447,9 @@ def _search(s, refl_done, history, st):
     # st.reach now follows this search; the caller's is merged back below.
     outer, st.reach = st.reach, n
     found = None
-    boxed = box_context(s, _canonical(tuple(dict.fromkeys(boxes))))
+    boxed = _canonical(tuple(dict.fromkeys(boxes)))
     for f in dict.fromkeys(suc[j:]):
-        inst = box_inf_step(s, f, boxed)
+        inst = box_inf(s, f, boxed)
         left = _search(inst.premises[0], refl_done, history, st)
         if left is None:
             # Box inversion is admissible: s has no proof, by any box.

@@ -6,10 +6,10 @@ are expanded away at construction time; the AST only ever contains the four
 core constructors.
 
 Formulas are hash-consed: building a formula equal to a live one returns
-that same object, so ``==`` is ``is``.  Each formula carries its hash and
-its structural order key, computed once when it is built.  The table of
-live formulas holds them weakly, so its size is bounded by the formulas
-in use.
+that same object, so ``==`` is ``is``, and a formula hashes by identity.
+Each formula carries its structural order key, computed once when it is
+built.  The table of live formulas holds them weakly, so its size is
+bounded by the formulas in use.
 
 Sequents use multisets on both sides.  Multisets are kept in a canonical
 sorted order so that structural equality and hashing behave like genuine
@@ -41,17 +41,16 @@ class Formula:
     """Base class for formulas.  Instances are immutable and hash-consed:
     building a formula equal to a live one returns that same object."""
 
-    __slots__ = ('_hash', '_key', '__weakref__')
+    __slots__ = ('_key', '__weakref__')
     _fields = ()
+
+    __hash__ = object.__hash__      # equal formulas are one object
 
     def __setattr__(self, name, value):
         raise AttributeError('formulas are immutable')
 
     def __delattr__(self, name):
         raise AttributeError('formulas are immutable')
-
-    def __hash__(self):
-        return self._hash
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, n) for n in self._fields)
@@ -90,9 +89,6 @@ def _intern(cls, fields):
             f = object.__new__(cls)
             for name, value in zip(cls._fields, fields):
                 object.__setattr__(f, name, value)
-            # The hash a frozen dataclass of these fields would have,
-            # so set and dict iteration orders follow the fields.
-            object.__setattr__(f, '_hash', hash(fields))
             object.__setattr__(f, '_key', f._order_key())
             _TABLE[ident] = weakref.ref(
                 f, lambda _, ident=ident: _remove_dead_weakref(_TABLE, ident))

@@ -120,6 +120,19 @@ class TestCheck:
     def test_missing_file_exits_2(self):
         assert run('check', '/no/such/file.json') == 2
 
+    def test_a_backlink_leaf_that_lists_children(self, tmp_path, capsys):
+        # unravel follows the back-link and ignores the children, so
+        # only check_cyclic can see them.
+        with open(EXAMPLE) as fh:
+            data = json.load(fh)
+        data['nodes'][9]['children'] = [10]
+        data['nodes'].append(node(10))
+        out = tmp_path / 'proof.json'
+        out.write_text(json.dumps(data))
+        assert run('check', str(out)) == 1
+        assert capsys.readouterr().out == (
+            'invalid:\n  - back-link leaf 9 lists children [10]\n')
+
 
 class TestMalformedProofJson:
     """Malformed proof files are input errors (exit 2), not tracebacks."""

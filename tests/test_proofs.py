@@ -192,6 +192,21 @@ class TestWfProofs:
         bad = eager(inst, leaf(ax_general(parse_sequent('q => q'), Q)))
         assert not check_wf(bad, System.GRZ_SEQ).ok
 
+    def test_validate_to_depth_reports_a_child_it_cannot_use(self):
+        # A child built on demand that proves another sequent, and one
+        # whose step its rule rejects: each is reported, not raised.
+        inst = imp_r(parse_sequent('p => p -> p'), Implies(P, P))
+        q = parse_sequent('q => q')
+        for principal, violation in (
+                (Q, 'child 0 proves q => q, expected premise p, p => p '
+                    '(rule imp_r at p => p -> p)'),
+                (P, 'ax_general: principal formula must occur on both '
+                    'sides of q => q')):
+            lazy = LazyProof(
+                inst, make=lambda i, a=principal: leaf(ax_general(q, a)))
+            report = validate_to_depth(lazy, System.GRZ_SEQ, 1)
+            assert report.violations == [violation]
+
     def test_wf_cyclic_round_trip(self):
         wf = small_wf_proof()
         cyc = cyclic_from_wf(wf, System.GRZ_SEQ)
@@ -430,7 +445,9 @@ class TestCheckCyclicRejections:
                 (2, {'sequent': parse_sequent('p => p')},
                  'node 2 sequent disagrees with its rule conclusion'),
                 (2, {'children': (8,)},
-                 'node 2 has 1 children for 0 premises')):
+                 'node 2 has 1 children for 0 premises'),
+                (9, {'children': (8,)},
+                 'back-link leaf 9 lists children [8]')):
             broken = dict(nodes)
             broken[i] = replace(nodes[i], **change)
             report = check_cyclic(CyclicProof(broken, example.root,
