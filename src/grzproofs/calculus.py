@@ -62,8 +62,8 @@ class Rule(enum.Enum):
     CUT = 'cut'
 
 
-# Bound once: each ``Rule.X`` lookup costs an attribute lookup on the enum
-# class, and search and the transformers build a step per node.
+# Bound once, for every module: ``Rule.X`` is an attribute lookup on the
+# enum class, and search and the transformers build a step per node.
 (_AX_ATOM, _AX_BOTTOM, _AX_GENERAL, _IMP_L, _IMP_R, _REFL, _BOX_INF,
  _BOX_GRZ, _CUT) = (
     Rule.AX_ATOM, Rule.AX_BOTTOM, Rule.AX_GENERAL, Rule.IMP_L, Rule.IMP_R,

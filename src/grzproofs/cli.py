@@ -303,6 +303,17 @@ def _cmd_export_dot(args):
     return 0
 
 
+def _at_least(least):
+    """An argparse type: an integer no less than ``least``."""
+    def parse(text):
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError('%d is less than %d' % (n, least))
+        return n
+    parse.__name__ = 'int'    # argparse names it in 'invalid int value'
+    return parse
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog='grzproofs',
@@ -317,9 +328,9 @@ def build_parser():
         for operand in operands:
             p.add_argument(operand)
         if crossings:
-            p.add_argument('--max-crossings', type=int, default=64)
+            p.add_argument('--max-crossings', type=_at_least(0), default=64)
         if models:
-            p.add_argument('--max-model-size', type=int, default=4)
+            p.add_argument('--max-model-size', type=_at_least(1), default=4)
         if output:
             p.add_argument('-o', '--output')
         p.set_defaults(fn=fn)

@@ -26,7 +26,9 @@ from .syntax import (
     Box, BOT, TOP, Multiset, Sequent, EMPTY, mset,
     neg, conj, disj, diamond, atom_polarities,
 )
-from .calculus import Rule, reinstance
+from .calculus import (
+    reinstance, _AX_ATOM, _AX_BOTTOM, _IMP_L, _IMP_R, _REFL, _BOX_INF, _CUT,
+)
 from .proofs import unravel, check_cyclic
 from .prover import decide, provable
 
@@ -87,14 +89,10 @@ def interpolate(proof, split):
         right_obligation=Sequent(split.gamma2.add(i), split.delta2))
 
 
-# Bound once: each ``Rule.X`` lookup on a per-step path costs an attribute
-# lookup on the enum class.
-_AX_ATOM, _AX_BOTTOM, _BOX_INF, _CUT = (
-    Rule.AX_ATOM, Rule.AX_BOTTOM, Rule.BOX_INF, Rule.CUT)
 # The rules with premises, and those of them whose principal formula is
 # in the succedent.
-_INNER_RULES = (Rule.IMP_R, Rule.IMP_L, Rule.REFL, _BOX_INF)
-_SUCCEDENT_RULES = (Rule.IMP_R, _BOX_INF)
+_INNER_RULES = (_IMP_R, _IMP_L, _REFL, _BOX_INF)
+_SUCCEDENT_RULES = (_IMP_R, _BOX_INF)
 
 
 def _interp(q, sides, lams, memo):

@@ -51,7 +51,9 @@ from fractions import Fraction
 from .syntax import (
     Sequent, ParseMemo, PrintMemo, format_sequent, parse_sequent,
 )
-from .calculus import Rule, RuleInstance, System, step_violations
+from .calculus import (
+    Rule, RuleInstance, System, step_violations, _BOX_INF, _CUT,
+)
 
 
 class ResourceLimitError(Exception):
@@ -141,10 +143,6 @@ def eager(inst, *children):
 
 # ---------------------------------------------------------------------------
 # Fragments
-
-
-# Bound once: ``Rule.X`` is a class lookup.
-_BOX_INF, _CUT = Rule.BOX_INF, Rule.CUT
 
 
 def _crossing_child(rule, i):

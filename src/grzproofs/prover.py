@@ -80,6 +80,8 @@ class SearchLimitError(ProverError, ResourceLimitError):
 def _order_fault(order, n):
     """Why the successor bitmasks ``order`` of worlds 0..n-1 are not a
     reflexive partial order (the frames of Grz), or None if they are."""
+    if len(order) != n or any(mask >> n for mask in order):
+        return 'order is not %d masks of worlds 0..%d' % (n, n - 1)
     for w in range(n):
         if not order[w] & (1 << w):
             return 'order not reflexive at world %d' % w
@@ -96,13 +98,15 @@ def _order_fault(order, n):
 class KripkeModel:
     """A finite reflexive poset with a valuation.  ``order[w]`` is the
     bitmask of worlds v with w <= v; ``valuation[name]`` is the bitmask of
-    worlds where the atom holds."""
+    worlds where the atom holds.  A malformed model raises ``ValueError``."""
     size: int
     order: tuple
     valuation: tuple  # sorted tuple of (name, bitmask)
 
     def __post_init__(self):
         fault = _order_fault(self.order, self.size)
+        if not fault and any(mask >> self.size for _, mask in self.valuation):
+            fault = 'valuation names a world outside 0..%d' % (self.size - 1)
         if fault:
             raise ValueError(fault)
 

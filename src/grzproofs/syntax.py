@@ -18,9 +18,10 @@ its hash once it is worked out.
 
 The parser is an iterative precedence parser over the tokens of one
 regular expression, and the printer is iterative too, so formulas of any
-depth parse and print.  A caller that parses or prints many sequents can
-pass each call the same ``ParseMemo`` or ``PrintMemo``, which parses each
-distinct formula text, or prints each distinct formula, once.
+depth parse and print.  A sequent text splits at '=>' and ',', which no
+formula contains, so spacing is free.  A caller parsing or printing many
+sequents can pass each call one ``ParseMemo`` or ``PrintMemo``, which
+parses each distinct formula text, or prints each distinct formula, once.
 """
 
 from __future__ import annotations
@@ -573,77 +574,29 @@ def parse_formula(text):
 
 class ParseMemo(dict):
     """A dict from formula text to formula that parses a text the first
-    time it is looked up."""
+    time it is looked up.  A ``ParseError`` names the text it failed on."""
 
     __slots__ = ()
 
     def __missing__(self, text):
-        f = self[text] = parse_formula(text)
+        try:
+            f = self[text] = parse_formula(text)
+        except ParseError as e:
+            raise ParseError('%s in %r' % (e, text)) from None
         return f
 
 
 def parse_sequent(text, formulas=None):
-    """Parse ``A, B => C, D``; either side may be empty.  ``formulas``, a
+    """Parse ``A, B => C, D``, split at '=>' and ',' (no formula contains
+    them); either side may be empty, and spacing is free.  ``formulas``, a
     ``ParseMemo`` that a caller parsing many sequents passes to each call,
     parses each distinct formula text once."""
     if formulas is None:
         formulas = ParseMemo()
-    # No formula contains ',' or '=>', so a well-formed text splits at
-    # them.  Any other text, or a value that is not a str, goes through
-    # the whole-text parse below, so it fails with the same error as ever.
-    try:
-        ant, suc = text.split('=>')
-        return Sequent(Multiset(_parse_items(ant, formulas)),
-                       Multiset(_parse_items(suc, formulas)))
-    except (ValueError, AttributeError):
-        pass
-    parts = _split_toplevel(text)
-    if len(parts) != 2:
+    sides = text.split('=>')
+    if len(sides) != 2:
         raise ParseError('a sequent needs exactly one =>')
-    return Sequent(Multiset(_parse_list(parts[0])),
-                   Multiset(_parse_list(parts[1])))
-
-
-def _parse_items(text, formulas):
-    """The formulas of one side of a sequent text, split at ', ' as
-    ``format_sequent`` prints them.  An item that holds another comma
-    fails to parse, and ``parse_sequent`` then parses the whole text."""
-    text = text.strip()
-    return list(map(formulas.__getitem__, text.split(', '))) if text else []
-
-
-def _split_toplevel(text):
-    tokens = _tokenize(text)
-    parts, cur = [], []
-    for tok in tokens:
-        if tok == '=>':
-            parts.append(cur)
-            cur = []
-        else:
-            cur.append(tok)
-    parts.append(cur)
-    return parts
-
-
-def _parse_list(tokens):
-    if not tokens:
-        return []
-    groups, cur, depth = [], [], 0
-    for tok in tokens:
-        if tok == '(':
-            depth += 1
-        elif tok == ')':
-            depth -= 1
-        if tok == ',' and depth == 0:
-            groups.append(cur)
-            cur = []
-        else:
-            cur.append(tok)
-    groups.append(cur)
-    out = []
-    for g in groups:
-        f, i = _parse(g)
-        if i < len(g):
-            raise ParseError('trailing input in list item: %r' % (g[i:],))
-        out.append(f)
-    return out
+    return Sequent(*[
+        Multiset(map(formulas.__getitem__, map(str.strip, side.split(',')))
+                 if side.strip() else ())
+        for side in sides])

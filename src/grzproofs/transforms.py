@@ -21,21 +21,15 @@ from .syntax import (
     Atom, Bottom, Box, Implies, BOT, Multiset, Sequent, EMPTY, mset,
 )
 from .calculus import (
-    Rule, System, reinstance, fixed_premise,
+    System, reinstance, fixed_premise,
     ax_atom, ax_bottom, ax_general, imp_r, imp_l, refl, box_inf, box_grz, cut,
+    _AX_ATOM, _AX_BOTTOM, _AX_GENERAL, _IMP_L, _IMP_R, _REFL, _BOX_INF,
+    _BOX_GRZ, _CUT,
 )
 from .proofs import (
     LazyProof, ResourceLimitError, leaf, eager, _crossing_child,
     _from_preorder,
 )
-
-
-# Bound once: each ``Rule.X`` lookup on a per-node path costs an attribute
-# lookup on the enum class.
-_IMP_R, _IMP_L, _REFL, _BOX_INF, _CUT = (
-    Rule.IMP_R, Rule.IMP_L, Rule.REFL, Rule.BOX_INF, Rule.CUT)
-_AX_ATOM, _AX_BOTTOM, _AX_GENERAL, _BOX_GRZ = (
-    Rule.AX_ATOM, Rule.AX_BOTTOM, Rule.AX_GENERAL, Rule.BOX_GRZ)
 
 
 class TransformError(ValueError):

@@ -57,6 +57,12 @@ class TestProve:
         assert run('prove', 'p ->') == 2
         assert 'error' in capsys.readouterr().err
 
+    def test_a_sequent_parse_error_names_the_formula(self, capsys):
+        assert run('prove', 'p => q & $') == 2
+        assert capsys.readouterr().err == (
+            "error: unexpected character '$' at position 4 in 'q & $'\n")
+        assert run('prove', 'p,q=>q') == 0
+
     def test_exhausted_search_exits_3(self, capsys):
         assert run('prove', '[]p => [][][]p', '--max-crossings', '1') == 3
         err = capsys.readouterr().err
@@ -528,6 +534,22 @@ class TestOptions:
             run(*argv, flag, '3')
         assert e.value.code == 2
         assert 'unrecognized arguments: %s 3' % flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize('argv, flag, least, code', [
+        (['countermodel', 'p -> q'], '--max-model-size', 1, 0),
+        (['prove', 'p -> q'], '--max-model-size', 1, 1),
+        (['interpolate', 'p', 'q'], '--max-model-size', 1, 1),
+        (['prove', 'p -> p'], '--max-crossings', 0, 0),
+        (['cutfree', EXAMPLE], '--max-crossings', 0, 3),
+    ])
+    def test_a_bound_below_its_least_value_is_a_usage_error(
+            self, capsys, argv, flag, least, code):
+        assert run(*argv, flag, str(least)) == code
+        with pytest.raises(SystemExit) as e:
+            run(*argv, flag, str(least - 1))
+        assert e.value.code == 2
+        assert ('argument %s: %d is less than %d' % (flag, least - 1, least)
+                in capsys.readouterr().err)
 
     def test_interpolate_honours_the_crossing_bound(self, capsys):
         assert run('interpolate', '[]p', '[][][]p') == 0

@@ -329,6 +329,22 @@ class TestLoad:
         assert items > len(distinct)
         assert sorted(texts) == sorted(distinct)
 
+    @pytest.mark.parametrize('sequent, principal, message', [
+        ('p => q & $', 'p', "unexpected character '$' at position 4 in "
+                            "'q & $'"),
+        ('(p, q) => p', 'p', "unexpected end of input in '(p'"),
+        ('p => p', 'p &', "unexpected token None in 'p &'"),
+    ])
+    def test_a_parse_error_names_the_formula_it_failed_on(self, sequent,
+                                                          principal,
+                                                          message):
+        text = json.dumps({'system': 'grz_inf', 'nodes': [
+            {'id': 0, 'sequent': sequent, 'rule': 'ax_atom',
+             'principal': principal, 'children': []}]})
+        with pytest.raises(ValueError) as e:
+            load_proof(text)
+        assert str(e.value) == message
+
     def test_dump_load_dump_is_byte_identical(self, cutfree_chain_json):
         bundled = (resources.files('grzproofs') / 'data'
                    / 'grz_axiom_cyclic.json').read_text()

@@ -185,6 +185,19 @@ class TestKripkeModel:
         with pytest.raises(ValueError, match='order not transitive'):
             KripkeModel(3, (0b011, 0b110, 0b100), ())
 
+    @pytest.mark.parametrize('size, order', [
+        (3, (0b1,)), (1, (0b1, 0b10)), (2, (0b11, 0b110)), (1, (-1,))])
+    def test_rejects_orders_of_other_worlds(self, size, order):
+        with pytest.raises(ValueError, match=(
+                '^order is not %d masks of worlds 0..%d$' % (size, size - 1))):
+            KripkeModel(size, order, ())
+
+    @pytest.mark.parametrize('mask', [0b100, -1])
+    def test_rejects_valuations_of_other_worlds(self, mask):
+        with pytest.raises(ValueError, match=(
+                '^valuation names a world outside 0..1$')):
+            KripkeModel(2, (0b11, 0b10), (('p', mask),))
+
     def test_eval_box_quantifies_over_successors(self):
         m = self.two_chain()
         assert eval_formula(m, 0, P)

@@ -79,6 +79,18 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_sequent('p, q')
 
+    @pytest.mark.parametrize('text, message', [
+        ('p => q & $', "unexpected character '$' at position 4 in 'q & $'"),
+        ('(p, q) => r', "unexpected end of input in '(p'"),
+        ('p,, q => r', "unexpected token None in ''"),
+        ('p => q r', "trailing input: ['r'] in 'q r'"),
+    ])
+    def test_a_sequent_error_names_the_formula_it_failed_on(self, text,
+                                                            message):
+        with pytest.raises(ParseError) as e:
+            parse_sequent(text)
+        assert str(e.value) == message
+
     @given(formulas)
     def test_format_parse_round_trip(self, f):
         assert parse_formula(format_formula(f)) == f
@@ -319,6 +331,10 @@ class TestIterativeParser:
     @given(parse_texts)
     @with_examples(MALFORMED + ['p,, => q', '(p, q) => r', ' => ',
                                 'p ,q, r=>[](p, q)', 'p => q => r'])
+    @example('p,q=>r')
+    @example('p\u3000=> q')
+    @example(' , p => q')
+    @example('p => q,')
     def test_sequents_agree_with_the_reference(self, text):
         assert (parsed_or_error(parse_sequent, text)
                 == parsed_or_error(lambda t: reference_parse(t, True), text))
