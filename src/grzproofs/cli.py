@@ -9,8 +9,8 @@ valid / proved; 1 checked-and-negative (invalid proof, countermodel
 verdict, no countermodel found); 2 usage or input errors; 3 a resource
 limit was hit (the search passed ``--max-crossings``, ``regularize`` passed
 its crossing or node cap), the input is nested too deeply, or the program
-ran out of memory; 4 a folded or translated proof failed ``check_cyclic``
-and was not written, which is a fault of the program.
+ran out of memory; 4 a proof to write (proved, folded or translated) failed
+``check_cyclic`` and was not written, which is a fault of the program.
 """
 
 from __future__ import annotations
@@ -166,11 +166,6 @@ def _write(text, output):
         sys.stdout.write(text)
 
 
-def _write_proof(proof, args):
-    _write(dump_proof(proof) + '\n', args.output)
-    return 0
-
-
 def _write_checked(proof, args):
     """Write ``proof`` once ``check_cyclic`` accepts it; else write
     nothing, print the first violation and return 4."""
@@ -179,7 +174,8 @@ def _write_checked(proof, args):
         print('error: the proof to write fails its check: %s'
               % report.violations[0], file=sys.stderr)
         return 4
-    return _write_proof(proof, args)
+    _write(dump_proof(proof) + '\n', args.output)
+    return 0
 
 
 def _countermodel_text(found):
@@ -200,7 +196,7 @@ def _cmd_prove(args):
     verdict = decide(_parse_goal(args.goal), max_crossings=args.max_crossings,
                      max_model_size=args.max_model_size)
     if verdict.is_proof:
-        return _write_proof(verdict.proof, args)
+        return _write_checked(verdict.proof, args)
     _write(_countermodel_text(verdict.countermodel) + '\n', args.output)
     return 1
 
@@ -355,8 +351,9 @@ def build_parser():
          'search for a finite countermodel', 'goal', models=True,
          output=False)
     p = verb('corpus', _cmd_corpus, 'generate random proofs with cut')
-    for name, default in (('--count', 10), ('--seed', 0), ('--steps', 6)):
-        p.add_argument(name, type=int, default=default)
+    p.add_argument('--count', type=_at_least(0), default=10)
+    p.add_argument('--seed', type=int, default=0)
+    p.add_argument('--steps', type=_at_least(0), default=6)
     verb('export-dot', _cmd_export_dot, 'render a proof as Graphviz DOT',
          'proof')
     return ap

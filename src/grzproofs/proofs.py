@@ -11,12 +11,12 @@ Two representations, with conversions:
                      (``leaf``, ``eager``); a callable is given the
                      premise index;
 * ``CyclicProof`` -- a finite tree plus back-links from leaves to inner
-                     ancestors, denoting a regular infinite tree.  Its
-                     node ids are preorder positions, given by
-                     ``_from_preorder`` to the proofs of ``cyclic_from_wf``,
-                     ``regularize`` and ``grz_schema_proof``, and in the
-                     same way by proof search; a loaded proof keeps the
-                     ids of its file.
+                     ancestors, denoting a regular infinite tree.  A
+                     node's id is its key in ``nodes``.  Every builder
+                     (``cyclic_from_wf``, ``regularize`` and proof search)
+                     numbers a node in preorder as it adds it, and appends
+                     that id to its parent's children; a loaded proof
+                     keeps the ids of its file.
 
 A branch of an infinite proof is *guarded* when it passes through the right
 premise of the two-premise box rule infinitely often.  Checking guardedness
@@ -299,23 +299,22 @@ def check_wf(proof, system=System.GRZ_SEQ):
 @dataclass(frozen=True, slots=True)
 class CyclicNode:
     """A node of a cyclic proof.  ``inst`` is None for a back-link leaf,
-    in which case ``sequent`` carries the conclusion."""
-    id: int
+    in which case ``sequent`` carries the conclusion.  A node has no id of
+    its own: its id is its key in ``CyclicProof.nodes``, and ``children``
+    lists keys of that dict."""
     sequent: Sequent
     inst: RuleInstance = None
     children: tuple = ()
 
-    def __init__(self, id, sequent, inst=None, children=()):
+    def __init__(self, sequent, inst=None, children=()):
         # Proof search and loading build a node per step.  The generated
         # ``__init__`` of a frozen dataclass sets each field through
         # ``object.__setattr__`` and took twice as long as these setters.
-        _set_id(self, id)
         _set_sequent(self, sequent)
         _set_inst(self, inst)
         _set_children(self, children)
 
 
-_set_id = CyclicNode.id.__set__
 _set_sequent = CyclicNode.sequent.__set__
 _set_inst = CyclicNode.inst.__set__
 _set_children = CyclicNode.children.__set__
@@ -453,37 +452,23 @@ def unravel(proof):
     return build(proof.root)
 
 
-def _from_preorder(order, backlinks, system):
-    """The cyclic proof of a preorder list of ``(sequent, inst)`` pairs,
-    ``inst`` None for a back-link leaf.  Node ids are preorder positions:
-    the first child of node i is i + 1, and each later child follows the
-    subtree of the one before it.  ``backlinks`` maps leaf ids to target
-    ids."""
-    end = list(range(1, len(order) + 1))    # one past each subtree
-    kids = [()] * len(order)
-    for i in reversed(range(len(order))):
-        inst = order[i][1]
-        ks = []
-        for _ in range(inst.arity if inst is not None else 0):
-            ks.append(end[i])
-            end[i] = end[end[i]]
-        kids[i] = tuple(ks)
-    nodes = {i: CyclicNode(i, s, inst, kids[i])
-             for i, (s, inst) in enumerate(order)}
-    return CyclicProof(nodes, 0, backlinks, system)
-
-
 def cyclic_from_wf(proof, system=System.GRZ_SEQ):
     """The cyclic proof, without back-links, of a finite proof, its node
     ids the preorder positions.  Iterative, so proofs of any depth
     convert."""
-    order = []
-    stack = [proof]
+    order, kids = [], []
+    stack = [(proof, None)]
     while stack:
-        p = stack.pop()
-        order.append((p.root, p.inst))
-        stack.extend(reversed(p.children))
-    return _from_preorder(order, {}, system)
+        p, up = stack.pop()
+        i = len(order)
+        order.append(p)
+        kids.append([])
+        if up is not None:
+            kids[up].append(i)
+        stack.extend((c, i) for c in reversed(p.children))
+    nodes = {i: CyclicNode(p.root, p.inst, tuple(kids[i]))
+             for i, p in enumerate(order)}
+    return CyclicProof(nodes, 0, {}, system)
 
 
 def wf_from_cyclic(proof):
@@ -595,7 +580,7 @@ def proof_from_json(data):
         for c in children:
             _typed(c, (int,), 'a list of integers', 'children', where)
         if d.get('rule') is None:
-            nodes[i] = CyclicNode(i, s, None, children)
+            nodes[i] = CyclicNode(s, None, children)
             continue
         text = _typed(d['rule'], (str,), 'a string', 'rule', where)
         rule = _RULE_OF_TEXT.get(text) or Rule(text)    # raises if unknown
@@ -613,7 +598,7 @@ def proof_from_json(data):
         if inst is None:
             inst = steps[key] = RuleInstance(rule, s, premises, principal,
                                              cutf)
-        nodes[i] = CyclicNode(i, s, inst, children)
+        nodes[i] = CyclicNode(s, inst, children)
     roots = set(nodes) - {c for n in nodes.values() for c in n.children}
     if len(roots) != 1:
         raise ValueError('proof must have exactly one root, found %s'
@@ -648,7 +633,7 @@ def _json_text(proof):
         kids = ('[\n        %s\n      ]'
                 % ',\n        '.join(map(str, n.children))
                 if n.children else '[]')
-        nodes.append(_NODE % (n.id,
+        nodes.append(_NODE % (i,
                               quote(format_sequent(n.sequent, texts)),
                               rule, principal, kids, cut))
     links = ['"%d": %d' % link for link in sorted(proof.backlinks.items())]

@@ -346,13 +346,6 @@ def find_countermodel(goal, max_size=4):
 # Proof search
 
 
-@dataclass(slots=True)
-class _SNode:
-    sequent: Sequent
-    inst: object = None       # RuleInstance, or None for a back-link leaf
-    children: tuple = ()
-
-
 class _Search:
     """What one ``decide`` call's search keeps: its crossing bound, the
     box-stage table, the boxed subformulas of each box-stage sequent, and
@@ -378,11 +371,12 @@ class Verdict:
 
 
 def _search(s, refl_done, history, st):
-    """A proof of ``s``, or None.  ``refl_done`` holds the boxed antecedent
-    formulas already unfolded by ``refl`` on this branch segment;
-    ``history`` holds the box right premises on the branch, oldest first,
-    as ``(principal, premise)`` pairs.  A back-link leaf is a bare
-    ``_SNode`` of its sequent: ``_to_cyclic`` finds its target."""
+    """A proof of ``s`` as a ``(sequent, inst, children)`` triple, its
+    children triples too, or None.  ``refl_done`` holds the boxed
+    antecedent formulas already unfolded by ``refl`` on this branch
+    segment; ``history`` holds the box right premises on the branch,
+    oldest first, as ``(principal, premise)`` pairs.  A back-link leaf has
+    ``inst`` None and no children: ``_to_cyclic`` finds its target."""
     # A multiset lists falsity first, then atoms, then implications, then
     # boxes.  So one pass over each side, stopping at the first formula of
     # a later kind, finds what the rules need, in the order they are tried.
@@ -392,9 +386,9 @@ def _search(s, refl_done, history, st):
         t = type(f)
         if t is Atom:
             if f in suc:
-                return _SNode(s, ax_atom(s, f))
+                return s, ax_atom(s, f), ()
         elif t is Bottom:
-            return _SNode(s, ax_bottom(s))
+            return s, ax_bottom(s), ()
         else:
             break
         k += 1
@@ -404,7 +398,7 @@ def _search(s, refl_done, history, st):
         if t is Implies:
             inst = imp_r(s, f)
             sub = _search(inst.premises[0], refl_done, history, st)
-            return sub and _SNode(s, inst, (sub,))
+            return sub and (s, inst, (sub,))
         if t is Box:
             break
         j += 1
@@ -414,14 +408,14 @@ def _search(s, refl_done, history, st):
         if left is None:
             return None
         right = _search(inst.premises[1], refl_done, history, st)
-        return right and _SNode(s, inst, (left, right))
+        return right and (s, inst, (left, right))
     # What follows on either side is its boxes.
     boxes = ant[k:]
     for f in boxes:
         if f not in refl_done and f.inner not in ant:
             inst = refl(s, f)
             sub = _search(inst.premises[0], refl_done | {f}, history, st)
-            return sub and _SNode(s, inst, (sub,))
+            return sub and (s, inst, (sub,))
     # The box stage, the only choice point.  Searching on from s, a
     # back-link can only reach a history entry  Pi => A  with []A a
     # subformula of s.  So the result depends on the history only through
@@ -460,7 +454,7 @@ def _search(s, refl_done, history, st):
             break
         target = inst.premises[1]
         if older is not None and target in older:
-            right = _SNode(target)
+            right = target, None, ()
         else:
             if n + 1 > st.max_crossings:
                 raise SearchLimitError(
@@ -470,7 +464,7 @@ def _search(s, refl_done, history, st):
                             st)
             if right is None:
                 continue
-        found = _SNode(s, inst, (left, right))
+        found = s, inst, (left, right)
         break
     cell[:] = found, st.reach - n
     st.reach = max(st.reach, outer)
@@ -483,11 +477,9 @@ def _to_cyclic(snode):
     place gets nodes of its own here.  A back-link leaf links to the newest
     fresh crossing above it with its sequent, leaving out the newest of
     all, as search's history did: so a shared subtree links within its own
-    branch wherever it is placed.  Unlike the other builders of cyclic
-    proofs it numbers the nodes itself, recursively: ``_search`` already
-    recurses as deep, and an iterative walk through
-    ``proofs._from_preorder`` ran about twice as slow on the 12,287-node
-    proof of  []p => []^12 p."""
+    branch wherever it is placed.  It recurses, as ``_search`` already
+    does as deep: a walk over an explicit stack ran about 13 % slower on
+    the ``search`` benchmark."""
     nodes = {}
     backlinks = {}
 
@@ -495,20 +487,21 @@ def _to_cyclic(snode):
         # ``crossings``: the fresh crossings on the path, oldest first, as
         # (sequent, id) pairs.
         i = len(nodes)
-        if sn.inst is None:
-            nodes[i] = CyclicNode(i, sn.sequent, None, ())
+        sequent, inst, children = sn
+        if inst is None:
+            nodes[i] = CyclicNode(sequent)
             backlinks[i] = next(d for s, d in reversed(crossings[:-1])
-                                if s == sn.sequent)
+                                if s == sequent)
             return i
         nodes[i] = None       # holds id i until the node is built
         kids = []
-        for k, ch in enumerate(sn.children):
-            if _crossing_child(sn.inst.rule, k) and ch.inst is not None:
+        for k, ch in enumerate(children):
+            if _crossing_child(inst.rule, k) and ch[1] is not None:
                 # A fresh crossing: it joins the branch history.
-                kids.append(build(ch, crossings + ((ch.sequent, len(nodes)),)))
+                kids.append(build(ch, crossings + ((ch[0], len(nodes)),)))
             else:
                 kids.append(build(ch, crossings))
-        nodes[i] = CyclicNode(i, sn.sequent, sn.inst, tuple(kids))
+        nodes[i] = CyclicNode(sequent, inst, tuple(kids))
         return i
 
     build(snode, ())

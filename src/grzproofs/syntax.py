@@ -533,7 +533,9 @@ def _parse(tokens):
             f = BOT
         elif tok == 'true':
             f = TOP
-        elif tok is not None and tok[0].isalpha():
+        elif tok is None:
+            raise ParseError('unexpected end of input')
+        elif tok[0].isalpha():
             f = Atom(tok)
         else:
             raise ParseError('unexpected token %r' % (tok,))

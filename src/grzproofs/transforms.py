@@ -27,8 +27,8 @@ from .calculus import (
     _BOX_GRZ, _CUT,
 )
 from .proofs import (
-    LazyProof, ResourceLimitError, leaf, eager, _crossing_child,
-    _from_preorder,
+    CyclicNode, CyclicProof, LazyProof, ResourceLimitError, leaf, eager,
+    _crossing_child,
 )
 
 
@@ -426,7 +426,7 @@ def regularize(p, max_crossings=64, max_nodes=1000000):
     ``GRZ_INF_CUT`` if it keeps a cut step and in ``GRZ_INF`` otherwise.
     """
     order, backlinks = [], {}
-    parent, crossings = [], []      # of each node id
+    parent, kids, crossings = [], [], []    # of each node id
     stack = []                      # (lazy node, child index, node id)
 
     def add(sequent, inst, up, ncross):
@@ -436,7 +436,10 @@ def regularize(p, max_crossings=64, max_nodes=1000000):
                                   % max_nodes)
         order.append((sequent, inst))
         parent.append(up)
+        kids.append([])
         crossings.append(ncross)
+        if up is not None:
+            kids[up].append(i)
         return i
 
     def visit(lp, up, ncross):
@@ -465,8 +468,10 @@ def regularize(p, max_crossings=64, max_nodes=1000000):
         visit(child, i, ncross)
     has_cut = any(inst is not None and inst.rule is _CUT
                   for _, inst in order)
-    return _from_preorder(order, backlinks,
-                          System.GRZ_INF_CUT if has_cut else System.GRZ_INF)
+    nodes = {i: CyclicNode(s, inst, tuple(kids[i]))
+             for i, (s, inst) in enumerate(order)}
+    return CyclicProof(nodes, 0, backlinks,
+                       System.GRZ_INF_CUT if has_cut else System.GRZ_INF)
 
 
 # ---------------------------------------------------------------------------

@@ -119,9 +119,9 @@ def refl_chain(n):
     nodes = {}
     for i in range(n):
         inst = refl(s, Box(P))
-        nodes[i] = CyclicNode(i, s, inst, (i + 1,))
+        nodes[i] = CyclicNode(s, inst, (i + 1,))
         s = inst.premises[0]
-    nodes[n] = CyclicNode(n, s, ax_general(s, P))
+    nodes[n] = CyclicNode(s, ax_general(s, P))
     return CyclicProof(nodes, 0, {}, System.GRZ_SEQ)
 
 
@@ -131,9 +131,9 @@ def proof_to_json(proof):
     ``json.dumps(..., indent=2)``."""
     texts = PrintMemo()
 
-    def node_json(n):
+    def node_json(i, n):
         d = {
-            'id': n.id,
+            'id': i,
             'sequent': format_sequent(n.sequent, texts),
             'rule': n.inst.rule.value if n.inst else None,
             'principal': None,
@@ -148,7 +148,7 @@ def proof_to_json(proof):
 
     return {
         'system': proof.system.value,
-        'nodes': [node_json(proof.nodes[i]) for i in sorted(proof.nodes)],
+        'nodes': [node_json(i, proof.nodes[i]) for i in sorted(proof.nodes)],
         'backlinks': {str(a): d for a, d in sorted(proof.backlinks.items())},
     }
 

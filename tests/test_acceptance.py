@@ -108,18 +108,18 @@ def test_criterion_1_shipped_proof_fidelity():
     inst = box_inf(s5, Box(P), mset(f))
     crossingless = _mutate(
         example,
-        nodes={5: CyclicNode(5, s5, inst, (10, 11)),
-               10: CyclicNode(10, inst.premises[0],
+        nodes={5: CyclicNode(s5, inst, (10, 11)),
+               10: CyclicNode(inst.premises[0],
                               _ax_atom(inst.premises[0]), ()),
-               11: CyclicNode(11, inst.premises[1], None, ())},
+               11: CyclicNode(inst.premises[1], None, ())},
         backlinks={11: 0})
     checks.append(rejected(crossingless,
                            'no box right premise strictly in between'))
 
     # Back-link leaf with an altered sequent.
     altered = _mutate(example, nodes={
-        9: CyclicNode(9, parse_sequent('[]([](p -> []p) -> p) => q'),
-                      None, ())})
+        9: CyclicNode(parse_sequent('[]([](p -> []p) -> p) => q'), None,
+                      ())})
     checks.append(rejected(altered, 'unequal sequents'))
 
     # Refl step with a premise that does not match the rule schema.
@@ -127,16 +127,16 @@ def test_criterion_1_shipped_proof_fidelity():
     broken_inst = RuleInstance(Rule.REFL, root.sequent, (root.sequent,),
                                root.inst.principal, None)
     checks.append(rejected(
-        _mutate(example, nodes={0: CyclicNode(0, root.sequent,
-                                              broken_inst, (1,))}),
+        _mutate(example, nodes={0: CyclicNode(root.sequent, broken_inst,
+                                              (1,))}),
         'do not match the rule schema'))
 
     # Atomic axiom with a compound principal formula.
     leaf2 = example.node(2)
     compound = RuleInstance(Rule.AX_ATOM, leaf2.sequent, (), f, None)
     checks.append(rejected(
-        _mutate(example, nodes={2: CyclicNode(2, leaf2.sequent,
-                                              compound, ())}),
+        _mutate(example, nodes={2: CyclicNode(leaf2.sequent, compound,
+                                              ())}),
         'principal atom must occur on both sides'))
 
     seconds = time.perf_counter() - t0

@@ -12,9 +12,10 @@ from grzproofs import cli
 from grzproofs.calculus import RuleInstance, System, ax_atom
 from grzproofs.cli import build_parser, main, random_wf_proof
 from grzproofs.proofs import (
-    LazyProof, check_cyclic, check_wf, cyclic_from_wf, dump_proof, leaf,
-    load_proof,
+    CyclicNode, LazyProof, check_cyclic, check_wf, cyclic_from_wf,
+    dump_proof, leaf, load_proof,
 )
+from grzproofs.prover import Verdict, decide
 from grzproofs.syntax import parse_sequent
 from grzproofs.transforms import build_cut, inf_to_seq
 
@@ -391,6 +392,25 @@ class TestCorpusAndPipeline:
         assert run('translate', str(seqp), '--to', 'inf', '-o', str(back)) == 0
         assert run('check', str(back)) == 0
 
+    def test_translate_rejects_a_proof_of_the_other_calculus(self, tmp_path,
+                                                             capsys):
+        # The bundled example has back-links; a 3-node prover output has
+        # none but ends in an atomic axiom; a finitary proof ends in
+        # ax_general, which only the finitary calculus has.
+        inf = tmp_path / 'inf.json'
+        assert run('prove', '[]p -> p', '-o', str(inf)) == 0
+        assert len(load_proof(inf.read_text()).nodes) == 3
+        seqp = tmp_path / 'seq.json'
+        assert run('translate', str(inf), '--to', 'seq', '-o', str(seqp)) == 0
+        assert load_proof(seqp.read_text()).system == System.GRZ_SEQ
+        capsys.readouterr()
+        for path, to, message in (
+                (EXAMPLE, 'inf', 'proof has back-links; not well-founded'),
+                (inf, 'inf', 'cannot translate a ax_atom step'),
+                (seqp, 'seq', 'cannot translate a ax_general step')):
+            assert run('translate', str(path), '--to', to) == 2
+            assert capsys.readouterr().err == 'error: %s\n' % message
+
     def test_slim_and_regularize_verbs(self, tmp_path):
         inf = tmp_path / 'inf.json'
         run('prove', '[](p -> q) -> ([]p -> []q)', '-o', str(inf))
@@ -463,6 +483,24 @@ class TestCorpusAndPipeline:
             'error: the proof to write fails its check: imp_r: cut_formula q '
             'does not match the rule schema (expected None)\n')
 
+    def test_prove_does_not_write_a_wrong_proof(self, tmp_path, capsys,
+                                                monkeypatch):
+        def wrong(goal, **kwargs):
+            proof = decide(goal, **kwargs).proof
+            root = proof.nodes[proof.root]
+            i = root.inst
+            proof.nodes[proof.root] = CyclicNode(
+                root.sequent, RuleInstance(i.rule, i.conclusion, i.premises,
+                                           i.principal, Q), root.children)
+            return Verdict(proof=proof)
+        monkeypatch.setattr(cli, 'decide', wrong)
+        out = tmp_path / 'out.json'
+        assert run('prove', '[]p -> [][]p', '-o', str(out)) == 4
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            'error: the proof to write fails its check: imp_r: cut_formula q '
+            'does not match the rule schema (expected None)\n')
+
 
 class TestOtherVerbs:
     def test_countermodel_verb(self, capsys):
@@ -470,6 +508,11 @@ class TestOtherVerbs:
         payload = json.loads(capsys.readouterr().out)
         assert 'countermodel' in payload
         assert run('countermodel', 'p -> p') == 1
+
+    def test_a_countermodel_of_an_empty_succedent(self, capsys):
+        assert run('countermodel', 'p =>') == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload['countermodel']['worlds'] == 1
 
     def test_interpolate_verb(self, capsys):
         assert run('interpolate', '[]p & [](p -> q)', '[]q') == 0
@@ -541,6 +584,8 @@ class TestOptions:
         (['interpolate', 'p', 'q'], '--max-model-size', 1, 1),
         (['prove', 'p -> p'], '--max-crossings', 0, 0),
         (['cutfree', EXAMPLE], '--max-crossings', 0, 3),
+        (['corpus'], '--count', 0, 0),
+        (['corpus', '--count', '1'], '--steps', 0, 0),
     ])
     def test_a_bound_below_its_least_value_is_a_usage_error(
             self, capsys, argv, flag, least, code):

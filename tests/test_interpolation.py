@@ -7,7 +7,7 @@ from grzproofs.interpolation import (
 )
 from grzproofs import prover
 from grzproofs.prover import decide, provable
-from grzproofs.calculus import System, ax_atom
+from grzproofs.calculus import System, ax_atom, ax_general
 from grzproofs.proofs import CyclicProof, check_cyclic, cyclic_from_wf, leaf
 from grzproofs.transforms import build_cut
 from grzproofs.syntax import (
@@ -145,6 +145,14 @@ class TestInterpolate:
                              (with_cut, 'proof contains cut')):
             with pytest.raises(InterpolationError, match=message):
                 interpolate(bad, split)
+
+    def test_rejects_a_finitary_axiom(self):
+        s = parse_sequent('p => p')
+        proof = cyclic_from_wf(leaf(ax_general(s, P)), System.GRZ_SEQ)
+        assert check_cyclic(proof).ok
+        with pytest.raises(InterpolationError,
+                           match='^unexpected ax_general step$'):
+            interpolate(proof, SplitSequent(s.ant, EMPTY, EMPTY, s.suc))
 
     def test_rejects_splits_that_do_not_cover_the_root(self):
         s = parse_sequent('p => p')

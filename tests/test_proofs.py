@@ -8,7 +8,9 @@ from importlib import resources
 
 import pytest
 
-from grzproofs.calculus import Rule, System, ax_general, imp_l, imp_r, refl
+from grzproofs.calculus import (
+    Rule, System, ax_atom, ax_general, imp_l, imp_r, refl,
+)
 from grzproofs import proofs, syntax
 from grzproofs.cli import random_wf_proof
 from grzproofs.examples import grz_axiom_cyclic_proof
@@ -216,7 +218,7 @@ class TestWfProofs:
     def test_wf_from_cyclic_rejects_a_child_cycle(self):
         c = refl_chain(3)
         nodes = dict(c.nodes)
-        nodes[2] = CyclicNode(2, nodes[2].sequent, nodes[2].inst, (1,))
+        nodes[2] = CyclicNode(nodes[2].sequent, nodes[2].inst, (1,))
         del nodes[3]
         with pytest.raises(ValueError, match='node 1 is reached twice'):
             wf_from_cyclic(CyclicProof(nodes, 0, {}, c.system))
@@ -272,6 +274,21 @@ class TestSerialization:
             fp = io.StringIO()
             dump_proof(p, fp)
             assert fp.getvalue() == text + '\n'
+
+    def test_a_node_id_is_its_key(self):
+        s = parse_sequent('[]p => p')
+        inst = refl(s, Box(P))
+        premise = inst.premises[0]
+        proof = CyclicProof({0: CyclicNode(s, inst, (5,)),
+                             5: CyclicNode(premise, ax_atom(premise, P))},
+                            0, {}, System.GRZ_INF)
+        assert check_cyclic(proof).ok
+        text = dump_proof(proof)
+        again = load_proof(text)
+        assert again.root == 0
+        assert {i: n.children for i, n in again.nodes.items()} == \
+            {0: (5,), 5: ()}
+        assert dump_proof(again) == text
 
     def test_finitary_proof_serializes(self):
         cyc = cyclic_from_wf(small_wf_proof(), System.GRZ_SEQ)
@@ -333,7 +350,7 @@ class TestLoad:
         ('p => q & $', 'p', "unexpected character '$' at position 4 in "
                             "'q & $'"),
         ('(p, q) => p', 'p', "unexpected end of input in '(p'"),
-        ('p => p', 'p &', "unexpected token None in 'p &'"),
+        ('p => p', 'p &', "unexpected end of input in 'p &'"),
     ])
     def test_a_parse_error_names_the_formula_it_failed_on(self, sequent,
                                                           principal,
@@ -445,7 +462,7 @@ class TestCheckCyclicRejections:
 
     def test_unreachable_node(self, example):
         nodes = dict(example.nodes)
-        nodes[42] = CyclicNode(42, parse_sequent('p => p'), None)
+        nodes[42] = CyclicNode(parse_sequent('p => p'), None)
         broken = CyclicProof(nodes, example.root, dict(example.backlinks),
                              example.system)
         report = check_cyclic(broken)

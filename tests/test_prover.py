@@ -67,8 +67,7 @@ class TestDecide:
         # left unset would raise here.
         proof = decide(goal('[]([](p -> []p) -> p) -> []p')).proof
         for i, node in proof.nodes.items():
-            assert node == CyclicNode(i, node.sequent, node.inst,
-                                      node.children)
+            assert node == CyclicNode(node.sequent, node.inst, node.children)
 
     @pytest.mark.parametrize('text', NON_THEOREMS)
     def test_non_theorems_get_countermodels(self, text):
@@ -83,6 +82,11 @@ class TestDecide:
         assert verdict.is_proof
         verdict = decide(parse_sequent('[]p => []q'))
         assert not verdict.is_proof
+
+    def test_a_bare_formula_is_the_goal_with_an_empty_antecedent(self):
+        for text in THEOREMS[:3] + NON_THEOREMS[:3]:
+            f = parse_formula(text)
+            assert decide(f) == decide(goal_of(f))
 
     def test_proof_and_countermodel_are_exclusive(self):
         v = decide(goal('p -> p'))

@@ -61,6 +61,17 @@ class TestParsing:
         f = parse_formula('[]([](p -> []p) -> p) -> []p')
         assert f == Implies(Box(Implies(Box(Implies(P, Box(P))), P)), Box(P))
 
+    @pytest.mark.parametrize('text', ['', 'p ->', '[]', '~', '(p', 'p &'])
+    def test_running_out_of_tokens_is_the_end_of_input(self, text):
+        with pytest.raises(ParseError) as e:
+            parse_formula(text)
+        assert str(e.value) == 'unexpected end of input'
+
+    def test_a_missing_closing_parenthesis_names_the_token_found(self):
+        with pytest.raises(ParseError) as e:
+            parse_formula('(p q)')
+        assert str(e.value) == "expected ')', found 'q'"
+
     @pytest.mark.parametrize('bad', ['', 'p ->', '(p', 'p q', '-> p',
                                      'p => q', '[p]', 'p &'])
     def test_rejects_malformed_input(self, bad):
@@ -82,7 +93,7 @@ class TestParsing:
     @pytest.mark.parametrize('text, message', [
         ('p => q & $', "unexpected character '$' at position 4 in 'q & $'"),
         ('(p, q) => r', "unexpected end of input in '(p'"),
-        ('p,, q => r', "unexpected token None in ''"),
+        ('p,, q => r', "unexpected end of input in ''"),
         ('p => q r', "trailing input: ['r'] in 'q r'"),
     ])
     def test_a_sequent_error_names_the_formula_it_failed_on(self, text,
