@@ -1,8 +1,8 @@
 """Command-line interface: proving, checking, transforming, translating,
 interpolating, countermodel search, corpus generation, and DOT export.
 
-``cutfree``, ``slim``, ``regularize`` and ``translate --to inf`` share one
-path, so each takes a proof in any of the four systems.
+``cutfree``, ``slim`` and ``regularize`` take a proof of either calculus;
+``translate`` only one of the calculus that ``--to`` does not name.
 
 Each verb takes only the options it reads.  Exit codes: 0 success /
 valid / proved; 1 checked-and-negative (invalid proof, countermodel
@@ -30,7 +30,6 @@ from .calculus import System, ax_general, ax_bottom, imp_r, imp_l, refl, \
 from .proofs import (
     ResourceLimitError, leaf, eager, check_cyclic, unravel, cyclic_from_wf,
     wf_from_cyclic, dump_proof, load_proof, proof_to_dot, cutfree_to_depth,
-    _json_text,
 )
 from .transforms import (
     wk, build_cut, seq_to_inf, inf_to_seq, eliminate_cuts, slim, regularize,
@@ -233,11 +232,13 @@ _STAGES = {'cutfree': (eliminate_cuts, slim),
 
 
 def _cmd_fold(args):
-    """The proof in the non-well-founded calculus, through the verb's
-    stages, folded and checked.  ``translate --to inf`` rejects a
-    non-finitary input."""
-    proof = _read_proof(args.proof)
-    if proof.system.is_finitary or args.verb == 'translate':
+    return _fold(_read_proof(args.proof), args)
+
+
+def _fold(proof, args):
+    """``proof`` in the non-well-founded calculus, through the stages of
+    ``args.verb``, folded, checked and written."""
+    if proof.system.is_finitary:
         lazy = seq_to_inf(_checked(proof, wf_from_cyclic(proof)))
     else:
         lazy = _checked(proof, unravel(proof))
@@ -248,9 +249,16 @@ def _cmd_fold(args):
 
 
 def _cmd_translate(args):
-    if args.to == 'inf':
-        return _cmd_fold(args)
+    """A proof of one calculus into the other, and not into its own."""
     proof = _read_proof(args.proof)
+    to_inf = args.to == 'inf'
+    if proof.system.is_finitary != to_inf:
+        raise ValueError('translate --to %s takes a proof in %s, not %s' % (
+            args.to, ' or '.join(s.value for s in System
+                                 if s.is_finitary == to_inf),
+            proof.system.value))
+    if to_inf:
+        return _fold(proof, args)
     wf = inf_to_seq(_checked(proof, unravel(proof)))
     return _write_checked(cyclic_from_wf(
         wf, System.GRZ_SEQ if cutfree_to_depth(wf, 1)
@@ -284,8 +292,8 @@ def _cmd_countermodel(args):
 
 def _cmd_corpus(args):
     rng = random.Random(args.seed)
-    texts = [_json_text(cyclic_from_wf(random_wf_proof(rng, steps=args.steps),
-                                       System.GRZ_SEQ_CUT))
+    texts = [dump_proof(cyclic_from_wf(random_wf_proof(rng, steps=args.steps),
+                                      System.GRZ_SEQ_CUT))
              for _ in range(args.count)]
     # The layout of json.dumps(..., indent=2) on the list of proofs.
     body = ',\n'.join('  ' + t.replace('\n', '\n  ') for t in texts)

@@ -122,11 +122,7 @@ class LazyProof:
     def size(self):
         """Number of nodes of a finite proof, counting a shared node once
         per position."""
-        n, stack = 0, [self]
-        while stack:
-            n += 1
-            stack.extend(stack.pop().children)
-        return n
+        return sum(1 for _ in walk_to_depth(self, math.inf))
 
     def __repr__(self):
         return 'LazyProof(%s @ %s)' % (self.inst.rule.value, self.root)
@@ -340,41 +336,32 @@ def check_cyclic(proof):
     """Validate a cyclic proof: tree shape, every rule step, and the
     back-link condition (target is a proper ancestor with an equal sequent
     and a box right premise strictly in between, which makes every
-    unraveled branch guarded).  Each back-link's path is walked once, and
-    an edge on it crosses into a box right premise where ``regularize``
-    counts one.  ``step_violations`` runs once per distinct step object,
-    which a loaded proof shares among its equal steps; each node still
-    gets its own entries, in node order."""
+    unraveled branch guarded).  One preorder walk checks the tree shape
+    and each node's step, in the order it meets them; then each
+    back-link's path is walked once, and an edge on it crosses into a box
+    right premise where ``regularize`` counts one.  ``step_violations``
+    runs once per distinct step object, which a loaded proof shares among
+    its equal steps; each node still gets its own entries."""
     v = []
     check = _step_checker(proof.system)
     nodes = proof.nodes
     if proof.root not in nodes:
         return Report(False, ['root id %s missing' % proof.root])
 
-    parent = {}
-    order = []
+    parent = {proof.root: None}
     stack = [proof.root]
     while stack:
         i = stack.pop()
-        order.append(i)
         n = nodes.get(i)
         if n is None:
             v.append('node id %s missing' % i)
             continue
         for c in n.children:
-            if c in parent or c == proof.root:
+            if c in parent:
                 v.append('node %s has two parents or is the root' % c)
                 continue
             parent[c] = i
             stack.append(c)
-    if len(order) != len(nodes):
-        v.append('unreachable nodes present: %s'
-                 % sorted(set(nodes) - set(order)))
-
-    for i in order:
-        n = nodes.get(i)
-        if n is None:
-            continue
         if n.inst is None:
             if i not in proof.backlinks:
                 v.append('node %s has no rule and no back-link' % i)
@@ -396,6 +383,9 @@ def check_cyclic(proof):
             if cn is not None and cn.sequent != n.inst.premises[k]:
                 v.append('premise %d of node %s is %s but child %s proves %s'
                          % (k, i, n.inst.premises[k], c, cn.sequent))
+    if len(parent) != len(nodes):
+        v.append('unreachable nodes present: %s'
+                 % sorted(set(nodes) - set(parent)))
 
     for a, d in proof.backlinks.items():
         if a not in nodes or d not in nodes:

@@ -31,6 +31,7 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from bisect import bisect_right
+from functools import reduce
 from operator import attrgetter
 
 
@@ -382,20 +383,8 @@ _set_hash = Sequent._hash.__set__
 def sequent_to_formula(s):
     """The formula reading of a sequent: conjunction of the antecedent
     implies disjunction of the succedent."""
-    ant = list(s.ant)
-    suc = list(s.suc)
-    if suc:
-        d = suc[0]
-        for f in suc[1:]:
-            d = disj(d, f)
-    else:
-        d = BOT
-    if ant:
-        c = ant[0]
-        for f in ant[1:]:
-            c = conj(c, f)
-        return Implies(c, d)
-    return d
+    d = reduce(disj, s.suc) if s.suc else BOT
+    return Implies(reduce(conj, s.ant), d) if s.ant else d
 
 
 # ---------------------------------------------------------------------------

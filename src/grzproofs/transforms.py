@@ -43,7 +43,8 @@ class RegularizeError(TransformError, ResourceLimitError):
 # ---------------------------------------------------------------------------
 # Weakening, the five inversions and the atomic contractions: each checks
 # its precondition once, at the root, edits the root sequent and rebuilds
-# the main fragment from it through the one recursion ``_edit``.
+# the main fragment from it through the one recursion ``_edit``.  An
+# inversion takes its edited sequent from the rule's constructor.
 
 
 def _homomorphic(p, concl, rec):
@@ -65,13 +66,22 @@ def _edit(p, concl, stop=None):
     that every rule of the main fragment carries up as a side formula:
     each step is rebuilt at the premise its rebuilt parent holds.  An
     inversion stops at the step ``stop = (rule, principal, k)`` on its
-    target: there premise ``k`` itself takes the step's place.  The
-    inversions test their root for that step before they build its edited
-    sequent, which the step on the target never needs."""
+    target: there premise ``k`` itself takes the step's place.  At the
+    root of an inversion ``_invert`` makes this test instead, before it
+    builds the sequent that the step on the target never needs."""
     if (stop is not None and p.rule is stop[0]
             and p.inst.principal == stop[1]):
         return p.child(stop[2])
     return _homomorphic(p, concl, lambda k, s: _edit(p.child(k), s, stop))
+
+
+def _invert(p, t, rule, k, step):
+    """``p`` inverted to premise ``k`` of the ``rule`` step on ``t``: that
+    premise's proof when the root of ``p`` is such a step, and otherwise
+    ``p`` edited to premise ``k`` of ``step()``, that step at its root."""
+    if p.rule is rule and p.inst.principal == t:
+        return p.child(k)
+    return _edit(p, step().premises[k], (rule, t, k))
 
 
 def wk(p, extra_ant=EMPTY, extra_suc=EMPTY):
@@ -90,10 +100,7 @@ def invert_imp_right(p, t):
     if not isinstance(t, Implies) or t not in s.suc:
         raise TransformError('%s is not a succedent implication of %s'
                              % (t, s))
-    if p.rule is _IMP_R and p.inst.principal == t:
-        return p.child(0)
-    return _edit(p, Sequent(s.ant.add(t.left), s.suc.remove(t).add(t.right)),
-                 (_IMP_R, t, 0))
+    return _invert(p, t, _IMP_R, 0, lambda: imp_r(s, t))
 
 
 def invert_imp_left(p, t):
@@ -103,10 +110,7 @@ def invert_imp_left(p, t):
     if not isinstance(t, Implies) or t not in s.ant:
         raise TransformError('%s is not an antecedent implication of %s'
                              % (t, s))
-    if p.rule is _IMP_L and p.inst.principal == t:
-        return p.child(0)
-    return _edit(p, Sequent(s.ant.remove(t).add(t.right), s.suc),
-                 (_IMP_L, t, 0))
+    return _invert(p, t, _IMP_L, 0, lambda: imp_l(s, t))
 
 
 def invert_imp_antecedent(p, t):
@@ -116,10 +120,7 @@ def invert_imp_antecedent(p, t):
     if not isinstance(t, Implies) or t not in s.ant:
         raise TransformError('%s is not an antecedent implication of %s'
                              % (t, s))
-    if p.rule is _IMP_L and p.inst.principal == t:
-        return p.child(1)
-    return _edit(p, Sequent(s.ant.remove(t), s.suc.add(t.left)),
-                 (_IMP_L, t, 1))
+    return _invert(p, t, _IMP_L, 1, lambda: imp_l(s, t))
 
 
 def invert_bottom(p):
@@ -138,10 +139,7 @@ def invert_box_right(p, t):
     if not isinstance(t, Box) or t not in s.suc:
         raise TransformError('%s is not a boxed succedent formula of %s'
                              % (t, s))
-    if p.rule is _BOX_INF and p.inst.principal == t:
-        return p.child(0)
-    return _edit(p, Sequent(s.ant, s.suc.remove(t).add(t.inner)),
-                 (_BOX_INF, t, 0))
+    return _invert(p, t, _BOX_INF, 0, lambda: box_inf(s, t, EMPTY))
 
 
 def contract_atom_left(p, q):
@@ -258,20 +256,13 @@ def _axiom_leaf(s):
 
 def _side(inst, k, q):
     """Carry a proof ``q`` of the conclusion of ``inst`` plus a cut formula
-    to a proof of premise ``k`` plus that formula, by the inversion or
-    weakening that matches the rule of ``inst``."""
-    r = inst.rule
-    pr = inst.principal
-    if r is _IMP_R:
-        return invert_imp_right(q, pr)
-    if r is _IMP_L:
-        return (invert_imp_left, invert_imp_antecedent)[k](q, pr)
-    if r is _REFL:
-        return wk(q, mset(pr.inner), EMPTY)
-    if r is _BOX_INF:
-        return invert_box_right(q, pr)
-    c = mset(inst.cut_formula)
-    return wk(q, EMPTY, c) if k == 0 else wk(q, c, EMPTY)
+    to a proof of premise ``k`` plus that formula: by the inversion on the
+    principal formula of ``inst``, or at ``refl`` and ``cut`` by weakening,
+    to premise ``k`` of ``inst`` at the root of ``q``."""
+    if inst.rule in (_IMP_R, _IMP_L, _BOX_INF):
+        return _invert(q, inst.principal, inst.rule, k,
+                       lambda: reinstance(inst, q.root))
+    return _edit(q, reinstance(inst, q.root).premises[k])
 
 
 def _re_step(a, p, t, rec, concl):

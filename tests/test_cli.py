@@ -395,8 +395,8 @@ class TestCorpusAndPipeline:
     def test_translate_rejects_a_proof_of_the_other_calculus(self, tmp_path,
                                                              capsys):
         # The bundled example has back-links; a 3-node prover output has
-        # none but ends in an atomic axiom; a finitary proof ends in
-        # ax_general, which only the finitary calculus has.
+        # none; a finitary proof ends in ax_general.  Each is rejected by
+        # its system before any translation runs.
         inf = tmp_path / 'inf.json'
         assert run('prove', '[]p -> p', '-o', str(inf)) == 0
         assert len(load_proof(inf.read_text()).nodes) == 3
@@ -405,9 +405,12 @@ class TestCorpusAndPipeline:
         assert load_proof(seqp.read_text()).system == System.GRZ_SEQ
         capsys.readouterr()
         for path, to, message in (
-                (EXAMPLE, 'inf', 'proof has back-links; not well-founded'),
-                (inf, 'inf', 'cannot translate a ax_atom step'),
-                (seqp, 'seq', 'cannot translate a ax_general step')):
+                (EXAMPLE, 'inf', 'translate --to inf takes a proof in grz_seq '
+                 'or grz_seq_cut, not grz_inf'),
+                (inf, 'inf', 'translate --to inf takes a proof in grz_seq or '
+                 'grz_seq_cut, not grz_inf'),
+                (seqp, 'seq', 'translate --to seq takes a proof in grz_inf '
+                 'or grz_inf_cut, not grz_seq')):
             assert run('translate', str(path), '--to', to) == 2
             assert capsys.readouterr().err == 'error: %s\n' % message
 

@@ -4,6 +4,7 @@ import json
 import random
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -157,6 +158,10 @@ class TestFragments:
         assert not d.exact
         assert d.value == Distance(d.value, False).value
         assert float(d.value) == 2 ** -10
+
+    def test_a_distance_prints_as_a_value_or_a_bound(self):
+        assert str(Distance(Fraction(1, 4), True)) == '1/4'
+        assert str(Distance(Fraction(1, 1024), False)) == '<= 1/1024'
 
     def test_distance_of_distinct_proofs_is_exact(self, example):
         a = unravel(example)

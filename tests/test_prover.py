@@ -8,7 +8,7 @@ from grzproofs import prover
 from grzproofs.calculus import Rule
 from grzproofs.proofs import CyclicNode, check_cyclic, dump_proof, unravel
 from grzproofs.prover import (
-    KripkeModel, decide, find_countermodel, truth_mask,
+    KripkeModel, ProverError, decide, find_countermodel, truth_mask,
 )
 from grzproofs.syntax import (
     Atom, BOT, Box, EMPTY, Implies, Sequent, mset, parse_formula,
@@ -158,6 +158,20 @@ def search_calls(monkeypatch):
 class TestCountermodels:
     def test_none_for_theorems(self):
         assert find_countermodel(goal('[]p -> p')) is None
+
+    def test_a_bare_formula_is_read_as_its_sequent(self):
+        f = parse_formula('p -> []p')
+        found = find_countermodel(f)
+        assert found is not None
+        assert found == find_countermodel(goal_of(f))
+
+    def test_decide_below_the_size_of_the_countermodel_is_an_error(self):
+        # p -> []p is refuted on two worlds and on no fewer.
+        g = goal('p -> []p')
+        with pytest.raises(ProverError) as e:
+            decide(g, max_model_size=1)
+        assert str(e.value) == ('search failed on %s but the oracle found '
+                                'no countermodel up to size 1' % g)
 
     def test_found_models_really_refute(self):
         for text in NON_THEOREMS:

@@ -7,7 +7,7 @@ import pytest
 from grzproofs.calculus import (
     Rule, System, ax_atom, box_inf, fixed_premise, imp_l, imp_r, refl,
 )
-from grzproofs import transforms
+from grzproofs import calculus, transforms
 from grzproofs.examples import grz_axiom_cyclic_proof
 from grzproofs.proofs import (
     ResourceLimitError, check_cyclic, check_wf, cutfree_to_depth, frag_eq,
@@ -102,6 +102,24 @@ class TestInversions:
         with pytest.raises(TransformError):
             invert_box_right(p, Box(P))
 
+    @pytest.mark.parametrize('invert, target, message', [
+        (invert_imp_right, 'p -> p',
+         'p -> p is not a succedent implication of p => p'),
+        (invert_imp_left, 'p -> p',
+         'p -> p is not an antecedent implication of p => p'),
+        (invert_imp_left, 'p', 'p is not an antecedent implication of p => p'),
+        (invert_imp_antecedent, 'p -> p',
+         'p -> p is not an antecedent implication of p => p'),
+        (invert_imp_antecedent, 'p',
+         'p is not an antecedent implication of p => p'),
+        (invert_box_right, 'p', 'p is not a boxed succedent formula of p => p'),
+    ])
+    def test_a_rejection_names_the_target_and_the_sequent(
+            self, invert, target, message):
+        with pytest.raises(TransformError) as e:
+            invert(one_proof('p => p'), parse_formula(target))
+        assert str(e.value) == message
+
     ON_TARGET = pytest.mark.parametrize('invert, step, k, text, target', [
         (invert_imp_right, imp_r, 0, '[]q, q => p -> q', 'p -> q'),
         (invert_imp_left, imp_l, 0, '[]q, q, p -> q => q', 'p -> q'),
@@ -121,7 +139,9 @@ class TestInversions:
         def no_sequent(*args):
             raise AssertionError('the edited root sequent was built')
 
+        # Neither the inversion nor the rule's constructor may build it.
         monkeypatch.setattr(transforms, 'Sequent', no_sequent)
+        monkeypatch.setattr(calculus, 'Sequent', no_sequent)
         assert invert(below, t) is below.child(k)
 
     @ON_TARGET
@@ -167,6 +187,15 @@ class TestContractions:
             out = contract_left(one_proof(text, 7), a)
             assert out.root == parse_sequent(result)
             assert_valid(out)
+
+    @pytest.mark.parametrize('contract, message', [
+        (contract_left, 'need two antecedent copies of []p in []p => []p'),
+        (contract_right, 'need two succedent copies of []p in []p => []p'),
+    ])
+    def test_general_contraction_needs_two_copies(self, contract, message):
+        with pytest.raises(TransformError) as e:
+            contract(one_proof('[]p => []p', 7), Box(P))
+        assert str(e.value) == message
 
     def test_general_contraction_right(self):
         p = one_proof('[]p => []p, []p', 7)
@@ -306,6 +335,12 @@ class TestCutReduction:
         lft, rgt = self.cut_pair('p => p, p', 'p, p => p')
         assert reduce_cut(Q, lft, rgt) is lft
         assert reduce_cut(P, lft, lft) is lft
+
+    def test_build_cut_needs_a_cut_formula(self):
+        p = one_proof('p => p')
+        with pytest.raises(TransformError) as e:
+            build_cut(p, p, Q)
+        assert str(e.value) == 'q is not a cut formula for p => p / p => p'
 
     def test_re_factory_matches_reduce_cut(self):
         lft, rgt = self.cut_pair('p => p, p', 'p, p => p')
