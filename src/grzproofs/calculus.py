@@ -257,6 +257,12 @@ _RULES = {
                lambda inst, c: cut(c, inst.cut_formula)),
 }
 
+# The rules of both calculi with cut (ax_bottom, imp_l, imp_r, refl, cut):
+# the translations carry each such step over, rebuilt by ``reinstance``.
+SHARED_RULES = frozenset(r for r, (systems, _) in _RULES.items()
+                         if System.GRZ_SEQ_CUT in systems
+                         and System.GRZ_INF_CUT in systems)
+
 
 def reinstance(inst, concl):
     """The step ``inst`` at conclusion ``concl``: the same rule, principal

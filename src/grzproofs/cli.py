@@ -94,57 +94,53 @@ def random_wf_proof(rng, steps=6):
     weights = [2, 2, 2, 3, 3, 1]
     for _ in range(steps):
         op = rng.choices(ops, weights)[0]
-        try:
-            if op == 'axiom':
-                pool.append((rand_axiom(), 1))
-            elif op == 'imp_r':
-                p, n = rng.choice(pool)
-                a = _random_formula(rng, rng.randint(1, 2))
-                p = wk(p, mset(a), EMPTY)
-                suc = p.root.suc
-                if not suc:
-                    continue
-                b = rng.choice(list(suc))
-                concl = Sequent(p.root.ant.remove(a),
-                                suc.remove(b).add(Implies(a, b)))
-                pool.append((eager(imp_r(concl, Implies(a, b)), p), 1 + n))
-            elif op == 'refl':
-                p, n = rng.choice(pool)
-                b = _random_formula(rng, rng.randint(1, 2))
-                p = wk(p, mset(b, Box(b)), EMPTY)
-                concl = Sequent(p.root.ant.remove(b), p.root.suc)
-                pool.append((eager(refl(concl, Box(b)), p), 1 + n))
-            elif op == 'imp_l':
-                (p1, n1), (p2, n2) = rng.choice(pool), rng.choice(pool)
-                a = _random_formula(rng, rng.randint(1, 2))
-                b = _random_formula(rng, rng.randint(1, 2))
-                g = p1.root.ant.union(p2.root.ant)
-                d = p1.root.suc.union(p2.root.suc)
-                left = wk(p1, g.difference(p1.root.ant).add(b),
-                          d.difference(p1.root.suc))
-                right = wk(p2, g.difference(p2.root.ant),
-                           d.difference(p2.root.suc).add(a))
-                concl = Sequent(g.add(Implies(a, b)), d)
-                pool.append((eager(imp_l(concl, Implies(a, b)), left, right),
-                             1 + n1 + n2))
-            elif op == 'cut':
-                (p1, n1), (p2, n2) = rng.choice(pool), rng.choice(pool)
-                a = _random_formula(rng, rng.randint(1, 2))
-                pool.append((build_cut(wk(p1, EMPTY, mset(a)),
-                                       wk(p2, mset(a), EMPTY), a),
-                             1 + n1 + n2))
-            elif op == 'box':
-                a, proof, n = rng.choice(_theorem_cache)
-                pi = Multiset(Box(_random_formula(rng, rng.randint(1, 2)))
-                              for _ in range(rng.randint(0, 2)))
-                trace = Box(Implies(a, Box(a)))
-                prem = wk(proof, pi.add(trace), EMPTY)
-                concl = Sequent(pi.union(rand_ms()),
-                                rand_ms().add(Box(a)))
-                inst = box_grz(concl, Box(a), pi)
-                pool.append((eager(inst, prem), 1 + n))
-        except ValueError:
-            continue
+        if op == 'axiom':
+            pool.append((rand_axiom(), 1))
+        elif op == 'imp_r':
+            p, n = rng.choice(pool)
+            a = _random_formula(rng, rng.randint(1, 2))
+            p = wk(p, mset(a), EMPTY)
+            suc = p.root.suc
+            if not suc:
+                continue
+            b = rng.choice(list(suc))
+            concl = Sequent(p.root.ant.remove(a),
+                            suc.remove(b).add(Implies(a, b)))
+            pool.append((eager(imp_r(concl, Implies(a, b)), p), 1 + n))
+        elif op == 'refl':
+            p, n = rng.choice(pool)
+            b = _random_formula(rng, rng.randint(1, 2))
+            p = wk(p, mset(b, Box(b)), EMPTY)
+            concl = Sequent(p.root.ant.remove(b), p.root.suc)
+            pool.append((eager(refl(concl, Box(b)), p), 1 + n))
+        elif op == 'imp_l':
+            (p1, n1), (p2, n2) = rng.choice(pool), rng.choice(pool)
+            a = _random_formula(rng, rng.randint(1, 2))
+            b = _random_formula(rng, rng.randint(1, 2))
+            g = p1.root.ant.union(p2.root.ant)
+            d = p1.root.suc.union(p2.root.suc)
+            left = wk(p1, g.difference(p1.root.ant).add(b),
+                      d.difference(p1.root.suc))
+            right = wk(p2, g.difference(p2.root.ant),
+                       d.difference(p2.root.suc).add(a))
+            concl = Sequent(g.add(Implies(a, b)), d)
+            pool.append((eager(imp_l(concl, Implies(a, b)), left, right),
+                         1 + n1 + n2))
+        elif op == 'cut':
+            (p1, n1), (p2, n2) = rng.choice(pool), rng.choice(pool)
+            a = _random_formula(rng, rng.randint(1, 2))
+            pool.append((build_cut(wk(p1, EMPTY, mset(a)),
+                                   wk(p2, mset(a), EMPTY), a),
+                         1 + n1 + n2))
+        elif op == 'box':
+            a, proof, n = rng.choice(_theorem_cache)
+            pi = Multiset(Box(_random_formula(rng, rng.randint(1, 2)))
+                          for _ in range(rng.randint(0, 2)))
+            trace = Box(Implies(a, Box(a)))
+            prem = wk(proof, pi.add(trace), EMPTY)
+            concl = Sequent(pi.union(rand_ms()), rand_ms().add(Box(a)))
+            inst = box_grz(concl, Box(a), pi)
+            pool.append((eager(inst, prem), 1 + n))
     return max(pool, key=itemgetter(1))[0]
 
 

@@ -131,13 +131,9 @@ def _interp(q, sides, lams, memo):
             # the succedent of its side and joins that side's Lambda.
             a = pr.inner
             pi = inst.premises[1].ant
-            avail = {f: g1.count(f) for f in pi.distinct()}
-            items = ([], [])
-            for f in pi:
-                items[avail[f] <= 0].append(f)
-                avail[f] -= 1
-            above = [Sequent(Multiset(items[0]), EMPTY),
-                     Sequent(Multiset(items[1]), EMPTY)]
+            right = pi.difference(g1)
+            above = [Sequent(pi.difference(right), EMPTY),
+                     Sequent(right, EMPTY)]
             above[side] = Sequent(above[side].ant, mset(a))
             crossed = list(lams)
             crossed[side] = lams[side] | {a}

@@ -173,20 +173,18 @@ def frag_eq(a, b, n):
     At ``n = 0`` every pair of proofs is equivalent.  An open leaf cut at a
     deeper crossing needs no comparison of its own: its sequent is a premise
     of the box step already compared one level up.
+
+    The n-fragments are walked side by side: nodes that agree have equal
+    premises, so the walks stay in step, and if all agree ``strict`` runs
+    both to the end, so each forces the same children.
     """
-    stack = [(a, b, n)]
-    while stack:
-        p, q, m = stack.pop()
-        if m <= 0:
-            continue
+    for (p, _), (q, _) in zip(walk_to_depth(a, n), walk_to_depth(b, n),
+                              strict=True):
         ip, iq = p.inst, q.inst
         if (ip.rule != iq.rule or ip.conclusion != iq.conclusion
                 or ip.premises != iq.premises
                 or ip.cut_formula != iq.cut_formula):
             return False
-        for i in range(ip.arity):
-            mm = m - 1 if _crossing_child(ip.rule, i) else m
-            stack.append((p.child(i), q.child(i), mm))
     return True
 
 
@@ -337,24 +335,26 @@ def check_cyclic(proof):
     back-link condition (target is a proper ancestor with an equal sequent
     and a box right premise strictly in between, which makes every
     unraveled branch guarded).  One preorder walk checks the tree shape
-    and each node's step, in the order it meets them; then each
-    back-link's path is walked once, and an edge on it crosses into a box
-    right premise where ``regularize`` counts one.  ``step_violations``
-    runs once per distinct step object, which a loaded proof shares among
-    its equal steps; each node still gets its own entries."""
+    and each node's step, in the order it meets them, then names the nodes
+    it did not reach; then each back-link's path is walked once, and an
+    edge on it crosses into a box right premise where ``regularize``
+    counts one.  ``step_violations`` runs once per distinct step object,
+    which a loaded proof shares among its equal steps."""
     v = []
     check = _step_checker(proof.system)
     nodes = proof.nodes
     if proof.root not in nodes:
         return Report(False, ['root id %s missing' % proof.root])
 
-    parent = {proof.root: None}
+    parent = {proof.root: None}     # also holds each missing id it meets
+    missing = 0
     stack = [proof.root]
     while stack:
         i = stack.pop()
         n = nodes.get(i)
         if n is None:
             v.append('node id %s missing' % i)
+            missing += 1
             continue
         for c in n.children:
             if c in parent:
@@ -383,7 +383,7 @@ def check_cyclic(proof):
             if cn is not None and cn.sequent != n.inst.premises[k]:
                 v.append('premise %d of node %s is %s but child %s proves %s'
                          % (k, i, n.inst.premises[k], c, cn.sequent))
-    if len(parent) != len(nodes):
+    if len(parent) - missing != len(nodes):
         v.append('unreachable nodes present: %s'
                  % sorted(set(nodes) - set(parent)))
 
@@ -521,12 +521,13 @@ _RULE_OF_TEXT = {r.value: r for r in Rule}
 def proof_from_json(data):
     """The proof of a JSON object in the proof format.  Node ids are
     non-negative JSON integers, child ids and back-link targets JSON
-    integers, back-link keys their decimal texts, and no two nodes share
-    an id.  Each distinct sequent text and each distinct formula text is
-    parsed once, and each distinct step -- rule, sequent, premises,
-    principal and cut formula -- is one ``RuleInstance``, shared by every
-    node that records it, so later stages can check and translate it
-    once."""
+    integers, back-link keys their decimal texts, no two nodes share an
+    id, and each child id names a node, checked as it is read (back-links
+    are left to ``check_cyclic``).  Each distinct sequent text and each
+    distinct formula text is parsed once, and each distinct step -- rule,
+    sequent, premises, principal and cut formula -- is one
+    ``RuleInstance``, shared by every node that records it, so later
+    stages can check and translate it once."""
     system = System(_field(data, 'system', 'the proof'))
     raw = {}
     for k, d in enumerate(_typed(_field(data, 'nodes', 'the proof'), (list,),
@@ -569,6 +570,9 @@ def proof_from_json(data):
                                 'a list', 'children', where))
         for c in children:
             _typed(c, (int,), 'a list of integers', 'children', where)
+            if c not in raw:
+                raise ValueError('node %s lists child %s, which has no node'
+                                 % (i, c))
         if d.get('rule') is None:
             nodes[i] = CyclicNode(s, None, children)
             continue
@@ -576,10 +580,6 @@ def proof_from_json(data):
         rule = _RULE_OF_TEXT.get(text) or Rule(text)    # raises if unknown
         principal = formula(d, 'principal', where)
         cutf = formula(d, 'cut_formula', where)
-        for c in children:
-            if c not in raw:
-                raise ValueError('node %s lists child %s, which has no node'
-                                 % (i, c))
         premises = tuple(sequent(c) for c in children)
         # Sequents and formulas are one object per text for the whole
         # call, so ids key them; the step holds every keyed object.

@@ -21,9 +21,9 @@ from .syntax import (
     Atom, Bottom, Box, Implies, BOT, Multiset, Sequent, EMPTY, mset,
 )
 from .calculus import (
-    System, reinstance, fixed_premise,
+    System, SHARED_RULES, reinstance, fixed_premise,
     ax_atom, ax_bottom, ax_general, imp_r, imp_l, refl, box_inf, box_grz, cut,
-    _AX_ATOM, _AX_BOTTOM, _AX_GENERAL, _IMP_L, _IMP_R, _REFL, _BOX_INF,
+    _AX_ATOM, _AX_GENERAL, _IMP_L, _IMP_R, _REFL, _BOX_INF,
     _BOX_GRZ, _CUT,
 )
 from .proofs import (
@@ -517,10 +517,6 @@ def build_cut(p1, p2, a):
 # Translation: finitary proofs into the non-well-founded calculus
 
 
-# The rules both calculi share, step for step.
-_HOMOMORPHIC_RULES = (_IMP_R, _IMP_L, _REFL, _CUT)
-
-
 def seq_to_inf(p):
     """Compile a finite proof in the finitary calculus (with or without
     cut) into a lazy proof in the non-well-founded calculus with cut,
@@ -531,9 +527,7 @@ def seq_to_inf(p):
     pr = inst.principal
     if r is _AX_GENERAL:
         return ax_proof(c.ant.remove(pr), pr, c.suc.remove(pr))
-    if r is _AX_BOTTOM:
-        return leaf(ax_bottom(c))
-    if r in _HOMOMORPHIC_RULES:
+    if r in SHARED_RULES:
         return LazyProof(reinstance(inst, c),
                          make=lambda k: seq_to_inf(p.child(k)))
     if r is _BOX_GRZ:
@@ -556,10 +550,6 @@ def seq_to_inf(p):
 
 # ---------------------------------------------------------------------------
 # Translation: non-well-founded proofs back into the finitary calculus
-
-
-def _trace_context(lam):
-    return Multiset(Box(Implies(a, Box(a))) for a in lam)
 
 
 def inf_to_seq(p):
@@ -603,7 +593,7 @@ def inf_to_seq(p):
                 a = pr.inner
                 subs = (((q.child(0), lam),) if a in lam
                         else ((q.child(1), frozenset(lam | {a})),))
-            elif r in _HOMOMORPHIC_RULES:
+            elif r in SHARED_RULES:
                 subs = tuple((q.child(k), lam) for k in range(inst.arity))
             else:
                 subs = ()
@@ -618,14 +608,13 @@ def inf_to_seq(p):
             continue
         extra = contexts.get(lam)
         if extra is None:
-            extra = contexts[lam] = _trace_context(lam)
+            extra = contexts[lam] = Multiset(Box(Implies(a, Box(a)))
+                                             for a in lam)
         c = q.root
         target = Sequent(extra.union(c.ant), c.suc)
         if r is _AX_ATOM:
             out = leaf(ax_general(target, pr))
-        elif r is _AX_BOTTOM:
-            out = leaf(ax_bottom(target))
-        elif r in _HOMOMORPHIC_RULES:
+        elif r in SHARED_RULES:
             out = eager(reinstance(inst, target), *kids)
         elif r is _BOX_INF:
             a = pr.inner

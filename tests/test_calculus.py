@@ -55,6 +55,18 @@ class TestConstructors:
         assert inst.premises == (
             Sequent(mset(Box(P), Box(Implies(Q, Box(Q)))), mset(Q)),)
 
+    @pytest.mark.parametrize('build, text, message', [
+        (ax_bottom, 'p => p',
+         'ax_bottom: false must occur in the antecedent of p => p'),
+        (lambda c: imp_l(c, Implies(P, Q)), '=> p -> q',
+         'imp_l principal p -> q not in antecedent of  => p -> q'),
+    ], ids=['ax_bottom', 'imp_l'])
+    def test_a_step_that_does_not_fit_is_rejected(self, build, text,
+                                                  message):
+        with pytest.raises(CalculusError) as info:
+            build(parse_sequent(text))
+        assert str(info.value) == message
+
     def test_cut_premises(self):
         c = parse_sequent('p => q')
         inst = cut(c, Box(P))
@@ -123,6 +135,13 @@ class TestStepChecking:
         inst = ax_general(parse_sequent('[]p => []p'), Box(P))
         assert not step_violations(inst, System.GRZ_SEQ)
         assert step_violations(inst, System.GRZ_INF)
+
+    def test_an_unknown_rule_is_reported(self):
+        inst = RuleInstance('bogus', parse_sequent('p => p'))
+        assert step_violations(inst, System.GRZ_SEQ) == [
+            "unknown rule 'bogus'"]
+        with pytest.raises(CalculusError, match="^unknown rule 'bogus'$"):
+            reinstance(inst, inst.conclusion)
 
     def test_cut_needs_a_cut_system(self):
         inst = cut(parse_sequent('p => p'), Q)

@@ -162,6 +162,20 @@ class TestMalformedProofJson:
         self.assert_input_error(tmp_path, capsys, data,
                                 'node 0 lists child 7, which has no node')
 
+    def test_rule_less_node_with_a_child_without_a_node(self, tmp_path,
+                                                          capsys):
+        # Every child id is checked at load, on a node with a rule or
+        # without one, so no verb reaches a dangling child.
+        data = {'system': 'grz_seq', 'nodes': [
+            {'id': 0, 'sequent': 'p => p', 'rule': None, 'children': [5]}]}
+        message = 'node 0 lists child 5, which has no node'
+        self.assert_input_error(tmp_path, capsys, data, message)
+        path = str(tmp_path / 'bad.json')
+        for argv in (['slim', path], ['regularize', path],
+                     ['translate', path, '--to', 'inf']):
+            assert run(*argv) == 2
+            assert ('error: %s' % message) in capsys.readouterr().err
+
     def test_not_exactly_one_root(self, tmp_path, capsys):
         # Node 0 drops its child, so nodes 0 and 1 have no parent; or the
         # last node lists node 0, so every node has one.

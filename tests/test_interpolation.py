@@ -1,7 +1,9 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 
+from grzproofs import interpolation
 from grzproofs.interpolation import (
     InterpolationError, NotATheoremError, SplitSequent, interpolate, lyndon,
 )
@@ -71,6 +73,23 @@ class TestLyndon:
         assert signed_atoms(i) <= signed_atoms(a) & signed_atoms(b)
         assert provable(result.left_obligation)
         assert provable(result.right_obligation)
+
+    @pytest.mark.parametrize('text, message', [
+        ('r', 'polarity violation: r occurs + in interpolant r but not in '
+              'both p and p'),
+        ('false', 'obligation p => false is not provable'),
+    ], ids=['foreign_atom', 'too_strong'])
+    def test_a_wrong_interpolant_is_rejected(self, monkeypatch, text,
+                                             message):
+        # lyndon checks the interpolant it is given: an atom of neither
+        # side, or one that A does not imply.
+        extract = interpolation.interpolate
+        monkeypatch.setattr(interpolation, 'interpolate', lambda proof, split:
+                            replace(extract(proof, split),
+                                    interpolant=parse_formula(text)))
+        with pytest.raises(InterpolationError) as info:
+            lyndon(P, P)
+        assert str(info.value) == message
 
     def test_non_theorem_raises_with_countermodel(self):
         with pytest.raises(NotATheoremError) as info:

@@ -220,6 +220,11 @@ class TestWfProofs:
         assert not cyc.backlinks
         assert preorder(wf_from_cyclic(cyc)) == preorder(wf)
 
+    def test_wf_from_cyclic_rejects_back_links(self, example):
+        with pytest.raises(ValueError,
+                           match='^proof has back-links; not well-founded$'):
+            wf_from_cyclic(example)
+
     def test_wf_from_cyclic_rejects_a_child_cycle(self):
         c = refl_chain(3)
         nodes = dict(c.nodes)
@@ -473,6 +478,25 @@ class TestCheckCyclicRejections:
         report = check_cyclic(broken)
         assert not report.ok
         assert any('unreachable' in v for v in report.violations)
+
+    @pytest.mark.parametrize('i, children, unreached', [
+        # Node 9, a back-link leaf, lists a missing child: every node is
+        # still reached.
+        (9, (77,), None),
+        # Node 1 lists a missing child in place of node 2, which no walk
+        # reaches now.
+        (1, (77, 3), 'unreachable nodes present: [2]'),
+    ], ids=['leaf', 'inner'])
+    def test_a_missing_child_and_unreached_nodes(self, example, i, children,
+                                                 unreached):
+        nodes = dict(example.nodes)
+        nodes[i] = replace(nodes[i], children=children)
+        report = check_cyclic(CyclicProof(nodes, example.root,
+                                          example.backlinks, example.system))
+        assert 'node id 77 missing' in report.violations
+        assert [v for v in report.violations
+                if v.startswith('unreachable')] == (
+                    [unreached] if unreached else [])
 
     def test_malformed_nodes(self, example):
         nodes = example.nodes

@@ -230,6 +230,9 @@ class TestKripkeModel:
             for w in range(m.size):
                 assert bool(mask >> w & 1) == eval_formula(m, w, f)
 
+    def test_an_atom_outside_the_valuation_is_false_everywhere(self):
+        assert truth_mask(self.two_chain(), Atom('q')) == 0
+
     def test_describe_is_serializable(self):
         import json
         json.dumps(self.two_chain().describe())

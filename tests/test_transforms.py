@@ -5,7 +5,8 @@ import time
 import pytest
 
 from grzproofs.calculus import (
-    Rule, System, ax_atom, box_inf, fixed_premise, imp_l, imp_r, refl,
+    Rule, System, ax_atom, ax_general, box_inf, fixed_premise, imp_l, imp_r,
+    refl,
 )
 from grzproofs import calculus, transforms
 from grzproofs.examples import grz_axiom_cyclic_proof
@@ -524,6 +525,16 @@ class TestTranslations:
         out = eliminate_cuts(lazy)
         assert cutfree_to_depth(out, 10)
         assert_valid(out, 10)
+
+    @pytest.mark.parametrize('translate, step', [
+        (seq_to_inf, ax_atom), (inf_to_seq, ax_general)],
+        ids=['seq_to_inf', 'inf_to_seq'])
+    def test_a_step_of_the_other_calculus_is_rejected(self, translate, step):
+        # The atomic axiom is a step of the non-well-founded calculus only,
+        # the general axiom of the finitary one only.
+        with pytest.raises(TransformError, match=(
+                '^cannot translate a %s step$' % step.__name__)):
+            translate(leaf(step(parse_sequent('p => p'), P)))
 
     def test_box_grz_compilation_introduces_cuts(self):
         wf = one_wf('=> []p -> []p')
