@@ -35,9 +35,10 @@ each distinct formula text once, and builds one ``RuleInstance`` per
 distinct step, shared by every node that records it; dumping prints each
 distinct formula once.  ``check_cyclic``, ``check_wf`` and ``inf_to_seq``
 key their work by step object, so each distinct step of a loaded proof is
-checked once and translated once per context.  Every memo lives for one
-call.  Dumping writes the indented layout of ``json.dumps(...,
-indent=2)`` itself, byte for byte.
+checked once and translated once per context.  ``wf_from_cyclic`` builds
+one lazy node per distinct subtree of a finite proof, so the transformers
+work each one once.  Every memo lives for one call.  Dumping writes the
+indented layout of ``json.dumps(..., indent=2)`` itself, byte for byte.
 """
 
 from __future__ import annotations
@@ -418,9 +419,17 @@ def unravel(proof):
     through back-links are shared, so the result is a regular tree.  A
     rule-less node without a back-link, and a back-link to a missing or
     rule-less node, are input errors (``ValueError``)."""
+    return _unravel(proof, {})
+
+
+def _unravel(proof, same):
+    """The lazy proof of ``proof``, one ``LazyProof`` per node id, where
+    a node id that ``same`` maps to another node id is built as that
+    node."""
     cache = {}
 
     def build(i):
+        i = same.get(i, i)
         if i in cache:
             return cache[i]
         n = proof.nodes[i]
@@ -462,18 +471,37 @@ def cyclic_from_wf(proof, system=System.GRZ_SEQ):
 
 
 def wf_from_cyclic(proof):
-    """The finite proof denoted by a cyclic proof without back-links."""
+    """The finite proof denoted by a cyclic proof without back-links, one
+    ``LazyProof`` per distinct subtree: two nodes with the same step
+    object and equal subtrees at their children are built as one.  That
+    is exact, because the subtrees denote the same finite tree and a lazy
+    node is the proof rooted at it; a loaded proof holds one step object
+    per distinct step, so its equal subproofs become one node.  A node
+    without a rule is equal to no other node, so the error raised on
+    forcing it names its own id."""
     if proof.backlinks:
         raise ValueError('proof has back-links; not well-founded')
+    order = []
     seen = {proof.root}
     stack = [proof.root]
     while stack:
-        for c in proof.nodes[stack.pop()].children:
+        i = stack.pop()
+        order.append(i)
+        for c in proof.nodes[i].children:
             if c in seen:
                 raise ValueError('node %s is reached twice from the root' % c)
             seen.add(c)
             stack.append(c)
-    return unravel(proof)
+    # Bottom-up, each node maps to the first node with its key; a key
+    # holds the mapped ids of the children, so equal keys mean equal
+    # subtrees.
+    same, first = {}, {}
+    for i in reversed(order):
+        n = proof.nodes[i]
+        key = i if n.inst is None else (id(n.inst),
+                                        *map(same.__getitem__, n.children))
+        same[i] = first.setdefault(key, i)
+    return _unravel(proof, same)
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +674,8 @@ def load_proof(fp_or_text):
 
 
 def proof_to_dot(proof):
-    """Graphviz rendering; back-links are dashed."""
+    """Graphviz rendering; back-links are dashed.  A back-link from or to
+    an id that names no node is an input error (``ValueError``)."""
     lines = ['digraph proof {', '  node [shape=box, fontname="monospace"];']
     for i in sorted(proof.nodes):
         n = proof.nodes[i]
@@ -658,6 +687,9 @@ def proof_to_dot(proof):
         for c in proof.nodes[i].children:
             lines.append('  n%d -> n%d;' % (i, c))
     for a, d in sorted(proof.backlinks.items()):
+        if a not in proof.nodes or d not in proof.nodes:
+            raise ValueError('back-link %s -> %s references a missing node'
+                             % (a, d))
         lines.append('  n%d -> n%d [style=dashed, constraint=false];' % (a, d))
     lines.append('}')
     return '\n'.join(lines) + '\n'

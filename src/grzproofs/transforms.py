@@ -350,7 +350,12 @@ def contract_right(p, a):
 
 def eliminate_cuts(p):
     """Remove every cut from a (possibly infinite) proof.  Node sharing in
-    the input is preserved, so regular inputs stay finitely presented."""
+    the input is preserved, so regular inputs stay finitely presented:
+    each distinct input node is reduced once and gives one output node.
+    On the translation of a loaded finite proof, whose equal subtrees
+    ``wf_from_cyclic`` and ``seq_to_inf`` make one node each, equal
+    subproofs are reduced once.  That is exact, because the output at a
+    node depends only on the proof rooted at it."""
     memo = {}       # keyed by node: lazy proofs compare by identity
 
     def go(q):
@@ -520,32 +525,47 @@ def build_cut(p1, p2, a):
 def seq_to_inf(p):
     """Compile a finite proof in the finitary calculus (with or without
     cut) into a lazy proof in the non-well-founded calculus with cut,
-    cutting against the lazy knot of the schema at each box step."""
-    inst = p.inst
-    r = inst.rule
-    c = inst.conclusion
-    pr = inst.principal
-    if r is _AX_GENERAL:
-        return ax_proof(c.ant.remove(pr), pr, c.suc.remove(pr))
-    if r in SHARED_RULES:
-        return LazyProof(reinstance(inst, c),
-                         make=lambda k: seq_to_inf(p.child(k)))
-    if r is _BOX_GRZ:
-        a = pr.inner
-        trace = Box(Implies(a, pr))
-        g = Implies(trace, a)
-        f = Box(g)
-        pi = inst.premises[0].ant.difference(mset(trace))
-        xi = seq_to_inf(p.child(0))             # []Pi, [](A -> []A) => A
-        xi2 = wk(xi, EMPTY, mset(a))
-        mu = eager(imp_r(Sequent(pi, mset(g)), g), xi)
-        mu2 = eager(imp_r(Sequent(pi, mset(g, a)), g), xi2)
-        nu = eager(box_inf(Sequent(pi, mset(f, a)), f, pi), mu2, mu)
-        theta = wk(_grz_knot(a), pi, EMPTY)
-        lam = eager(cut(Sequent(pi, mset(a)), f), nu, theta)
-        side = wk(lam, c.ant.difference(pi), c.suc.remove(pr))
-        return eager(box_inf(c, pr, pi), side, lam)
-    raise TransformError('cannot translate a %s step' % r.value)
+    cutting against the lazy knot of the schema at each box step.  Each
+    distinct input node is translated once: a node that the input shares,
+    as ``wf_from_cyclic`` shares equal subtrees, gives one output node,
+    and a shared box step one knot.  That is exact, because the
+    translation of a node depends only on the proof rooted at it."""
+    memo = {}       # keyed by node: lazy proofs compare by identity
+
+    def go(q):
+        hit = memo.get(q)
+        if hit is not None:
+            return hit
+        inst = q.inst
+        r = inst.rule
+        c = inst.conclusion
+        pr = inst.principal
+        if r is _AX_GENERAL:
+            out = ax_proof(c.ant.remove(pr), pr, c.suc.remove(pr))
+        elif r in SHARED_RULES:
+            out = LazyProof(reinstance(inst, c),
+                            make=lambda k: go(q.child(k)))
+        elif r is _BOX_GRZ:
+            a = pr.inner
+            trace = Box(Implies(a, pr))
+            g = Implies(trace, a)
+            f = Box(g)
+            pi = inst.premises[0].ant.difference(mset(trace))
+            xi = go(q.child(0))                 # []Pi, [](A -> []A) => A
+            xi2 = wk(xi, EMPTY, mset(a))
+            mu = eager(imp_r(Sequent(pi, mset(g)), g), xi)
+            mu2 = eager(imp_r(Sequent(pi, mset(g, a)), g), xi2)
+            nu = eager(box_inf(Sequent(pi, mset(f, a)), f, pi), mu2, mu)
+            theta = wk(_grz_knot(a), pi, EMPTY)
+            lam = eager(cut(Sequent(pi, mset(a)), f), nu, theta)
+            side = wk(lam, c.ant.difference(pi), c.suc.remove(pr))
+            out = eager(box_inf(c, pr, pi), side, lam)
+        else:
+            raise TransformError('cannot translate a %s step' % r.value)
+        memo[q] = out
+        return out
+
+    return go(p)
 
 
 # ---------------------------------------------------------------------------

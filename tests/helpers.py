@@ -1,7 +1,7 @@
 """Builders shared by the test modules: exhaustive formula enumeration,
 the backward-applicable rule instances of a goal, exhaustive small-proof
-search, grafting of lazy proofs, deep finite proofs, a reference
-proof-to-JSON encoder, truth at one world of a Kripke model, and the
+search, grafting of lazy proofs, deep finite proofs, a loaded cut
+composition, a reference proof-to-JSON encoder, truth at one world of a Kripke model, and the
 frames of the oracle by brute force."""
 
 import itertools
@@ -11,12 +11,16 @@ from grzproofs.calculus import (
     Rule, System, ax_atom, ax_bottom, ax_general, box_grz, box_inf, imp_l,
     imp_r, refl,
 )
-from grzproofs.proofs import CyclicNode, CyclicProof, LazyProof, eager, leaf
-from grzproofs.prover import _order_fault, _relabel
-from grzproofs.syntax import (
-    Atom, Bottom, Box, Implies, BOT, PrintMemo, format_sequent,
-    parse_sequent,
+from grzproofs.proofs import (
+    CyclicNode, CyclicProof, LazyProof, cyclic_from_wf, dump_proof, eager,
+    leaf, load_proof, unravel,
 )
+from grzproofs.prover import _order_fault, _relabel, decide
+from grzproofs.syntax import (
+    Atom, Bottom, Box, Implies, BOT, PrintMemo, Sequent, format_sequent,
+    mset, parse_formula, parse_sequent,
+)
+from grzproofs.transforms import build_cut, inf_to_seq
 
 P = Atom('p')
 Q = Atom('q')
@@ -123,6 +127,18 @@ def refl_chain(n):
         s = inst.premises[0]
     nodes[n] = CyclicNode(s, ax_general(s, P))
     return CyclicProof(nodes, 0, {}, System.GRZ_SEQ)
+
+
+def loaded_cut_composition(a, b, c):
+    """The finitary proof with cut of  a => c, loaded from its JSON: the
+    cut on b of proofs of  a => b  and  b => c  found by ``decide`` and
+    translated by ``inf_to_seq``.  Equal steps recur in it, and so do
+    equal subproofs."""
+    a, b, c = map(parse_formula, (a, b, c))
+    halves = [inf_to_seq(unravel(decide(Sequent(mset(x), mset(y))).proof))
+              for x, y in ((a, b), (b, c))]
+    return load_proof(dump_proof(cyclic_from_wf(
+        build_cut(halves[0], halves[1], b), System.GRZ_SEQ_CUT)))
 
 
 def proof_to_json(proof):

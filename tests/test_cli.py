@@ -276,6 +276,25 @@ class TestMalformedProofJson:
         assert run('cutfree', str(path)) == 2
         assert ('error: %s' % message) in capsys.readouterr().err
 
+    @pytest.mark.parametrize('backlinks, message', [
+        ({'9': 42}, 'back-link 9 -> 42 references a missing node'),
+        ({'9': 0, '55': 0}, 'back-link 55 -> 0 references a missing node'),
+    ])
+    def test_a_backlink_end_without_a_node(self, tmp_path, capsys,
+                                           backlinks, message):
+        # export-dot drew the dashed edge to or from the missing node and
+        # exited 0.
+        with open(EXAMPLE) as fh:
+            data = json.load(fh)
+        data['backlinks'] = backlinks
+        path = tmp_path / 'bad.json'
+        path.write_text(json.dumps(data))
+        assert run('check', str(path)) == 1
+        assert message in capsys.readouterr().out
+        for verb in ('export-dot', 'cutfree'):
+            assert run(verb, str(path)) == 2
+            assert capsys.readouterr().err == 'error: %s\n' % message
+
     @pytest.mark.parametrize('argv', [['cutfree'], ['slim'], ['regularize'],
                                       ['translate', '--to', 'seq']])
     def test_backlink_to_a_node_without_a_rule(self, tmp_path, capsys,

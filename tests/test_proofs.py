@@ -30,7 +30,7 @@ from grzproofs.transforms import (
     seq_to_inf, slim,
 )
 
-from helpers import proof_to_json, refl_chain
+from helpers import loaded_cut_composition, proof_to_json, refl_chain
 
 P, Q = Atom('p'), Atom('q')
 
@@ -462,6 +462,81 @@ class TestSharedSteps:
             stack.extend(p.children)
         assert check_wf(wf).ok
         assert 2 * len(objects) < positions
+
+
+def _refl_pair(leaf_rule):
+    """A grz_inf_cut proof whose cut has two equal ``refl`` steps over
+    the leaves 3 and 4, each a ``leaf_rule`` step on p, or a node
+    without a rule when ``leaf_rule`` is None."""
+    principal = None if leaf_rule is None else 'p'
+    return json.dumps({
+        'system': 'grz_inf_cut',
+        'nodes': [_node(0, 'cut', None, [1, 2], cut_formula='r'),
+                  _node(1, 'refl', '[]p', [3]), _node(2, 'refl', '[]p', [4]),
+                  _node(3, leaf_rule, principal, []),
+                  _node(4, leaf_rule, principal, [])],
+        'backlinks': {}})
+
+
+_REFL = 'refl principal []p not in antecedent of p => q'
+
+
+def _subtree_keys(proof):
+    """Each node id of a finite cyclic proof with a value that two ids
+    share exactly when their subtrees record equal steps, node by node:
+    rule, sequent, principal and cut formula."""
+    order, stack = [], [proof.root]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        stack.extend(proof.nodes[i].children)
+    key = {}
+    for i in reversed(order):
+        n, inst = proof.nodes[i], proof.nodes[i].inst
+        step = (None if inst is None
+                else (inst.rule, inst.principal, inst.cut_formula))
+        key[i] = (n.sequent, step, tuple(key[c] for c in n.children))
+    return key
+
+
+class TestSharedSubproofs:
+    """``wf_from_cyclic`` builds one lazy node per distinct subtree."""
+
+    def test_equal_subtrees_are_one_node(self):
+        # The input of the  G(p) | []p | [][][]p  cut composition: 43
+        # nodes, 28 distinct subtrees.
+        proof = loaded_cut_composition('[]([](p -> []p) -> p)', '[]p',
+                                       '[][][]p')
+        key = _subtree_keys(proof)
+        positions, stack = [], [(proof.root, wf_from_cyclic(proof))]
+        while stack:
+            i, p = stack.pop()
+            positions.append((i, p))
+            stack.extend(zip(proof.nodes[i].children, p.children))
+        assert len(positions) == len(proof.nodes) == 43
+        node_of = {}
+        for i, p in positions:
+            assert node_of.setdefault(key[i], p) is p
+        assert len({id(p) for _, p in positions}) == len(node_of) == 28
+
+    def test_a_shared_invalid_subtree_is_reported_at_each_position(self):
+        proof = load_proof(_refl_pair('ax_atom'))
+        wf = wf_from_cyclic(proof)
+        assert wf.child(0) is wf.child(1)
+        expected = [_CUT_PREMISES, _REFL, _AX_ATOM, _REFL, _AX_ATOM]
+        assert check_cyclic(proof).violations == expected
+        assert check_wf(wf, System.GRZ_INF_CUT).violations == expected
+
+    def test_a_node_without_a_rule_is_not_shared(self):
+        # Nodes 1 and 2 record one step, but over two different nodes
+        # without a rule: each keeps its own node and its own message.
+        wf = wf_from_cyclic(load_proof(_refl_pair(None)))
+        left, right = wf.children
+        assert left is not right
+        for i, p in ((3, left), (4, right)):
+            with pytest.raises(ValueError, match=(
+                    '^node %d has no rule and no back-link$' % i)):
+                p.child(0)
 
 
 class TestCheckCyclicRejections:

@@ -536,6 +536,29 @@ class TestTranslations:
                 '^cannot translate a %s step$' % step.__name__)):
             translate(leaf(step(parse_sequent('p => p'), P)))
 
+    def test_a_shared_input_node_is_translated_once(self, monkeypatch):
+        # wf_from_cyclic makes the 43 positions of this input 28 nodes.
+        proof = helpers.loaded_cut_composition('[]([](p -> []p) -> p)',
+                                               '[]p', '[][][]p')
+        wf = wf_from_cyclic(proof)
+        knots = []
+        monkeypatch.setattr(transforms, '_grz_knot',
+                            lambda a: knots.append(a) or _grz_knot(a))
+        out_of, stack = {}, [(wf, seq_to_inf(wf))]
+        while stack:
+            p, q = stack.pop()
+            out_of.setdefault(p, set()).add(q)
+            if p.rule is Rule.BOX_GRZ:
+                # The premise's translation sits above the right premise
+                # of the box step under the cut that the step becomes.
+                stack.append((p.child(0),
+                              q.child(1).child(0).child(1).child(0)))
+            else:
+                stack.extend(zip(p.children, q.children))
+        assert sum(map(len, out_of.values())) == len(out_of) == 28
+        box_steps = [p for p in out_of if p.rule is Rule.BOX_GRZ]
+        assert len(knots) == len(box_steps) == 6
+
     def test_box_grz_compilation_introduces_cuts(self):
         wf = one_wf('=> []p -> []p')
         lazy = seq_to_inf(wf)
