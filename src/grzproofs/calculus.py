@@ -9,7 +9,8 @@ go through that constructor.
 Four systems are supported:
 
 * ``GRZ_SEQ``      -- the finitary calculus with general axioms and the
-                      box rule whose premise carries [](A -> []A);
+                      box rule whose premise carries ``unfolding(A)``,
+                      that is [](A -> []A), the one place it is built;
 * ``GRZ_SEQ_CUT``  -- the same plus cut;
 * ``GRZ_INF``      -- the non-well-founded calculus with atomic axioms and
                       the two-premise box rule;
@@ -189,12 +190,18 @@ def _box_inf_at(concl, principal, right):
     return RuleInstance(_BOX_INF, concl, (left, right), principal)
 
 
+def unfolding(a):
+    """[](A -> []A): what the finitary box rule on []A adds to the
+    antecedent of its premise."""
+    return Box(Implies(a, Box(a)))
+
+
 def box_grz(concl, principal, pi):
     """The finitary box rule with premise []Pi, [](A -> []A) => A."""
     pi = box_context(concl, pi)
     _box_principal(concl, principal)
     a = principal.inner
-    prem = Sequent(pi.add(Box(Implies(a, principal))), mset(a))
+    prem = Sequent(pi.add(unfolding(a)), mset(a))
     return RuleInstance(_BOX_GRZ, concl, (prem,), principal)
 
 
@@ -233,7 +240,7 @@ def _rebuild_box_inf(inst, concl):
 def _rebuild_box_grz(inst, concl):
     p = inst.principal
     _box_principal(concl, p)
-    trace = mset(Box(Implies(p.inner, p)))
+    trace = mset(unfolding(p.inner))
     return box_grz(concl, p, _premises(inst, 1)[0].ant.difference(trace))
 
 

@@ -7,9 +7,10 @@ interpolating, countermodel search, corpus generation, and DOT export.
 Each verb takes only the options it reads.  Exit codes: 0 success /
 valid / proved; 1 checked-and-negative (invalid proof, countermodel
 verdict, no countermodel found); 2 usage or input errors; 3 a resource
-limit was hit (the search passed ``--max-crossings``, ``regularize`` passed
-its crossing or node cap), the input is nested too deeply, or the program
-ran out of memory; 4 a proof to write (proved, folded or translated) failed
+limit was hit (the search passed ``--max-crossings``, the oracle passed
+``--max-model-size`` after search failed, ``regularize`` passed its crossing
+or node cap), the input is nested too deeply, or the program ran out of
+memory; 4 a proof to write (proved, folded or translated) failed
 ``check_cyclic`` and was not written, which is a fault of the program.
 """
 
@@ -26,7 +27,7 @@ from .syntax import (
     parse_formula, parse_sequent,
 )
 from .calculus import System, ax_general, ax_bottom, imp_r, imp_l, refl, \
-    box_grz
+    box_grz, unfolding
 from .proofs import (
     ResourceLimitError, leaf, eager, check_cyclic, unravel, cyclic_from_wf,
     wf_from_cyclic, dump_proof, load_proof, proof_to_dot, cutfree_to_depth,
@@ -136,8 +137,7 @@ def random_wf_proof(rng, steps=6):
             a, proof, n = rng.choice(_theorem_cache)
             pi = Multiset(Box(_random_formula(rng, rng.randint(1, 2)))
                           for _ in range(rng.randint(0, 2)))
-            trace = Box(Implies(a, Box(a)))
-            prem = wk(proof, pi.add(trace), EMPTY)
+            prem = wk(proof, pi.add(unfolding(a)), EMPTY)
             concl = Sequent(pi.union(rand_ms()), rand_ms().add(Box(a)))
             inst = box_grz(concl, Box(a), pi)
             pool.append((eager(inst, prem), 1 + n))
@@ -367,12 +367,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ResourceLimitError as e:
-        # An exhausted search or fold is not an input error: the input may
-        # be fine.
+    except (ResourceLimitError, ProverError) as e:
+        # An exhausted search or fold, or the oracle's model-size bound (a
+        # plain ``ProverError``), is not an input error: the input may be fine.
         print('error: %s' % e, file=sys.stderr)
         return 3
-    except (ProverError, OSError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print('error: %s' % e, file=sys.stderr)
         return 2
     except RecursionError as e:

@@ -27,7 +27,8 @@ from .syntax import (
     neg, conj, disj, diamond, atom_polarities,
 )
 from .calculus import (
-    reinstance, _AX_ATOM, _AX_BOTTOM, _IMP_L, _IMP_R, _REFL, _BOX_INF, _CUT,
+    reinstance, box_inf,
+    _AX_ATOM, _AX_BOTTOM, _IMP_L, _IMP_R, _REFL, _BOX_INF, _CUT,
 )
 from .proofs import unravel, check_cyclic
 from .prover import decide, provable
@@ -142,7 +143,7 @@ def _interp(q, sides, lams, memo):
         else:
             if r is _BOX_INF:
                 # Crossed on this content before: stay in the main fragment.
-                parts = (Sequent(part.ant, part.suc.remove(pr).add(pr.inner)),)
+                parts = box_inf(part, pr, EMPTY).premises[:1]
             else:
                 parts = reinstance(inst, part).premises
             other = sides[not side]

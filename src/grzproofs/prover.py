@@ -44,7 +44,9 @@ evaluates each candidate frame and valuation in one flat loop over that
 list, which ``truth_mask`` runs too; so no formula's depth makes it
 recurse.  The frames of each size are built once per process: each
 labelled poset extends a smaller one by one world, and the first of each
-isomorphism class is kept.
+isomorphism class is kept.  A frame's box masks come from ``_BoxMasks``
+alone, each worked out on first use, so a frame of n worlds holds only
+the masks asked for, not all 2^n.
 """
 
 from __future__ import annotations
@@ -207,27 +209,21 @@ def _evaluate(steps, full, boxes, vals):
 
 
 class _BoxMasks(dict):
-    """``boxes`` for ``_evaluate`` on the frame ``order`` of any size: the
-    mask of each box is worked out when first asked for, where a table of
-    every mask, as ``_frames`` holds, would take 2^n entries."""
+    """``boxes`` for ``_evaluate`` on the frame ``order``: the mask of the
+    worlds all of whose successors are in ``inner``, worked out when first
+    asked for, as a table of every mask would take 2^n entries."""
 
     def __init__(self, order):
         super().__init__()
         self.order = order
 
     def __missing__(self, inner):
-        mask = self[inner] = _box_mask(self.order, inner)
+        mask = 0
+        for w, succ in enumerate(self.order):
+            if not succ & ~inner:
+                mask |= 1 << w
+        self[inner] = mask
         return mask
-
-
-def _box_mask(order, inner):
-    """The worlds of the frame ``order`` all of whose successors are in
-    ``inner``."""
-    mask = 0
-    for w, succ in enumerate(order):
-        if not succ & ~inner:
-            mask |= 1 << w
-    return mask
 
 
 def _labelled_orders(n):
@@ -307,15 +303,14 @@ def _relabel(order, perm):
 
 @lru_cache(maxsize=None)
 def _frames(n):
-    """The frames of ``enumerate_orders(n)``, each checked once, with the
-    mask of each box on it: ``boxes[m]`` for each mask m of worlds."""
+    """The frames of ``enumerate_orders(n)``, each checked once, with its
+    ``_BoxMasks``."""
     out = []
     for order in enumerate_orders(n):
         fault = _order_fault(order, n)
         if fault:
             raise ProverError('frame table: %s in %s' % (fault, order))
-        out.append((order, tuple(_box_mask(order, m)
-                                 for m in range(1 << n))))
+        out.append((order, _BoxMasks(order)))
     return tuple(out)
 
 

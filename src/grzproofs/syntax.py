@@ -48,6 +48,31 @@ class Formula:
 
     __hash__ = object.__hash__      # equal formulas are one object
 
+    def __new__(cls, *fields):
+        """The live formula ``cls(*fields)``, built if there is none: the
+        one constructor of every kind.  A wrong number of fields never
+        names a live formula, so it is checked on a miss only."""
+        ident = (cls,) + fields
+        ref = _TABLE.get(ident)
+        if ref is not None:
+            f = ref()
+            if f is not None:
+                return f
+        if len(fields) != len(cls._fields):
+            raise TypeError('%s takes %d fields, not %d'
+                            % (cls.__name__, len(cls._fields), len(fields)))
+        with _TABLE_LOCK:
+            ref = _TABLE.get(ident)
+            f = ref() if ref is not None else None
+            if f is None:
+                f = object.__new__(cls)
+                for name, value in zip(cls._fields, fields):
+                    object.__setattr__(f, name, value)
+                object.__setattr__(f, '_key', f._order_key())
+                _TABLE[ident] = weakref.ref(f, lambda _, key=ident:
+                                            _remove_dead_weakref(_TABLE, key))
+        return f
+
     def __setattr__(self, name, value):
         raise AttributeError('formulas are immutable')
 
@@ -76,32 +101,8 @@ _TABLE = {}
 _TABLE_LOCK = threading.Lock()
 
 
-def _intern(cls, fields):
-    """The live formula ``cls(*fields)``, built if there is none."""
-    ident = (cls,) + fields
-    ref = _TABLE.get(ident)
-    if ref is not None:
-        f = ref()
-        if f is not None:
-            return f
-    with _TABLE_LOCK:
-        ref = _TABLE.get(ident)
-        f = ref() if ref is not None else None
-        if f is None:
-            f = object.__new__(cls)
-            for name, value in zip(cls._fields, fields):
-                object.__setattr__(f, name, value)
-            object.__setattr__(f, '_key', f._order_key())
-            _TABLE[ident] = weakref.ref(
-                f, lambda _, ident=ident: _remove_dead_weakref(_TABLE, ident))
-    return f
-
-
 class Bottom(Formula):
     __slots__ = ()
-
-    def __new__(cls):
-        return _intern(cls, ())
 
     def _order_key(self):
         return (0,)
@@ -110,9 +111,6 @@ class Bottom(Formula):
 class Atom(Formula):
     __slots__ = _fields = ('name',)
 
-    def __new__(cls, name):
-        return _intern(cls, (name,))
-
     def _order_key(self):
         return (1, self.name)
 
@@ -120,18 +118,12 @@ class Atom(Formula):
 class Implies(Formula):
     __slots__ = _fields = ('left', 'right')
 
-    def __new__(cls, left, right):
-        return _intern(cls, (left, right))
-
     def _order_key(self):
         return (2, self.left._key, self.right._key)
 
 
 class Box(Formula):
     __slots__ = _fields = ('inner',)
-
-    def __new__(cls, inner):
-        return _intern(cls, (inner,))
 
     def _order_key(self):
         return (3, self.inner._key)

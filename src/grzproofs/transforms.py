@@ -21,7 +21,7 @@ from .syntax import (
     Atom, Bottom, Box, Implies, BOT, Multiset, Sequent, EMPTY, mset,
 )
 from .calculus import (
-    System, SHARED_RULES, reinstance, fixed_premise,
+    System, SHARED_RULES, reinstance, fixed_premise, unfolding,
     ax_atom, ax_bottom, ax_general, imp_r, imp_l, refl, box_inf, box_grz, cut,
     _AX_ATOM, _AX_GENERAL, _IMP_L, _IMP_R, _REFL, _BOX_INF,
     _BOX_GRZ, _CUT,
@@ -477,19 +477,19 @@ def regularize(p, max_crossings=64, max_nodes=1000000):
 def _grz_knot(a):
     """A lazy cut-free proof of  [](([](A -> []A) -> A)) => A, tied as a
     knot: the right premise of its second box step is the root again."""
-    box_a = Box(a)
-    step = Implies(a, box_a)
-    g = Implies(Box(step), a)
+    trace = unfolding(a)
+    step = trace.inner
+    g = Implies(trace, a)
     f = Box(g)
     r0 = refl(Sequent(mset(f), mset(a)), f)
     r1 = imp_l(r0.premises[0], g)
-    r3 = box_inf(r1.premises[1], Box(step), mset(f))
+    r3 = box_inf(r1.premises[1], trace, mset(f))
     r4 = imp_r(r3.premises[0], step)
     r7 = imp_r(r3.premises[1], step)
-    r8 = box_inf(r7.premises[0], box_a, mset(f))
+    r8 = box_inf(r7.premises[0], Box(a), mset(f))
     ax = ax_proof(mset(f), a, EMPTY)
     root = eager(r0, eager(r1, ax, eager(
-        r3, eager(r4, ax_proof(mset(f), a, mset(box_a))),
+        r3, eager(r4, ax_proof(mset(f), a, mset(Box(a)))),
         eager(r7, LazyProof(r8, (ax, lambda k: root))))))
     return root
 
@@ -547,19 +547,20 @@ def seq_to_inf(p):
                             make=lambda k: go(q.child(k)))
         elif r is _BOX_GRZ:
             a = pr.inner
-            trace = Box(Implies(a, pr))
+            trace = unfolding(a)
             g = Implies(trace, a)
             f = Box(g)
             pi = inst.premises[0].ant.difference(mset(trace))
+            step = box_inf(c, pr, pi)
+            step_cut = cut(step.premises[1], f)             # []Pi => A
+            step_box = box_inf(step_cut.premises[0], f, pi)
+            left, right = (imp_r(s, g) for s in step_box.premises)
             xi = go(q.child(0))                 # []Pi, [](A -> []A) => A
-            xi2 = wk(xi, EMPTY, mset(a))
-            mu = eager(imp_r(Sequent(pi, mset(g)), g), xi)
-            mu2 = eager(imp_r(Sequent(pi, mset(g, a)), g), xi2)
-            nu = eager(box_inf(Sequent(pi, mset(f, a)), f, pi), mu2, mu)
-            theta = wk(_grz_knot(a), pi, EMPTY)
-            lam = eager(cut(Sequent(pi, mset(a)), f), nu, theta)
+            nu = eager(step_box, eager(left, wk(xi, EMPTY, mset(a))),
+                       eager(right, xi))
+            lam = eager(step_cut, nu, wk(_grz_knot(a), pi, EMPTY))
             side = wk(lam, c.ant.difference(pi), c.suc.remove(pr))
-            out = eager(box_inf(c, pr, pi), side, lam)
+            out = eager(step, side, lam)
         else:
             raise TransformError('cannot translate a %s step' % r.value)
         memo[q] = out
@@ -628,8 +629,7 @@ def inf_to_seq(p):
             continue
         extra = contexts.get(lam)
         if extra is None:
-            extra = contexts[lam] = Multiset(Box(Implies(a, Box(a)))
-                                             for a in lam)
+            extra = contexts[lam] = Multiset(unfolding(a) for a in lam)
         c = q.root
         target = Sequent(extra.union(c.ant), c.suc)
         if r is _AX_ATOM:
@@ -638,11 +638,11 @@ def inf_to_seq(p):
             out = eager(reinstance(inst, target), *kids)
         elif r is _BOX_INF:
             a = pr.inner
-            trace = Box(Implies(a, pr))
             if a in lam:
                 # Unfold the stored obligation instead of crossing again.
+                trace = unfolding(a)
                 step_refl = refl(target, trace)
-                step_impl = imp_l(step_refl.premises[0], Implies(a, pr))
+                step_impl = imp_l(step_refl.premises[0], trace.inner)
                 ax = leaf(ax_general(step_impl.premises[0], pr))
                 sub = wk(kids[0], EMPTY, mset(pr))
                 out = eager(step_refl, eager(step_impl, ax, sub))

@@ -69,6 +69,17 @@ class TestProve:
         err = capsys.readouterr().err
         assert err.startswith('error: exceeded 1 box crossings at ')
 
+    @pytest.mark.parametrize('argv, goal', [
+        (('prove', 'p -> []p'), ' => p -> []p'),
+        (('interpolate', 'p', '[]p'), 'p => []p'),
+    ], ids=['prove', 'interpolate'])
+    def test_an_exhausted_model_size_exits_3(self, capsys, argv, goal):
+        # p -> []p needs a countermodel of two worlds.
+        assert run(*argv, '--max-model-size', '1') == 3
+        assert capsys.readouterr().err == (
+            'error: search failed on %s but the oracle found no '
+            'countermodel up to size 1\n' % goal)
+
     def test_too_deeply_nested_a_formula_exits_3(self, capsys):
         assert run('prove', '[]' * 1000 + 'p -> p') == 3
         err = capsys.readouterr().err

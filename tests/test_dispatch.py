@@ -120,6 +120,18 @@ def test_finitary_output_bytes_are_unchanged(golden_outputs, tmp_path):
     assert h.hexdigest() == GOLDEN_FINITARY
 
 
+# sha256 of the bytes of ``grzproofs corpus --count 50 --seed 0`` alone.
+GOLDEN_CORPUS = ('45579af6cabf29b0c129d8aab58e1884'
+                 '2b90f88a6146e74be1c1827d8db40416')
+
+
+def test_corpus_bytes_are_unchanged(tmp_path):
+    corpus = tmp_path / 'corpus.json'
+    assert main(['corpus', '--count', '50', '--seed', '0',
+                 '-o', str(corpus)]) == 0
+    assert hashlib.sha256(corpus.read_bytes()).hexdigest() == GOLDEN_CORPUS
+
+
 # sha256 of the cut-free proofs of four of the cut compositions that the
 # benchmark's ``cutchain`` workload runs, as the code produced them before
 # ``regularize`` named its output's system from the steps it emits.  Their

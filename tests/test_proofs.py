@@ -81,6 +81,14 @@ class TestBundledExample:
     def test_unraveling_validates_deeply(self, example):
         assert validate_to_depth(unravel(example), System.GRZ_INF, 12).ok
 
+    def test_a_report_is_true_when_the_proof_is_valid(self, example):
+        assert bool(check_cyclic(example)) is True
+        nodes = dict(example.nodes)
+        last = max(nodes)
+        nodes[last] = replace(nodes[last], sequent=parse_sequent('=> p'))
+        assert bool(check_cyclic(CyclicProof(
+            nodes, example.root, example.backlinks, example.system))) is False
+
 
 class TestlazyProofs:
     def test_child_validates_the_premise(self):
@@ -107,6 +115,10 @@ class TestlazyProofs:
             texts.append(str(e.value))
         assert texts == ['child 0 proves q => q, expected premise '
                          'p, p => p (rule imp_r at p => p -> p)'] * 2
+
+    def test_repr_names_the_rule_and_the_root(self):
+        p = leaf(ax_atom(parse_sequent('p => p'), P))
+        assert repr(p) == 'LazyProof(ax_atom @ p => p)'
 
     def test_a_wrong_number_of_children_is_rejected(self):
         inst = imp_r(parse_sequent('p => p -> p'), Implies(P, P))

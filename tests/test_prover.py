@@ -265,6 +265,19 @@ class TestFrames:
     def test_frames_match_brute_force(self, n):
         assert prover.enumerate_orders(n) == brute_force_orders(n)
 
+    def test_a_frame_that_is_no_partial_order_is_rejected(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(prover, 'enumerate_orders',
+                            lambda n: ((0b11, 0b11),))
+        prover._frames.cache_clear()
+        try:
+            with pytest.raises(prover.ProverError) as e:
+                prover._frames(2)
+        finally:
+            prover._frames.cache_clear()
+        assert str(e.value) == ('frame table: order not antisymmetric in '
+                                '(3, 3)')
+
     def test_frame_counts(self):
         # Labelled posets and posets up to isomorphism on 1..4 worlds.
         assert [len(prover._labelled_orders(n)) for n in range(1, 5)] == [

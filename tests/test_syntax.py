@@ -448,6 +448,12 @@ class TestHashConsing:
         assert repr(Implies(P, Q)) == \
             "Implies(left=Atom(name='p'), right=Atom(name='q'))"
 
+    @pytest.mark.parametrize('cls, fields', [
+        (Bottom, ('p',)), (Atom, ()), (Implies, (P,)), (Box, (P, Q))])
+    def test_a_wrong_number_of_fields_is_a_type_error(self, cls, fields):
+        with pytest.raises(TypeError):
+            cls(*fields)
+
     def test_copies_are_the_same_object(self):
         f = parse_formula('[](p -> q) -> false')
         assert copy.deepcopy(f) is f

@@ -337,6 +337,18 @@ class TestCutReduction:
         assert reduce_cut(Q, lft, rgt) is lft
         assert reduce_cut(P, lft, lft) is lft
 
+    def test_a_box_cut_on_a_false_axiom_is_not_initial(self):
+        # The right step is no valid axiom: []p is not in its succedent.
+        # Reducing the cut comes to close  []p =>  by an axiom, and no
+        # axiom closes it.
+        a = Box(P)
+        lft = leaf(ax_general(parse_sequent('[]p => []p'), a))
+        rgt = leaf(calculus.RuleInstance(
+            Rule.AX_GENERAL, parse_sequent('[]p, []p =>'), (), a))
+        with pytest.raises(TransformError) as e:
+            reduce_cut(a, lft, rgt)
+        assert str(e.value) == 'sequent []p =>  is not initial'
+
     def test_build_cut_needs_a_cut_formula(self):
         p = one_proof('p => p')
         with pytest.raises(TransformError) as e:
