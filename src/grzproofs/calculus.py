@@ -4,7 +4,9 @@ Each rule is stated once, by its constructor, which builds the premises of
 a step from its conclusion and principal formula and rejects a step that
 does not fit the rule.  Rebuilding a step at another conclusion
 (``reinstance``) and checking a recorded step (``step_violations``) both
-go through that constructor.
+go through that constructor.  ``crossing`` is the one statement of which
+premise is the right premise of the two-premise box rule, the premise
+that guarded branches cross.
 
 Four systems are supported:
 
@@ -283,12 +285,19 @@ def reinstance(inst, concl):
     return entry[1](inst, concl)
 
 
+def crossing(rule, k):
+    """Is premise ``k`` of a ``rule`` step the right premise of the
+    two-premise box rule?  A branch that passes through it infinitely
+    often is guarded."""
+    return rule is _BOX_INF and k == 1
+
+
 def fixed_premise(rule, k):
     """Is premise ``k`` of a ``rule`` step independent of the side formulas
     of the conclusion?  So are the right premise of the two-premise box
     rule and the premise of the finitary box rule: both hold only the boxed
     context."""
-    return rule is _BOX_GRZ or (rule is _BOX_INF and k == 1)
+    return rule is _BOX_GRZ or crossing(rule, k)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ memory; 4 a proof to write (proved, folded or translated) failed
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -57,17 +58,15 @@ _THEOREM_POOL = ['p -> p', '[]p -> p', 'false -> q', 'q -> (p -> q)',
                  'p -> (q -> p)', '[]q -> q']
 
 
+@functools.cache
 def _theorem_proofs():
     out = []
     for text in _THEOREM_POOL:
         f = parse_formula(text)
-        v = decide(Sequent(EMPTY, mset(f)))
+        v = decide(f)
         proof = inf_to_seq(unravel(v.proof))
         out.append((f, proof, proof.size()))
-    return out
-
-
-_theorem_cache = []
+    return tuple(out)
 
 
 def random_wf_proof(rng, steps=6):
@@ -75,12 +74,9 @@ def random_wf_proof(rng, steps=6):
     by forward construction from axioms.  The largest proof built wins;
     each carries its size, since weakening keeps the size and forcing a
     weakened proof to count it would build it."""
-    if not _theorem_cache:
-        _theorem_cache.extend(_theorem_proofs())
-
-    def rand_ms(max_len=2, size=2):
-        return Multiset(_random_formula(rng, rng.randint(1, size))
-                        for _ in range(rng.randint(0, max_len)))
+    def rand_ms():
+        return Multiset(_random_formula(rng, rng.randint(1, 2))
+                        for _ in range(rng.randint(0, 2)))
 
     def rand_axiom():
         if rng.random() < 0.25:
@@ -134,7 +130,7 @@ def random_wf_proof(rng, steps=6):
                                    wk(p2, mset(a), EMPTY), a),
                          1 + n1 + n2))
         elif op == 'box':
-            a, proof, n = rng.choice(_theorem_cache)
+            a, proof, n = rng.choice(_theorem_proofs())
             pi = Multiset(Box(_random_formula(rng, rng.randint(1, 2)))
                           for _ in range(rng.randint(0, 2)))
             prem = wk(proof, pi.add(unfolding(a)), EMPTY)
@@ -184,7 +180,7 @@ def _countermodel_text(found):
 def _parse_goal(text):
     if '=>' in text:
         return parse_sequent(text)
-    return Sequent(EMPTY, mset(parse_formula(text)))
+    return parse_formula(text)
 
 
 def _cmd_prove(args):

@@ -19,10 +19,11 @@ Two representations, with conversions:
                      keeps the ids of its file.
 
 A branch of an infinite proof is *guarded* when it passes through the right
-premise of the two-premise box rule infinitely often.  Checking guardedness
-on a lazy tree is impossible in general; it is checked on the finite
-``CyclicProof`` presentation (where it amounts to a condition on back-link
-cycles) and preserved by construction everywhere else.
+premise of the two-premise box rule (``calculus.crossing``) infinitely
+often.  Checking guardedness on a lazy tree is impossible in general; it
+is checked on the finite ``CyclicProof`` presentation (where it amounts
+to a condition on back-link cycles) and preserved by construction
+everywhere else.
 
 The *n-fragment* of a lazy proof is the finite tree obtained by cutting
 every branch at its n-th crossing of a box right premise; the cut points
@@ -53,7 +54,7 @@ from .syntax import (
     Sequent, ParseMemo, PrintMemo, format_sequent, parse_sequent,
 )
 from .calculus import (
-    Rule, RuleInstance, System, step_violations, _BOX_INF, _CUT,
+    Rule, RuleInstance, System, crossing, step_violations, _CUT,
 )
 
 
@@ -142,12 +143,6 @@ def eager(inst, *children):
 # Fragments
 
 
-def _crossing_child(rule, i):
-    """Does the edge to child ``i`` of a ``rule`` node cross into a box
-    right premise?"""
-    return rule is _BOX_INF and i == 1
-
-
 def local_height(proof):
     """Height of the 1-fragment: the length of the longest branch up to
     the first crossing of a box right premise.  The crossing child is
@@ -159,7 +154,7 @@ def local_height(proof):
         best = max(best, d)
         for i in range(p.inst.arity):
             c = p.child(i)
-            if _crossing_child(p.rule, i):
+            if crossing(p.rule, i):
                 best = max(best, d + 1)
             else:
                 stack.append((c, d + 1))
@@ -230,9 +225,8 @@ def validate_to_depth(proof, system, n):
             continue
         violations.extend(check(p.inst))
         for i in range(p.inst.arity):
-            cc = count + 1 if _crossing_child(p.rule, i) else count
             try:
-                stack.append((p.child(i), cc))
+                stack.append((p.child(i), count + crossing(p.rule, i)))
             except ValueError as e:
                 violations.append(str(e))
     return Report(not violations, violations)
@@ -248,8 +242,7 @@ def walk_to_depth(proof, n):
             continue
         yield p, count
         for i in range(p.inst.arity):
-            cc = count + 1 if _crossing_child(p.rule, i) else count
-            stack.append((p.child(i), cc))
+            stack.append((p.child(i), count + crossing(p.rule, i)))
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +392,8 @@ def check_cyclic(proof):
         while cur is not None and cur != d:
             up = parent.get(cur)
             if not crossed and up is not None and nodes[up].inst is not None:
-                crossed = _crossing_child(nodes[up].inst.rule,
-                                          nodes[up].children.index(cur))
+                crossed = crossing(nodes[up].inst.rule,
+                                   nodes[up].children.index(cur))
             cur = up
         if cur is None:
             v.append('back-link target %s is not an ancestor of %s' % (d, a))
@@ -587,7 +580,7 @@ def proof_from_json(data):
 
     def formula(d, name, where):
         text = _typed(d.get(name), (str, type(None)), 'a string', name, where)
-        return formulas[text] if text else None
+        return formulas[text] if text is not None else None
 
     nodes = {}
     steps = {}      # (rule text, ids of the sequents and formulas) -> step

@@ -60,11 +60,9 @@ from .syntax import (
     sequent_to_formula, _canonical,
 )
 from .calculus import (
-    System, ax_atom, ax_bottom, imp_r, imp_l, refl, box_inf,
+    System, crossing, ax_atom, ax_bottom, imp_r, imp_l, refl, box_inf,
 )
-from .proofs import (
-    CyclicNode, CyclicProof, ResourceLimitError, _crossing_child,
-)
+from .proofs import CyclicNode, CyclicProof, ResourceLimitError
 
 
 class ProverError(Exception):
@@ -491,11 +489,10 @@ def _to_cyclic(snode):
         nodes[i] = None       # holds id i until the node is built
         kids = []
         for k, ch in enumerate(children):
-            if _crossing_child(inst.rule, k) and ch[1] is not None:
-                # A fresh crossing: it joins the branch history.
-                kids.append(build(ch, crossings + ((ch[0], len(nodes)),)))
-            else:
-                kids.append(build(ch, crossings))
+            # A fresh crossing joins the branch history.
+            fresh = crossing(inst.rule, k) and ch[1] is not None
+            kids.append(build(ch, crossings + ((ch[0], len(nodes)),)
+                              if fresh else crossings))
         nodes[i] = CyclicNode(sequent, inst, tuple(kids))
         return i
 

@@ -17,11 +17,12 @@ multiset equality.  Multisets and sequents are not interned; each keeps
 its hash once it is worked out.
 
 The parser is an iterative precedence parser over the tokens of one
-regular expression, and the printer is iterative too, so formulas of any
-depth parse and print.  A sequent text splits at '=>' and ',', which no
-formula contains, so spacing is free.  A caller parsing or printing many
-sequents can pass each call one ``ParseMemo`` or ``PrintMemo``, which
-parses each distinct formula text, or prints each distinct formula, once.
+regular expression, and the printer and ``atom_polarities`` are iterative
+too, so formulas of any depth parse, print and have their polarities
+read.  A sequent text splits at '=>' and ',', which no formula contains,
+so spacing is free.  A caller parsing or printing many sequents can pass
+each call one ``ParseMemo`` or ``PrintMemo``, which parses each distinct
+formula text, or prints each distinct formula, once.
 """
 
 from __future__ import annotations
@@ -173,18 +174,22 @@ def subformulas(*roots):
     return frozenset(out)
 
 
-def atom_polarities(f, positive=True, out=None):
+def atom_polarities(f):
     """Map each atom name occurring in ``f`` to the set of polarities
-    ('+' / '-') with which it occurs."""
-    if out is None:
-        out = {}
-    if isinstance(f, Atom):
-        out.setdefault(f.name, set()).add('+' if positive else '-')
-    elif isinstance(f, Implies):
-        atom_polarities(f.left, not positive, out)
-        atom_polarities(f.right, positive, out)
-    elif isinstance(f, Box):
-        atom_polarities(f.inner, positive, out)
+    ('+' / '-') with which it occurs, the names in order of first
+    occurrence from the left.  One walk over an explicit stack of
+    (occurrence, polarity) pairs, so formulas of any depth are read."""
+    out = {}
+    stack = [(f, True)]
+    while stack:
+        g, positive = stack.pop()
+        if isinstance(g, Atom):
+            out.setdefault(g.name, set()).add('+' if positive else '-')
+        elif isinstance(g, Implies):
+            stack.append((g.right, positive))
+            stack.append((g.left, not positive))
+        elif isinstance(g, Box):
+            stack.append((g.inner, positive))
     return out
 
 

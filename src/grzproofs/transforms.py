@@ -21,14 +21,13 @@ from .syntax import (
     Atom, Bottom, Box, Implies, BOT, Multiset, Sequent, EMPTY, mset,
 )
 from .calculus import (
-    System, SHARED_RULES, reinstance, fixed_premise, unfolding,
+    System, SHARED_RULES, crossing, reinstance, fixed_premise, unfolding,
     ax_atom, ax_bottom, ax_general, imp_r, imp_l, refl, box_inf, box_grz, cut,
     _AX_ATOM, _AX_GENERAL, _IMP_L, _IMP_R, _REFL, _BOX_INF,
     _BOX_GRZ, _CUT,
 )
 from .proofs import (
     CyclicNode, CyclicProof, LazyProof, ResourceLimitError, leaf, eager,
-    _crossing_child,
 )
 
 
@@ -447,7 +446,7 @@ def regularize(p, max_crossings=64, max_nodes=1000000):
         lp, k, i = stack.pop()
         child = lp.child(k)
         ncross = crossings[i]
-        if _crossing_child(lp.rule, k):
+        if crossing(lp.rule, k):
             s = child.root
             j = i
             while j is not None and (crossings[j] >= ncross

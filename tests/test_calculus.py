@@ -2,8 +2,8 @@ import pytest
 
 from grzproofs.calculus import (
     CalculusError, Rule, RuleInstance, System, ax_atom, ax_bottom,
-    ax_general, box_grz, box_inf, cut, imp_l, imp_r, refl, reinstance,
-    step_violations,
+    ax_general, box_grz, box_inf, crossing, cut, fixed_premise, imp_l, imp_r,
+    refl, reinstance, step_violations,
 )
 from grzproofs.syntax import (
     Atom, Box, Implies, Sequent, BOT, mset, parse_sequent,
@@ -24,6 +24,19 @@ class TestSystems:
     def test_finitary_versus_nwf(self):
         assert System.GRZ_SEQ.is_finitary and not System.GRZ_SEQ.is_nwf
         assert System.GRZ_INF.is_nwf and not System.GRZ_INF.is_finitary
+
+
+class TestPremiseKinds:
+    @pytest.mark.parametrize('rule', list(Rule))
+    @pytest.mark.parametrize('k', [0, 1])
+    def test_crossing_and_fixed_premises(self, rule, k):
+        # The right premise of the two-premise box rule is the one
+        # crossing; it and the finitary box rule's premise hold only the
+        # boxed context.
+        crossings = {(Rule.BOX_INF, 1)}
+        fixed = crossings | {(Rule.BOX_GRZ, 0), (Rule.BOX_GRZ, 1)}
+        assert crossing(rule, k) == ((rule, k) in crossings)
+        assert fixed_premise(rule, k) == ((rule, k) in fixed)
 
 
 class TestConstructors:

@@ -17,7 +17,7 @@ from grzproofs.proofs import (
 )
 from grzproofs.prover import Verdict, decide
 from grzproofs.syntax import parse_sequent
-from grzproofs.transforms import build_cut, inf_to_seq
+from grzproofs.transforms import build_cut, grz_schema_proof, inf_to_seq
 
 from helpers import P, Q, proof_to_json, refl_chain
 
@@ -138,6 +138,10 @@ class TestCheck:
     def test_missing_file_exits_2(self):
         assert run('check', '/no/such/file.json') == 2
 
+    def test_the_bundled_example_is_the_schema_proof(self):
+        with open(EXAMPLE) as fh:
+            assert fh.read() == dump_proof(grz_schema_proof(P)) + '\n'
+
     def test_a_backlink_leaf_that_lists_children(self, tmp_path, capsys):
         # unravel follows the back-link and ignores the children, so
         # only check_cyclic can see them.
@@ -219,6 +223,21 @@ class TestMalformedProofJson:
         self.assert_input_error(
             tmp_path, capsys, data,
             "node 1 has a '%s' field that is not a string" % name)
+
+    @pytest.mark.parametrize('data', [
+        {'system': 'grz_inf', 'nodes': [
+            {'id': 0, 'sequent': '=> p -> p', 'rule': 'imp_r',
+             'principal': '', 'children': [1]}, node(1)]},
+        {'system': 'grz_seq_cut', 'nodes': [
+            {'id': 0, 'sequent': 'p => p', 'rule': 'cut',
+             'cut_formula': '', 'children': [1, 2]},
+            node(1, 'p => p, p'), node(2, 'p, p => p')]},
+    ])
+    def test_an_empty_formula_text(self, tmp_path, capsys, data):
+        # An empty text is a formula text that does not parse, not a
+        # missing formula.
+        self.assert_input_error(tmp_path, capsys, data,
+                                "unexpected end of input in ''")
 
     @pytest.mark.parametrize('keys, value, message', [
         (('nodes',), 5, "the proof has a 'nodes' field that is not a list"),

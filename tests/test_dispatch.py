@@ -95,6 +95,7 @@ def golden_outputs():
 GOLDEN = 'b749cebc1a0d23f345b4d5c2d78ae2289954befd97e127aa0b5924aa88906fca'
 
 
+@pytest.mark.golden
 def test_cutfree_output_bytes_are_unchanged(golden_outputs):
     h = hashlib.sha256()
     for out in golden_outputs:
@@ -109,6 +110,7 @@ GOLDEN_FINITARY = ('d48194e69ae54c666308a1615f3a833b'
                    'f11a9373981211914611b2a30f3fcecb')
 
 
+@pytest.mark.golden
 def test_finitary_output_bytes_are_unchanged(golden_outputs, tmp_path):
     corpus = tmp_path / 'corpus.json'
     assert main(['corpus', '--count', '50', '--seed', '0',
@@ -125,6 +127,7 @@ GOLDEN_CORPUS = ('45579af6cabf29b0c129d8aab58e1884'
                  '2b90f88a6146e74be1c1827d8db40416')
 
 
+@pytest.mark.golden
 def test_corpus_bytes_are_unchanged(tmp_path):
     corpus = tmp_path / 'corpus.json'
     assert main(['corpus', '--count', '50', '--seed', '0',
@@ -155,6 +158,7 @@ def chain_outputs():
     return [_cutfree(_chain(*chain)) for chain in _CHAINS]
 
 
+@pytest.mark.golden
 def test_back_links_of_folded_cut_compositions_are_unchanged(chain_outputs):
     h = hashlib.sha256()
     for out in chain_outputs:
@@ -171,6 +175,7 @@ GOLDEN_LOADED_FINITARY = ('4b7d0ae439579baaa94ffe1fb4cbc7c4'
                           'b7396b538e6cfa60e522d6c2182a599e')
 
 
+@pytest.mark.golden
 def test_finitary_translations_of_loaded_outputs_are_unchanged(
         chain_outputs):
     h = hashlib.sha256()

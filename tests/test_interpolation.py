@@ -107,6 +107,7 @@ GOLDEN_INTERPOLANTS = ('53697a3724a2162df353f89198b4cb7d'
                        '239acf1b3e05124f09127c9dc79c44d0')
 
 
+@pytest.mark.golden
 def test_interpolant_bytes_are_unchanged():
     h = hashlib.sha256()
     count = 0

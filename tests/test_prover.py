@@ -312,6 +312,7 @@ GOLDEN_DECIDE = ('cc4fdeaffd8bf6e7010e9e3d9f8c8cd1'
                  '318d50ba29aaf97c742e5a3528c1b27b')
 
 
+@pytest.mark.golden
 def test_decide_output_bytes_are_unchanged():
     goals = [parse_sequent(text) for text in HARD_GOALS]
     goals += [goal_of(f) for f in formulas_up_to(7)]
@@ -348,6 +349,7 @@ GOLDEN_DECIDE_BOUNDED = ('35e80187046aaedc41a0114d73772830'
                          '8d6006447a9fc1d81dd6b0de446c598d')
 
 
+@pytest.mark.golden
 def test_bounded_decide_outcomes_are_unchanged():
     # Under a small crossing bound, reused table entries must not hide or
     # move a SearchLimitError: each outcome is a proof, a countermodel, or
@@ -397,6 +399,7 @@ GOLDEN_NEWEST_ENTRY = ('d0c5158c4ca779a13747abef340b0128'
                        'c5c6c8af06717ce0d381015a8e2d1aee')
 
 
+@pytest.mark.golden
 def test_the_newest_history_entry_is_part_of_the_key():
     # With G the Grz axiom's antecedent, both conjuncts search  G => p
     # just after a crossing: into  G => p  itself, which a back-link

@@ -404,6 +404,17 @@ class TestFormulaHelpers:
         assert atom_polarities(neg(P)) == {'p': {'-'}}
         assert atom_polarities(Implies(Box(P), P)) == {'p': {'-', '+'}}
 
+    def test_polarities_are_read_in_order_of_first_occurrence(self):
+        f = parse_formula('(q -> p) -> r')
+        assert list(atom_polarities(f)) == ['q', 'p', 'r']
+
+    def test_polarities_of_deep_formulas(self):
+        # Read over an explicit stack: no RecursionError at any depth.
+        chain = parse_formula(' -> '.join(['p'] * 20000))
+        assert atom_polarities(chain) == {'p': {'+', '-'}}
+        assert atom_polarities(parse_formula('[]' * 5000 + 'p')) == {
+            'p': {'+'}}
+
     @given(st.lists(formulas, min_size=2, max_size=6))
     def test_formula_key_is_a_total_order(self, fs):
         # The structural order key that multisets sort their items by.
