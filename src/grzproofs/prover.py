@@ -30,7 +30,10 @@ search went, and is searched again where reusing it would pass the bound.
 So on ``[]p => []^n p``, where both premises of each box step reach one
 box-stage sequent, search grows linearly in n.
 Back-link leaves name no target: ``_to_cyclic`` finds it on each leaf's
-own branch.
+own branch.  So it builds a shared result that holds a back-link leaf
+again at each place, and copies one that holds none, with its node ids
+shifted: the proof of ``[]p => []^n p``, 3 * 2^n - 1 nodes, builds each
+of its distinct steps once and copies the rest.
 
 Each search step classifies its sequent in one pass over each side, as
 multisets list their formulas grouped by kind.  The table key is hashed
@@ -61,6 +64,7 @@ from .syntax import (
 )
 from .calculus import (
     System, crossing, ax_atom, ax_bottom, imp_r, imp_l, refl, box_inf,
+    _BOX_INF,
 )
 from .proofs import CyclicNode, CyclicProof, ResourceLimitError
 
@@ -470,11 +474,20 @@ def _to_cyclic(snode):
     place gets nodes of its own here.  A back-link leaf links to the newest
     fresh crossing above it with its sequent, leaving out the newest of
     all, as search's history did: so a shared subtree links within its own
-    branch wherever it is placed.  It recurses, as ``_search`` already
-    does as deep: a walk over an explicit stack ran about 13 % slower on
-    the ``search`` benchmark."""
+    branch wherever it is placed.
+
+    Search shares only box steps, its tabled results.  A box step's
+    subtree with no back-link leaf is built once: without back-links its
+    numbering depends only on its first id, so each later place copies
+    the span of ids of the first, every inner node with its child ids
+    shifted and every leaf as the same object.  A subtree with back-link
+    leaves is built again at each place, as their targets depend on the
+    branch.  It recurses, as ``_search`` already does as deep: a walk over
+    an explicit stack ran about 13 % slower on the ``search`` benchmark."""
     nodes = {}
     backlinks = {}
+    # id of a box step's triple -> (start, end) of the ids it was built at
+    spans = {}
 
     def build(sn, crossings):
         # ``crossings``: the fresh crossings on the path, oldest first, as
@@ -486,6 +499,23 @@ def _to_cyclic(snode):
             backlinks[i] = next(d for s, d in reversed(crossings[:-1])
                                 if s == sequent)
             return i
+        box = inst.rule is _BOX_INF
+        if box:
+            span = spans.get(id(sn))
+            if span is not None:
+                start, end = span
+                shift = i - start
+                for j in range(start, end):
+                    node = nodes[j]
+                    ch = node.children
+                    if ch:
+                        # No rule has more than two premises.
+                        node = CyclicNode(node.sequent, node.inst, (
+                            (ch[0] + shift,) if len(ch) == 1
+                            else (ch[0] + shift, ch[1] + shift)))
+                    nodes[j + shift] = node
+                return i
+            links = len(backlinks)
         nodes[i] = None       # holds id i until the node is built
         kids = []
         for k, ch in enumerate(children):
@@ -494,6 +524,8 @@ def _to_cyclic(snode):
             kids.append(build(ch, crossings + ((ch[0], len(nodes)),)
                               if fresh else crossings))
         nodes[i] = CyclicNode(sequent, inst, tuple(kids))
+        if box and len(backlinks) == links:
+            spans[id(sn)] = i, len(nodes)
         return i
 
     build(snode, ())

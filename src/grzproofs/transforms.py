@@ -394,7 +394,7 @@ def slim(p):
 
             def make(k):
                 r = q.child(k)
-                if k == 1:
+                if crossing(q.rule, k):
                     for f in extra:
                         r = contract_left(r, f)
                 return go(r)

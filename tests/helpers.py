@@ -1,15 +1,16 @@
 """Builders shared by the test modules: exhaustive formula enumeration,
 the backward-applicable rule instances of a goal, exhaustive small-proof
 search, grafting of lazy proofs, deep finite proofs, a loaded cut
-composition, a reference proof-to-JSON encoder, truth at one world of a Kripke model, and the
-frames of the oracle by brute force."""
+composition, a reference proof-to-JSON encoder, truth at one world of a
+Kripke model, the frames of the oracle by brute force, and a reference
+conversion of search results to cyclic proofs."""
 
 import itertools
 from functools import lru_cache
 
 from grzproofs.calculus import (
-    Rule, System, ax_atom, ax_bottom, ax_general, box_grz, box_inf, imp_l,
-    imp_r, refl,
+    Rule, System, ax_atom, ax_bottom, ax_general, box_grz, box_inf, crossing,
+    imp_l, imp_r, refl,
 )
 from grzproofs.proofs import (
     CyclicNode, CyclicProof, LazyProof, cyclic_from_wf, dump_proof, eager,
@@ -219,3 +220,37 @@ def brute_force_orders(n):
         seen.add(canon)
         out.append(tuple(order))
     return tuple(out)
+
+
+def reference_to_cyclic(snode):
+    """The cyclic proof of a search result, every place of a shared result
+    built node by node: the reference for ``prover._to_cyclic``, which
+    copies a shared subtree without back-links.  Its nodes are numbered in
+    preorder.  A back-link leaf links to the newest fresh crossing above it
+    with its sequent, leaving out the newest of all, as search's history
+    did."""
+    nodes = {}
+    backlinks = {}
+
+    def build(sn, crossings):
+        # ``crossings``: the fresh crossings on the path, oldest first, as
+        # (sequent, id) pairs.
+        i = len(nodes)
+        sequent, inst, children = sn
+        if inst is None:
+            nodes[i] = CyclicNode(sequent)
+            backlinks[i] = next(d for s, d in reversed(crossings[:-1])
+                                if s == sequent)
+            return i
+        nodes[i] = None       # holds id i until the node is built
+        kids = []
+        for k, ch in enumerate(children):
+            # A fresh crossing joins the branch history.
+            fresh = crossing(inst.rule, k) and ch[1] is not None
+            kids.append(build(ch, crossings + ((ch[0], len(nodes)),)
+                              if fresh else crossings))
+        nodes[i] = CyclicNode(sequent, inst, tuple(kids))
+        return i
+
+    build(snode, ())
+    return CyclicProof(nodes, 0, backlinks, System.GRZ_INF)

@@ -18,6 +18,7 @@ from grzproofs.transforms import regularize
 
 from helpers import (
     brute_force_orders, eval_formula, formulas_up_to, reference_mask,
+    reference_to_cyclic,
 )
 
 P = Atom('p')
@@ -413,3 +414,89 @@ def test_the_newest_history_entry_is_part_of_the_key():
         assert check_cyclic(proof).ok
         h.update(dump_proof(proof).encode())
     assert h.hexdigest() == GOLDEN_NEWEST_ENTRY
+
+
+def search_result(g):
+    """The search result that ``decide`` turns into its proof of ``g``."""
+    return prover._search(g, frozenset(), (), prover._Search(64))
+
+
+def box_places(sn):
+    """The ids, in preorder, at which each box step's triple of the search
+    result ``sn`` is placed in its cyclic proof, keyed by the triple's
+    ``id``."""
+    places = {}
+    stack = [sn]
+    i = 0
+    while stack:
+        triple = stack.pop()
+        inst, children = triple[1:]
+        if inst is not None and inst.rule is Rule.BOX_INF:
+            places.setdefault(id(triple), []).append(i)
+        stack.extend(reversed(children))
+        i += 1
+    return places
+
+
+def span_end(proof, i):
+    """One past the last id of the subtree at node ``i``, as ids are in
+    preorder."""
+    while proof.nodes[i].children:
+        i = proof.nodes[i].children[-1]
+    return i + 1
+
+
+def test_to_cyclic_matches_the_reference():
+    # Copying a shared subtree gives the proof that building each place
+    # node by node gives, down to the key order of both dicts.
+    goals = [parse_sequent(text) for text in HARD_GOALS]
+    goals += [parse_sequent('[]p => %sp' % ('[]' * n)) for n in range(1, 13)]
+    goals += [goal_of(f) for f in formulas_up_to(7)]
+    proved = 0
+    for g in goals:
+        sn = search_result(g)
+        if sn is None:
+            continue
+        proved += 1
+        got, ref = prover._to_cyclic(sn), reference_to_cyclic(sn)
+        assert list(got.nodes.items()) == list(ref.nodes.items())
+        assert list(got.backlinks.items()) == list(ref.backlinks.items())
+        assert (got.root, got.system) == (ref.root, ref.system)
+    assert proved > len(HARD_GOALS)
+
+
+def test_a_repeated_subtree_without_back_links_is_copied():
+    sn = search_result(parse_sequent('[]p => %sp' % ('[]' * 8)))
+    proof = prover._to_cyclic(sn)
+    assert len(proof.nodes) == 767 and not proof.backlinks
+    # Copies share their leaves with the first place.
+    assert len({id(n) for n in proof.nodes.values()}) < len(proof.nodes)
+    copies = 0
+    for first, *later in box_places(sn).values():
+        end = span_end(proof, first)
+        for at in later:
+            shift = at - first
+            assert span_end(proof, at) == end + shift
+            for j in range(first, end):
+                old, new = proof.nodes[j], proof.nodes[j + shift]
+                assert new.sequent is old.sequent and new.inst is old.inst
+                assert new.children == tuple(c + shift for c in old.children)
+                if not old.children:
+                    assert new is old
+            copies += 1
+    assert copies > 0
+
+
+def test_a_repeated_subtree_with_back_links_is_built_at_each_place():
+    # The back-link targets of a shared subtree depend on its branch, so
+    # it may not be copied: each target is the one that building every
+    # place node by node finds.
+    sn = search_result(parse_sequent(
+        '[]([](p -> []p) -> p) & []([](q -> []q) -> q) => []p & []q'))
+    proof, ref = prover._to_cyclic(sn), reference_to_cyclic(sn)
+    assert len(proof.backlinks) == 212
+    assert proof.backlinks == ref.backlinks
+    # Some box step whose subtree holds a back-link is placed twice.
+    assert any(
+        any(j in proof.backlinks for j in range(first, span_end(proof, first)))
+        for first, *later in box_places(sn).values() if later)
