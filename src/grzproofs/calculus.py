@@ -173,7 +173,7 @@ def _box_principal(concl, principal):
 def box_context(concl, pi):
     """The boxed context ``pi`` of a box rule at ``concl``, checked."""
     if not all(isinstance(f, Box) for f in pi):
-        raise CalculusError('box context must be boxed: %s' % pi)
+        raise CalculusError('box context must be boxed: %s' % (pi,))
     if not pi.is_subset(concl.ant):
         raise CalculusError('box context %s not contained in %s' % (pi, concl))
     return pi
@@ -232,7 +232,7 @@ def _rebuild_box_inf(inst, concl):
     reports it."""
     right = _premises(inst, 2)[1]
     p = inst.principal
-    if not (isinstance(p, Box) and right.suc.items == (p.inner,)):
+    if not (isinstance(p, Box) and right.suc == (p.inner,)):
         return box_inf(concl, p, right.ant)
     box_context(concl, right.ant)
     _box_principal(concl, p)

@@ -101,16 +101,21 @@ def _order_fault(order, n):
 @dataclass(frozen=True)
 class KripkeModel:
     """A finite reflexive poset with a valuation.  ``order[w]`` is the
-    bitmask of worlds v with w <= v; ``valuation[name]`` is the bitmask of
-    worlds where the atom holds.  A malformed model raises ``ValueError``."""
+    bitmask of worlds v with w <= v; ``valuation`` pairs atom names, in
+    strictly increasing order, with the bitmask of worlds where each holds.
+    A malformed model raises ``ValueError``."""
     size: int
     order: tuple
     valuation: tuple  # sorted tuple of (name, bitmask)
 
     def __post_init__(self):
         fault = _order_fault(self.order, self.size)
+        names = [name for name, _ in self.valuation]
         if not fault and any(mask >> self.size for _, mask in self.valuation):
             fault = 'valuation names a world outside 0..%d' % (self.size - 1)
+        if not fault and not (all(isinstance(k, str) for k in names) and
+                              all(a < b for a, b in zip(names, names[1:]))):
+            fault = 'valuation names are not strings in increasing order'
         if fault:
             raise ValueError(fault)
 
@@ -377,7 +382,7 @@ def _search(s, refl_done, history, st):
     # A multiset lists falsity first, then atoms, then implications, then
     # boxes.  So one pass over each side, stopping at the first formula of
     # a later kind, finds what the rules need, in the order they are tried.
-    ant, suc = s.ant.items, s.suc.items
+    ant, suc = s.ant, s.suc
     k = 0       # the number of antecedent atoms
     for f in ant:
         t = type(f)
@@ -442,7 +447,7 @@ def _search(s, refl_done, history, st):
     # st.reach now follows this search; the caller's is merged back below.
     outer, st.reach = st.reach, n
     found = None
-    boxed = _canonical(tuple(dict.fromkeys(boxes)))
+    boxed = _canonical(dict.fromkeys(boxes))
     for f in dict.fromkeys(suc[j:]):
         inst = box_inf(s, f, boxed)
         left = _search(inst.premises[0], refl_done, history, st)

@@ -11,10 +11,10 @@ Each formula carries its structural order key, computed once when it is
 built.  The table of live formulas holds them weakly, so its size is
 bounded by the formulas in use.
 
-Sequents use multisets on both sides.  Multisets are kept in a canonical
-sorted order so that structural equality and hashing behave like genuine
-multiset equality.  Multisets and sequents are not interned; each keeps
-its hash once it is worked out.
+Sequents use multisets on both sides.  A multiset is the tuple of its formulas
+in a canonical sorted order, so that tuple equality and hashing behave
+like genuine multiset equality.  Multisets and sequents are not interned;
+a sequent keeps its hash once it is worked out.
 
 The parser is an iterative precedence parser over the tokens of one
 regular expression, and the printer and ``atom_polarities`` are iterative
@@ -200,81 +200,50 @@ def atom_polarities(f):
 _KEY = attrgetter('_key')
 
 
-class Multiset:
-    """An immutable multiset of formulas with canonical ordering.
+class Multiset(tuple):
+    """An immutable multiset of formulas: the tuple of its formulas in
+    canonical order.
 
     Two multisets are equal iff they contain the same formulas with the
-    same multiplicities, regardless of construction order.  The canonical
-    order sorts by kind first (falsity, atoms, implications, boxes), so
-    the items of each kind are adjacent.  Edits keep that order without
-    sorting again.
+    same multiplicities, regardless of construction order, and a multiset
+    hashes as the tuple of its formulas.  The canonical order sorts by
+    kind first (falsity, atoms, implications, boxes), so the items of each
+    kind are adjacent.  Edits keep that order without sorting again.
     """
 
-    # ``_hash`` is filled in on the first ``hash()``.
-    __slots__ = ('_items', '_hash')
+    __slots__ = ()
 
-    def __init__(self, items=()):
-        self._items = tuple(sorted(items, key=_KEY))
-        self._hash = None
-
-    @property
-    def items(self):
-        return self._items
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
-
-    def __contains__(self, f):
-        return f in self._items
-
-    def __eq__(self, other):
-        return isinstance(other, Multiset) and self._items == other._items
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self._items)
-        return h
-
-    def __reduce__(self):
-        return Multiset, (self._items,)
+    def __new__(cls, items=()):
+        return tuple.__new__(cls, sorted(items, key=_KEY))
 
     def __repr__(self):
-        return 'Multiset([%s])' % ', '.join(str(f) for f in self._items)
-
-    def count(self, f):
-        return self._items.count(f)
+        return 'Multiset([%s])' % ', '.join(str(f) for f in self)
 
     def add(self, f):
-        items = self._items
-        i = bisect_right(items, f._key, key=_KEY)
-        return _canonical(items[:i] + (f,) + items[i:])
+        i = bisect_right(self, f._key, key=_KEY)
+        return _canonical(self[:i] + (f,) + self[i:])
 
     def remove(self, f):
         """Remove one occurrence of ``f``; raises if absent."""
-        items = self._items
-        i = items.index(f)
-        return _canonical(items[:i] + items[i + 1:])
+        i = self.index(f)
+        return _canonical(self[:i] + self[i + 1:])
 
     def union(self, other):
-        return Multiset(self._items + tuple(other))
+        return Multiset(self + tuple(other))
 
     def difference(self, other):
         """Counted multiset difference."""
-        items = list(self._items)
+        items = list(self)
         for f in other:
             if f in items:
                 items.remove(f)
-        return _canonical(tuple(items))
+        return _canonical(items)
 
     def is_subset(self, other):
         """Counted inclusion."""
         rest = list(other)
         try:
-            for f in self._items:
+            for f in self:
                 rest.remove(f)
         except ValueError:
             return False
@@ -282,11 +251,7 @@ class Multiset:
 
     def distinct(self):
         """Distinct elements, in canonical order."""
-        seen = []
-        for f in self._items:
-            if not seen or seen[-1] != f:
-                seen.append(f)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self))
 
     def dedupe(self):
         """The underlying set, as a multiset with multiplicity one each."""
@@ -294,11 +259,8 @@ class Multiset:
 
 
 def _canonical(items):
-    """The multiset of ``items``, a tuple already in canonical order."""
-    m = object.__new__(Multiset)
-    m._items = items
-    m._hash = None
-    return m
+    """The multiset of ``items``, already in canonical order."""
+    return tuple.__new__(Multiset, items)
 
 
 EMPTY = Multiset()
@@ -366,10 +328,7 @@ class Sequent:
         return Multiset(f for f in self.ant if isinstance(f, Box))
 
     def formulas(self):
-        for f in self.ant:
-            yield f
-        for f in self.suc:
-            yield f
+        return self.ant + self.suc
 
 
 _set_ant = Sequent.ant.__set__

@@ -135,6 +135,20 @@ class TestCheck:
             if violation is not None:
                 assert text == 'invalid:\n  - %s\n' % violation
 
+    def test_an_unboxed_box_context_is_named(self, tmp_path, capsys):
+        # The right premise of the box step keeps p and q, which are not
+        # boxed; the message prints that multiset whole.
+        axiom = {'sequent': 'p, q => p', 'rule': 'ax_atom', 'principal': 'p',
+                 'children': []}
+        out = tmp_path / 'proof.json'
+        out.write_text(json.dumps({'system': 'grz_inf', 'nodes': [
+            {'id': 0, 'sequent': 'p, q => []p', 'rule': 'box_inf',
+             'principal': '[]p', 'children': [1, 2]},
+            dict(axiom, id=1), dict(axiom, id=2)]}))
+        assert run('check', str(out)) == 1
+        assert capsys.readouterr().out == (
+            'invalid:\n  - box context must be boxed: Multiset([p, q])\n')
+
     def test_missing_file_exits_2(self):
         assert run('check', '/no/such/file.json') == 2
 

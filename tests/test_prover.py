@@ -217,6 +217,16 @@ class TestKripkeModel:
                 '^valuation names a world outside 0..1$')):
             KripkeModel(2, (0b11, 0b10), (('p', mask),))
 
+    @pytest.mark.parametrize('valuation', [
+        (('p', 1), ('p', 0)), (('q', 1), ('p', 0)), ((1, 1),)])
+    def test_rejects_repeated_unsorted_or_unnamed_atoms(self, valuation):
+        # Repeated or unsorted names would let truth_mask, which reads the
+        # first entry of a name, and describe(), which keeps the last,
+        # disagree.
+        with pytest.raises(ValueError, match=(
+                '^valuation names are not strings in increasing order$')):
+            KripkeModel(1, (1,), valuation)
+
     def test_eval_box_quantifies_over_successors(self):
         m = self.two_chain()
         assert eval_formula(m, 0, P)

@@ -528,8 +528,8 @@ class TestMultiset:
     def test_union_difference_match_counter_arithmetic(self, xs, ys):
         a, b = Multiset(xs), Multiset(ys)
         ca, cb = collections.Counter(xs), collections.Counter(ys)
-        assert collections.Counter(a.union(b).items) == ca + cb
-        assert collections.Counter(a.difference(b).items) == ca - cb
+        assert collections.Counter(a.union(b)) == ca + cb
+        assert collections.Counter(a.difference(b)) == ca - cb
 
     @given(formula_lists, formula_lists)
     def test_subset_matches_counter_inclusion(self, xs, ys):
@@ -540,6 +540,24 @@ class TestMultiset:
     @given(formula_lists)
     def test_order_insensitive_equality(self, xs):
         assert Multiset(xs) == Multiset(list(reversed(xs)))
+
+    @given(formula_lists)
+    def test_a_multiset_is_the_sorted_tuple_of_its_formulas(self, xs):
+        m = Multiset(xs)
+        assert m == tuple(sorted(xs, key=syntax._KEY))
+        assert hash(m) == hash(tuple(m))
+
+    def test_a_multiset_has_no_slots_of_its_own(self):
+        m = mset(P, Q)
+        assert isinstance(m, tuple) and Multiset.__slots__ == ()
+        with pytest.raises(AttributeError):
+            m.other = 1
+
+    def test_pickled_multisets_stay_multisets(self):
+        m = mset(Box(Q), P, P)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            c = pickle.loads(pickle.dumps(m, protocol))
+            assert type(c) is Multiset and c == m and hash(c) == hash(m)
 
     def test_add_remove_count(self):
         m = mset(P, P, Q)
@@ -564,12 +582,12 @@ class TestMultiset:
             return rest
 
         a, b = Multiset(xs), Multiset(ys)
-        assert a.add(f).items == canonical(xs + [f])
-        assert a.union(b).items == canonical(xs + ys)
-        assert a.difference(b).items == canonical(minus(xs, ys))
-        assert a.dedupe().items == canonical(set(xs))
+        assert a.add(f) == canonical(xs + [f])
+        assert a.union(b) == canonical(xs + ys)
+        assert a.difference(b) == canonical(minus(xs, ys))
+        assert a.dedupe() == canonical(set(xs))
         for g in set(xs):
-            assert a.remove(g).items == canonical(minus(xs, [g]))
+            assert a.remove(g) == canonical(minus(xs, [g]))
 
     def test_dedupe_and_distinct(self):
         m = mset(P, P, Q)
@@ -585,6 +603,7 @@ class TestSequent:
     def test_hash_is_that_of_the_pair(self):
         ant, suc = mset(P, Box(Q), P), mset(Implies(P, Q))
         assert hash(Sequent(ant, suc)) == hash((ant, suc))
+        assert hash(Sequent(ant, suc)) == hash((tuple(ant), tuple(suc)))
 
     def test_repr_is_the_dataclass_text(self):
         assert repr(parse_sequent('p, []q => p -> q')) == (
@@ -611,6 +630,7 @@ class TestSequent:
         for c in copies:
             assert c == s and hash(c) == hash(s)
             assert c.ant == s.ant and c.suc == s.suc
+            assert type(c.ant) is Multiset and type(c.suc) is Multiset
 
     def test_equal_sequents_built_apart(self):
         a = parse_sequent('p, []q => r')
