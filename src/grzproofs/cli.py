@@ -299,12 +299,15 @@ def _cmd_export_dot(args):
     return 0
 
 
-def _at_least(least):
-    """An argparse type: an integer no less than ``least``."""
+def _at_least(least, most=None):
+    """An argparse type: an integer no less than ``least`` and, if
+    ``most`` is given, no more than it."""
     def parse(text):
         n = int(text)
         if n < least:
             raise argparse.ArgumentTypeError('%d is less than %d' % (n, least))
+        if most is not None and n > most:
+            raise argparse.ArgumentTypeError('%d is more than %d' % (n, most))
         return n
     parse.__name__ = 'int'    # argparse names it in 'invalid int value'
     return parse
@@ -326,7 +329,10 @@ def build_parser():
         if crossings:
             p.add_argument('--max-crossings', type=_at_least(0), default=64)
         if models:
-            p.add_argument('--max-model-size', type=_at_least(1), default=4)
+            # The oracle enumerates every labelled order of each size up
+            # to the bound: 130,023 at 6 worlds, 6,129,859 at 7.
+            p.add_argument('--max-model-size', type=_at_least(1, 6),
+                           default=4)
         if output:
             p.add_argument('-o', '--output')
         p.set_defaults(fn=fn)

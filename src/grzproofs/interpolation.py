@@ -1,9 +1,10 @@
 """Lyndon interpolant extraction from cut-free cyclic proofs.
 
 The root sequent is split into two parts Gamma1, Gamma2 => Delta1, Delta2
-and the extraction walks the (unraveled) proof, maintaining the split and
-two sets Lambda1 / Lambda2 of box contents already crossed on each side,
-both empty at the root.  Each rule has one case: the part that holds the
+and the extraction walks the cyclic proof by node id, reading each
+back-link leaf as its target.  It maintains the split and two sets
+Lambda1 / Lambda2 of box contents already crossed on each side, both empty
+at the root.  Each rule has one case: the part that holds the
 principal formula is edited, into the premises that ``calculus.reinstance``
 builds at that part, and where the two sides differ, the side's index
 picks the constructor (| or & at an ImpL step).  A box crossing on
@@ -30,7 +31,7 @@ from .calculus import (
     reinstance, box_inf,
     _AX_ATOM, _AX_BOTTOM, _IMP_L, _IMP_R, _REFL, _BOX_INF, _CUT,
 )
-from .proofs import unravel, check_cyclic
+from .proofs import check_cyclic
 from .prover import decide, provable
 
 
@@ -77,13 +78,14 @@ def interpolate(proof, split):
     for n in proof.nodes.values():
         if n.inst is not None and n.inst.rule is _CUT:
             raise InterpolationError('proof contains cut')
-    root = unravel(proof)
-    if split.merged() != root.root:
+    root = proof.nodes[proof.root].sequent
+    if split.merged() != root:
         raise InterpolationError('split %s does not cover the root %s'
-                                 % (split.merged(), root.root))
+                                 % (split.merged(), root))
     none = frozenset()
-    i = _interp(root, (Sequent(split.gamma1, split.delta1),
-                       Sequent(split.gamma2, split.delta2)), (none, none), {})
+    i = _interp(proof, proof.root, (Sequent(split.gamma1, split.delta1),
+                                    Sequent(split.gamma2, split.delta2)),
+                (none, none), {})
     return InterpolationResult(
         interpolant=i,
         left_obligation=Sequent(split.gamma1, split.delta1.add(i)),
@@ -96,16 +98,22 @@ _INNER_RULES = (_IMP_R, _IMP_L, _REFL, _BOX_INF)
 _SUCCEDENT_RULES = (_IMP_R, _BOX_INF)
 
 
-def _interp(q, sides, lams, memo):
-    """The interpolant of node ``q`` under the split ``sides``, the pair of
-    sequents Gamma1 => Delta1 and Gamma2 => Delta2, and the crossed box
-    contents ``lams``, the pair (Lambda1, Lambda2)."""
-    key = (id(q), sides, lams)
+def _interp(proof, i, sides, lams, memo):
+    """The interpolant of node ``i`` of ``proof`` under the split
+    ``sides``, the pair of sequents Gamma1 => Delta1 and Gamma2 => Delta2,
+    and the crossed box contents ``lams``, the pair (Lambda1, Lambda2).  A
+    back-link leaf is read as its target, which ``check_cyclic`` has found
+    to be a rule node with the same sequent, so a node id reached again
+    under the same split and contents is answered from ``memo``.  The walk
+    builds no proof node, so nothing it makes outlives the call."""
+    i = proof.backlinks.get(i, i)
+    key = (i, sides, lams)
     out = memo.get(key)
     if out is not None:
         return out
     g1, d1 = sides[0].ant, sides[0].suc
-    inst = q.inst
+    node = proof.nodes[i]
+    inst = node.inst
     r = inst.rule
     pr = inst.principal
     if r is _AX_BOTTOM:
@@ -139,7 +147,8 @@ def _interp(q, sides, lams, memo):
             crossed = list(lams)
             crossed[side] = lams[side] | {a}
             out = (diamond, Box)[side](_interp(
-                q.child(1), tuple(above), tuple(crossed), memo))
+                proof, node.children[1], tuple(above), tuple(crossed),
+                memo))
         else:
             if r is _BOX_INF:
                 # Crossed on this content before: stay in the main fragment.
@@ -150,8 +159,8 @@ def _interp(q, sides, lams, memo):
             subs = []
             for k, above in enumerate(parts):
                 subs.append(_interp(
-                    q.child(k), (other, above) if side else (above, other),
-                    lams, memo))
+                    proof, node.children[k],
+                    (other, above) if side else (above, other), lams, memo))
             out = subs[0] if len(subs) == 1 else (disj, conj)[side](*subs)
     memo[key] = out
     return out

@@ -488,7 +488,9 @@ def _to_cyclic(snode):
     shifted and every leaf as the same object.  A subtree with back-link
     leaves is built again at each place, as their targets depend on the
     branch.  It recurses, as ``_search`` already does as deep: a walk over
-    an explicit stack ran about 13 % slower on the ``search`` benchmark."""
+    an explicit stack ran about 13 % slower on the ``search`` benchmark.
+    The result holds no reference cycle, so it is freed by reference
+    counting, not left to the cyclic garbage collector."""
     nodes = {}
     backlinks = {}
     # id of a box step's triple -> (start, end) of the ids it was built at
@@ -534,6 +536,10 @@ def _to_cyclic(snode):
         return i
 
     build(snode, ())
+    # ``build`` calls itself through its own closure cell, a reference
+    # cycle that also holds ``nodes``.  Emptying the cell breaks it, so the
+    # proof is freed by reference counting once its last user drops it.
+    del build
     return CyclicProof(nodes, 0, backlinks, System.GRZ_INF)
 
 

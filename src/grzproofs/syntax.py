@@ -49,6 +49,12 @@ class Formula:
 
     __hash__ = object.__hash__      # equal formulas are one object
 
+    def __init_subclass__(cls, **kwargs):
+        # Each kind's slot setters, bound once: a miss sets the fields
+        # through them, faster than ``object.__setattr__`` by name.
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, n).__set__ for n in cls._fields)
+
     def __new__(cls, *fields):
         """The live formula ``cls(*fields)``, built if there is none: the
         one constructor of every kind.  A wrong number of fields never
@@ -67,9 +73,9 @@ class Formula:
             f = ref() if ref is not None else None
             if f is None:
                 f = object.__new__(cls)
-                for name, value in zip(cls._fields, fields):
-                    object.__setattr__(f, name, value)
-                object.__setattr__(f, '_key', f._order_key())
+                for setter, value in zip(cls._setters, fields):
+                    setter(f, value)
+                _set_key(f, f._order_key())
                 _TABLE[ident] = weakref.ref(f, lambda _, key=ident:
                                             _remove_dead_weakref(_TABLE, key))
         return f
@@ -100,6 +106,7 @@ class Formula:
 # get one object.
 _TABLE = {}
 _TABLE_LOCK = threading.Lock()
+_set_key = Formula._key.__set__
 
 
 class Bottom(Formula):

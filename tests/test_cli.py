@@ -676,6 +676,21 @@ class TestOptions:
         assert ('argument %s: %d is less than %d' % (flag, least - 1, least)
                 in capsys.readouterr().err)
 
+    # The oracle would enumerate 6,129,859 labelled orders at 7 worlds, so
+    # argparse stops 7 before any verb runs.
+    @pytest.mark.parametrize('argv, code', [
+        (['countermodel', 'p -> q'], 0),
+        (['prove', 'p -> q'], 1),
+        (['interpolate', 'p', 'q'], 1),
+    ])
+    def test_a_model_size_above_6_is_a_usage_error(self, capsys, argv, code):
+        assert run(*argv, '--max-model-size', '6') == code
+        with pytest.raises(SystemExit) as e:
+            run(*argv, '--max-model-size', '7')
+        assert e.value.code == 2
+        assert ('argument --max-model-size: 7 is more than 6'
+                in capsys.readouterr().err)
+
     def test_interpolate_honours_the_crossing_bound(self, capsys):
         assert run('interpolate', '[]p', '[][][]p') == 0
         capsys.readouterr()

@@ -10,6 +10,7 @@ from grzproofs.interpolation import (
 from grzproofs import prover
 from grzproofs.prover import decide, provable
 from grzproofs.calculus import System, ax_atom, ax_general
+from grzproofs.examples import grz_axiom_cyclic_proof
 from grzproofs.proofs import CyclicProof, check_cyclic, cyclic_from_wf, leaf
 from grzproofs.transforms import build_cut
 from grzproofs.syntax import (
@@ -173,6 +174,22 @@ class TestInterpolate:
         with pytest.raises(InterpolationError,
                            match='^unexpected ax_general step$'):
             interpolate(proof, SplitSequent(s.ant, EMPTY, EMPTY, s.suc))
+
+    def test_the_walk_reads_a_back_link_as_its_target(self):
+        # The bundled example's one back-link, 9 -> 0, returns to the root.
+        example = grz_axiom_cyclic_proof()
+        assert example.backlinks == {9: 0}
+        root = example.nodes[example.root].sequent
+        split = SplitSequent(root.ant, EMPTY, EMPTY, root.suc)
+        assert format_formula(interpolate(example, split).interpolant) == (
+            '(p -> false) -> [](([](((false -> false) -> false) -> false) '
+            '-> false) -> false) -> false')
+        # A back-link to a missing node is an invalid proof, caught before
+        # the walk could look the node up.
+        dangling = CyclicProof(example.nodes, example.root, {9: 42},
+                               example.system)
+        with pytest.raises(InterpolationError, match='^invalid proof: '):
+            interpolate(dangling, split)
 
     def test_rejects_splits_that_do_not_cover_the_root(self):
         s = parse_sequent('p => p')

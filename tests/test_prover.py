@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -6,6 +7,8 @@ import pytest
 
 from grzproofs import prover
 from grzproofs.calculus import Rule
+from grzproofs.examples import grz_axiom_cyclic_proof
+from grzproofs.interpolation import SplitSequent, interpolate, lyndon
 from grzproofs.proofs import CyclicNode, check_cyclic, dump_proof, unravel
 from grzproofs.prover import (
     KripkeModel, ProverError, decide, find_countermodel, truth_mask,
@@ -510,3 +513,32 @@ def test_a_repeated_subtree_with_back_links_is_built_at_each_place():
     assert any(
         any(j in proof.backlinks for j in range(first, span_end(proof, first)))
         for first, *later in box_places(sn).values() if later)
+
+
+def test_a_call_leaves_no_cyclic_garbage():
+    # A proof, an interpolant and everything built for them are freed by
+    # reference counting when the last reference goes: with the cyclic
+    # collector off, a collection afterwards finds nothing unreachable.
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        results = [decide(parse_sequent(text)) for text in (
+            '[]p => [][][][][][][][]p',
+            '[]([](p -> []p) -> p) & []([](q -> []q) -> q) => []p & []q',
+            '=> []q1, []q2, []q3',
+            'p, <>(~p & <>p) => false',
+        )]
+        results += [lyndon(parse_formula(a), parse_formula(b)) for a, b in (
+            ('[]([](p -> []p) -> p)', '[]p'),
+            ('[]p & [](p -> q)', '[]q'),
+        )]
+        example = grz_axiom_cyclic_proof()
+        root = example.nodes[example.root].sequent
+        results.append(interpolate(
+            example, SplitSequent(root.ant, EMPTY, EMPTY, root.suc)))
+        del results, example, root
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
