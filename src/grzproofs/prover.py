@@ -15,7 +15,8 @@ box is chosen; the inversion edits only the main fragment, below the box
 right premises, so it keeps the branch history that back-links reach.
 Only a failed right premise goes on to the next box.  On
 ``=> []q1, ..., []qn`` search so makes n + 1 calls: the goal, then the
-left premise of its first box, which fails.
+left premise of its first box, which fails.  That is what ``provable``,
+search alone, makes; ``decide`` refutes that goal on one world first.
 
 Only the box stage can meet a search state twice.  Its results, proofs
 and failures alike, are tabled for the length of one ``decide`` call,
@@ -39,13 +40,21 @@ Each search step classifies its sequent in one pass over each side, as
 multisets list their formulas grouped by kind.  The table key is hashed
 once, and a sequent keeps its hash once worked out.
 
-Countermodels come from exhaustive enumeration of finite reflexive partial
-orders (Grz frames: finiteness rules out infinite ascending chains), not
-from failed search branches.  The oracle compiles the formula reading of
-the goal once, into the post-order list of its distinct subformulas, and
-evaluates each candidate frame and valuation in one flat loop over that
-list, which ``truth_mask`` runs too; so no formula's depth makes it
-recurse.  The frames of each size are built once per process: each
+Countermodels come from exhaustive enumeration of finite reflexive
+partial orders (Grz frames: finiteness rules out infinite ascending
+chains), not from failed search branches.  The oracle compiles the
+formula reading of the goal once, into the post-order list of its
+distinct subformulas, and evaluates each candidate frame and valuation
+in one flat loop over that list, which ``truth_mask`` runs too; so no
+formula's depth makes it recurse.  One reflexive world is a Grz frame,
+and on it  []A  is  A: the oracle checks the one-world frame first, 256
+valuations at a time, as the bits of one int per step.  ``decide``
+checks the first 256 before it searches, in one walk over the goal's
+formulas that compiles nothing (``_classical``; a goal of more than 8
+atoms is compiled for it), so a goal that some classical valuation
+falsifies is refuted without search.  Otherwise the goal is compiled
+only if search fails, and the oracle goes on from the valuations after
+those.  The larger frames of each size are built once per process: each
 labelled poset extends a smaller one by one world, and the first of each
 isomorphism class is kept.  A frame's box masks come from ``_BoxMasks``
 alone, each worked out on first use, so a frame of n worlds holds only
@@ -321,27 +330,162 @@ def _frames(n):
     return tuple(out)
 
 
+# The one-world frame is checked a block of up to 256 valuations at a
+# time: bit u of a mask is its truth under valuation u of the block.  On
+# one reflexive world  []A  is  A, so ``_Same`` is the box table.  In the
+# oracle's order the first of the k atoms, by name, is the most
+# significant bit of a valuation's index; so atom i flips every 2^(k-1-i)
+# valuations, and ``_LOW[m]`` holds the masks of the last m atoms over a
+# block of 2^m valuations.
+_BLOCK = 8
+_LOW = tuple(
+    tuple(sum(1 << u for u in range(1 << m) if u >> r & 1)
+          for r in reversed(range(m)))
+    for m in range(_BLOCK + 1))
+_ALL = (1 << (1 << _BLOCK)) - 1
+
+
+class _Same:
+    """The box table of the one-world frame: ``_SAME[m]`` is ``m``."""
+
+    __slots__ = ()
+
+    def __getitem__(self, mask):
+        return mask
+
+
+_SAME = _Same()
+
+
+def _one_world(steps, names, block):
+    """The first valuation of block ``block`` of the one-world frame that
+    falsifies the last of the compiled ``steps``, as a model and its world
+    0, or None.  Block b holds the valuations 2^m * b to 2^m * (b + 1) - 1,
+    m = min(k, 8), in the order of ``find_countermodel``; the first k - m
+    atoms are constant on it."""
+    k = len(names)
+    m = min(k, _BLOCK)
+    full = (1 << (1 << m)) - 1
+    vals = _LOW[m]
+    if k > m:
+        vals = tuple(full if block >> r & 1 else 0
+                     for r in reversed(range(k - m))) + vals
+    false = full & ~_evaluate(steps, full, _SAME, vals)
+    if not false:
+        return None
+    u = block << m | (false & -false).bit_length() - 1
+    valuation = tuple((name, u >> (k - 1 - i) & 1)
+                      for i, name in enumerate(names))
+    return KripkeModel(1, (1,), valuation), 0
+
+
+# What ``_classical`` returns on a goal of more than 8 atoms.
+_WIDE = object()
+
+
+def _classical(goal):
+    """The first valuation, in the oracle's order, that falsifies ``goal``
+    on the one-world frame, as a model and its world 0; None if none
+    does; ``_WIDE`` if the goal has more than 8 atoms.  One walk over the
+    goal's formulas, with an explicit stack: each distinct subformula gets
+    the int whose bit u is its truth under valuation u of the atoms, each
+    atom met taking the next mask of ``_LOW[8]``, and  []A  is  A.
+    Implications are  ~a | b, not masked to the 256 valuations until the
+    end.  As the atoms are met in no set order, the first falsifying
+    valuation in sorted name order is then read off one atom at a time:
+    false wherever some falsifying valuation allows."""
+    masks = {}          # formula -> its truth mask
+    atoms = {}          # name -> its truth mask
+    for f in goal.formulas():
+        if f in masks:
+            continue
+        # Each formula on the stack is a part of the one below it, not yet
+        # evaluated; the top one is evaluated once its parts are.
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            t = type(g)
+            if t is Implies:
+                a = masks.get(g.left)
+                if a is None:
+                    stack.append(g.left)
+                    continue
+                b = masks.get(g.right)
+                if b is None:
+                    stack.append(g.right)
+                    continue
+                m = ~a | b
+            elif t is Box:
+                m = masks.get(g.inner)
+                if m is None:
+                    stack.append(g.inner)
+                    continue
+            elif t is Atom:
+                m = atoms.get(g.name)
+                if m is None:
+                    if len(atoms) == _BLOCK:
+                        return _WIDE
+                    m = atoms[g.name] = _LOW[_BLOCK][len(atoms)]
+            else:
+                m = 0
+            stack.pop()
+            masks[g] = m
+    false = _ALL
+    for f in goal.ant:
+        false &= masks[f]
+    for f in goal.suc:
+        false &= ~masks[f]
+    if not false:
+        return None
+    valuation = []
+    for name in sorted(atoms):
+        p = atoms[name]
+        if false & ~p:
+            false &= ~p
+            valuation.append((name, 0))
+        else:
+            false &= p
+            valuation.append((name, 1))
+    return KripkeModel(1, (1,), tuple(valuation)), 0
+
+
+def _first_countermodel(steps, names, max_size, block=0):
+    """The oracle: the first model of up to ``max_size`` worlds, and its
+    first world, that falsifies the last of the compiled ``steps``, or
+    None.  The one-world frame comes first, from block ``block`` on (see
+    ``_one_world``); then each larger frame of ``_frames``, every
+    valuation of the atoms ``names`` in ``itertools.product`` order."""
+    if max_size < 1:
+        return None
+    for b in range(block, 1 << max(len(names) - _BLOCK, 0)):
+        found = _one_world(steps, names, b)
+        if found is not None:
+            return found
+    for n in range(2, max_size + 1):
+        full = (1 << n) - 1
+        for order, boxes in _frames(n):
+            for vals in itertools.product(range(1 << n), repeat=len(names)):
+                mask = _evaluate(steps, full, boxes, vals)
+                if mask != full:
+                    world = (~mask & (mask + 1)).bit_length() - 1
+                    return KripkeModel(n, order, tuple(zip(names, vals))), world
+    return None
+
+
 def find_countermodel(goal, max_size=4):
     """Search finite reflexive posets of up to ``max_size`` worlds for a
     world falsifying the formula reading of ``goal``.  Frames are
     enumerated up to isomorphism (exhaustive for validity checking, since
     satisfaction is isomorphism-invariant), smallest first; on each,
     every valuation of the goal's atoms, in sorted name order.  The
-    formula is compiled once, and each candidate is one run of
-    ``_evaluate``; only the model returned is built as a ``KripkeModel``,
-    with the first world that falsifies the formula."""
+    formula is compiled once; the one world's valuations are checked up
+    to 256 at once, as the bits of one int (see ``_one_world``), and each
+    candidate on a larger frame is one run of ``_evaluate``.  Only the
+    model returned is built as a ``KripkeModel``, with the first world
+    that falsifies the formula."""
     if not isinstance(goal, Sequent):
         goal = Sequent(EMPTY, mset(goal))
-    steps, atoms = _compile(sequent_to_formula(goal))
-    for n in range(1, max_size + 1):
-        full = (1 << n) - 1
-        for order, boxes in _frames(n):
-            for vals in itertools.product(range(1 << n), repeat=len(atoms)):
-                mask = _evaluate(steps, full, boxes, vals)
-                if mask != full:
-                    world = (~mask & (mask + 1)).bit_length() - 1
-                    return KripkeModel(n, order, tuple(zip(atoms, vals))), world
-    return None
+    return _first_countermodel(*_compile(sequent_to_formula(goal)), max_size)
 
 
 # ---------------------------------------------------------------------------
@@ -552,16 +696,38 @@ def provable(goal, max_crossings=64):
 def decide(goal, max_crossings=64, max_model_size=4):
     """Decide a sequent: a cut-free cyclic proof, or a countermodel.
 
-    Raises ``ProverError`` if neither is found (which would indicate a
-    completeness failure at the configured model size).
+    One reflexive world is a Grz frame, so before searching, ``decide``
+    checks the first 256 valuations of the goal's atoms on the one-world
+    frame, all at once, and returns the first that falsifies the goal:
+    the model ``find_countermodel`` returns.  So a goal that one world
+    refutes is never searched, and neither the crossing bound nor its
+    depth can stop it.  Otherwise the goal is searched, and if search
+    fails the oracle goes on from the next valuation, with the goal
+    compiled once.  The one-world check, like the oracle, runs only if
+    ``max_model_size`` is at least 1.
+
+    Raises ``SearchLimitError`` if search passes ``max_crossings``, and
+    ``ProverError`` if search fails and the oracle finds no countermodel
+    of up to ``max_model_size`` worlds.
     """
     if not isinstance(goal, Sequent):
         goal = Sequent(EMPTY, mset(goal))
+    program = None
+    if max_model_size >= 1:
+        found = _classical(goal)
+        if found is _WIDE:
+            program = _compile(sequent_to_formula(goal))
+            found = _one_world(*program, 0)
+        if found is not None:
+            return Verdict(countermodel=found)
     # The table and the rest of the search state live for this call only.
     sn = _search(goal, frozenset(), (), _Search(max_crossings))
     if sn is not None:
         return Verdict(proof=_to_cyclic(sn))
-    cm = find_countermodel(goal, max_model_size)
+    if program is None:
+        program = _compile(sequent_to_formula(goal))
+    # With at most 8 atoms, the first block holds every valuation.
+    cm = _first_countermodel(*program, max_model_size, 1)
     if cm is None:
         raise ProverError('search failed on %s but the oracle found no '
                           'countermodel up to size %d'

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -11,11 +12,12 @@ from grzproofs.examples import grz_axiom_cyclic_proof
 from grzproofs.interpolation import SplitSequent, interpolate, lyndon
 from grzproofs.proofs import CyclicNode, check_cyclic, dump_proof, unravel
 from grzproofs.prover import (
-    KripkeModel, ProverError, decide, find_countermodel, truth_mask,
+    KripkeModel, ProverError, SearchLimitError, decide, find_countermodel,
+    provable, truth_mask,
 )
 from grzproofs.syntax import (
-    Atom, BOT, Box, EMPTY, Implies, Sequent, mset, parse_formula,
-    parse_sequent,
+    Atom, BOT, Box, EMPTY, Implies, Multiset, Sequent, mset, parse_formula,
+    parse_sequent, sequent_to_formula, subformulas,
 )
 from grzproofs.transforms import regularize
 
@@ -101,12 +103,18 @@ class TestDecide:
     def test_box_choices_take_one_call_each(self, search_calls):
         # => []q1, ..., []qn: the left premise of the first box step fails,
         # and box inversion is admissible, so no other box is tried: one
-        # call for the goal and one for that left premise.
+        # call for the goal and one for that left premise.  ``provable``
+        # runs search alone; ``decide`` refutes the goal on one world, the
+        # valuation with every atom false, without searching.
         for n in range(5, 41):
+            g = parse_sequent(
+                ' => ' + ', '.join('[]q%d' % i for i in range(1, n + 1)))
             search_calls[0] = 0
-            text = ' => ' + ', '.join('[]q%d' % i for i in range(1, n + 1))
-            assert not decide(parse_sequent(text)).is_proof
+            assert not provable(g)
             assert search_calls[0] == n + 1, n
+            search_calls[0] = 0
+            assert decide(g).countermodel == find_countermodel(g)
+            assert search_calls[0] == 0, n
 
     def test_a_failed_right_premise_tries_the_next_box(self):
         # After refl, the first box, []p, proves its left premise
@@ -126,9 +134,15 @@ class TestDecide:
     def test_search_visits_the_same_states(self, search_calls, text,
                                            theorem, calls):
         # The number of search calls, recursive ones included.  A failed
-        # left premise of a box step ends the box stage.
-        assert decide(parse_sequent(text)).is_proof == theorem
+        # left premise of a box step ends the box stage.  One world
+        # refutes the non-theorem, so ``decide`` does not search it.
+        g = parse_sequent(text)
+        assert provable(g) == theorem
         assert search_calls[0] == calls
+        if not theorem:
+            search_calls[0] = 0
+            assert decide(g).countermodel == find_countermodel(g)
+            assert search_calls[0] == 0
 
     def test_deep_boxes_search_grows_linearly(self, search_calls):
         # []p => []^n p: both premises of each box step reach one box-stage
@@ -427,6 +441,125 @@ def test_the_newest_history_entry_is_part_of_the_key():
         assert check_cyclic(proof).ok
         h.update(dump_proof(proof).encode())
     assert h.hexdigest() == GOLDEN_NEWEST_ENTRY
+
+
+def random_formula(rng, atoms, size):
+    """A formula of ``size`` AST nodes over ``atoms`` and falsity."""
+    if size == 1:
+        return rng.choice(atoms + [BOT])
+    if size == 2 or rng.random() < 0.3:
+        return Box(random_formula(rng, atoms, size - 1))
+    k = rng.randint(1, size - 2)
+    return Implies(random_formula(rng, atoms, k),
+                   random_formula(rng, atoms, size - 1 - k))
+
+
+def random_sequent(rng):
+    """Up to four formulas a side, of 1 to 10 nodes, over up to 10
+    atoms."""
+    atoms = [Atom('q%d' % i) for i in range(rng.randint(1, 10))]
+    return Sequent(*[
+        Multiset(random_formula(rng, atoms, rng.randint(1, 10))
+                 for _ in range(rng.randint(0, 4)))
+        for _ in 'ab'])
+
+
+def outcome(found):
+    model, world = found
+    return model.describe(), world
+
+
+class TestOneWorld:
+    """``decide`` checks the first 256 valuations of the one-world frame
+    before it searches; what it returns is what search and the oracle
+    alone give."""
+
+    def test_decide_agrees_with_search_and_the_oracle(self):
+        rng = random.Random(31)
+        goals = [parse_sequent(text) for text in HARD_GOALS]
+        goals += [goal_of(f) for f in formulas_up_to(7)]
+        goals += [random_sequent(rng) for _ in range(400)]
+        wide = 0
+        for g in goals:
+            v = decide(g)
+            assert v.is_proof == provable(g), g
+            if not v.is_proof:
+                assert outcome(v.countermodel) == outcome(
+                    find_countermodel(g, 4)), g
+            wide += len({f.name for f in subformulas(*g.formulas())
+                         if type(f) is Atom}) > 8
+        assert wide > 0
+
+    def test_a_valuation_past_the_first_block_is_found_after_search(
+            self, search_calls):
+        # Only q1 true falsifies the goal: valuation 256 of q1, ..., q9,
+        # the first of the second block.
+        g = parse_sequent(' => ~q1, ' + ', '.join(
+            'q%d' % i for i in range(2, 10)))
+        model, world = decide(g).countermodel
+        assert search_calls[0] > 0
+        assert (model, world) == find_countermodel(g)
+        assert (model.size, world) == (1, 0)
+        assert model.valuation == (('q1', 1),) + tuple(
+            ('q%d' % i, 0) for i in range(2, 10))
+
+    def test_without_worlds_a_refutable_goal_is_an_error(self,
+                                                          search_calls):
+        g = goal('p')
+        with pytest.raises(ProverError, match='up to size 0$'):
+            decide(g, max_model_size=0)
+        assert search_calls[0] > 0
+
+    def test_a_deep_refutable_goal_is_refuted_without_search(
+            self, search_calls):
+        # Search would recurse once per box.
+        f = P
+        for _ in range(5000):
+            f = Box(f)
+        found = decide(goal_of(f)).countermodel
+        assert found == (KripkeModel(1, (1,), (('p', 0),)), 0)
+        assert search_calls[0] == 0
+
+    def test_the_crossing_bound_does_not_hide_a_one_world_refutation(self):
+        # With q false, the antecedent is true on one world, whatever p.
+        g = parse_sequent('q -> ~([]p -> [][][]p) =>')
+        found = decide(g, max_crossings=1).countermodel
+        assert found == decide(g, max_crossings=3).countermodel
+        assert found == find_countermodel(g)
+        assert outcome(found) == ({'worlds': 1, 'order': [[0]],
+                                   'valuation': {'p': [], 'q': []}}, 0)
+        # One world satisfies this goal, so search still meets the bound.
+        with pytest.raises(SearchLimitError,
+                           match='exceeded 1 box crossings'):
+            decide(parse_sequent('[]p => [][][]p'), max_crossings=1)
+
+    def test_the_one_world_frame_is_scanned_in_the_oracles_order(self):
+        # The first valuation in ``itertools.product`` order under which
+        # the reading is false on one world, by the reference evaluator;
+        # the blocks of 256 valuations of goals over 9 and 10 atoms too.
+        rng = random.Random(7)
+        goals = [parse_sequent(text) for text in [
+            '=>', 'p =>', '=> p', 'p, p => q, q', 'p, []q => q, p, []p',
+            'p -> q, q => []p, p, q -> false']]
+        goals += [random_sequent(rng) for _ in range(300)]
+        for g in goals:
+            reading = sequent_to_formula(g)
+            names = sorted({f.name for f in subformulas(reading)
+                            if type(f) is Atom})
+            first = None
+            for vals in itertools.product(range(2), repeat=len(names)):
+                m = KripkeModel(1, (1,), tuple(zip(names, vals)))
+                if not reference_mask(m, reading):
+                    first = m, 0
+                    break
+            assert find_countermodel(g, 1) == first, g
+            if first is not None:
+                assert decide(g, max_model_size=1).countermodel == first, g
+
+    def test_a_one_world_refutation_builds_no_frame_table(self):
+        prover._frames.cache_clear()
+        assert decide(goal('p -> q')).countermodel[0].size == 1
+        assert prover._frames.cache_info().currsize == 0
 
 
 def search_result(g):
