@@ -42,19 +42,18 @@ once, and a sequent keeps its hash once worked out.
 
 Countermodels come from exhaustive enumeration of finite reflexive
 partial orders (Grz frames: finiteness rules out infinite ascending
-chains), not from failed search branches.  The oracle compiles the
-formula reading of the goal once, into the post-order list of its
-distinct subformulas, and evaluates each candidate frame and valuation
-in one flat loop over that list, which ``truth_mask`` runs too; so no
-formula's depth makes it recurse.  One reflexive world is a Grz frame,
-and on it  []A  is  A: the oracle checks the one-world frame first, 256
-valuations at a time, as the bits of one int per step.  ``decide``
-checks the first 256 before it searches, in one walk over the goal's
-formulas that compiles nothing (``_classical``; a goal of more than 8
-atoms is compiled for it), so a goal that some classical valuation
-falsifies is refuted without search.  Otherwise the goal is compiled
-only if search fails, and the oracle goes on from the valuations after
-those.  The larger frames of each size are built once per process: each
+chains), not from failed search branches.  One reflexive world is a Grz
+frame, and on it  []A  is  A: the oracle walks the goal's formulas once
+per block of 256 valuations of the one-world frame, each subformula's
+truth under all of them the bits of one int (``_one_world``).
+``decide`` walks the first block before it searches, compiling nothing,
+so a goal that some classical valuation falsifies is refuted without
+search.  Only the larger frames need the formula reading of the goal
+compiled, once, into the post-order list of its distinct subformulas;
+each candidate frame and valuation is one flat loop over that list,
+which ``truth_mask`` runs too.  So no formula's depth makes the oracle
+recurse, and ``decide`` compiles a goal only if search fails.  The
+larger frames of each size are built once per process: each
 labelled poset extends a smaller one by one world, and the first of each
 isomorphism class is kept.  A frame's box masks come from ``_BoxMasks``
 alone, each worked out on first use, so a frame of n worlds holds only
@@ -148,8 +147,9 @@ class KripkeModel:
 
 def truth_mask(model, f):
     """Bitmask of worlds of ``model`` satisfying ``f``: ``f`` compiled, and
-    run by the evaluator of ``find_countermodel``, so formulas of any depth
-    evaluate without recursion."""
+    run by ``_evaluate``, the evaluator of ``find_countermodel`` on frames
+    of 2 or more worlds, so formulas of any depth evaluate without
+    recursion."""
     steps, atoms = _compile(f)
     return _evaluate(steps, (1 << model.size) - 1, _BoxMasks(model.order),
                      tuple(model.val(name) for name in atoms))
@@ -330,72 +330,37 @@ def _frames(n):
     return tuple(out)
 
 
-# The one-world frame is checked a block of up to 256 valuations at a
-# time: bit u of a mask is its truth under valuation u of the block.  On
-# one reflexive world  []A  is  A, so ``_Same`` is the box table.  In the
-# oracle's order the first of the k atoms, by name, is the most
-# significant bit of a valuation's index; so atom i flips every 2^(k-1-i)
-# valuations, and ``_LOW[m]`` holds the masks of the last m atoms over a
-# block of 2^m valuations.
+# The one-world frame is walked a block of 256 valuations at a time: bit
+# u of a mask is its truth under valuation u of the block, and on one
+# reflexive world  []A  is  A.  ``_LOW[r]`` is the mask of bit r of u.
 _BLOCK = 8
-_LOW = tuple(
-    tuple(sum(1 << u for u in range(1 << m) if u >> r & 1)
-          for r in reversed(range(m)))
-    for m in range(_BLOCK + 1))
+_LOW = tuple(sum(1 << u for u in range(1 << _BLOCK) if u >> r & 1)
+             for r in range(_BLOCK))
 _ALL = (1 << (1 << _BLOCK)) - 1
 
 
-class _Same:
-    """The box table of the one-world frame: ``_SAME[m]`` is ``m``."""
-
-    __slots__ = ()
-
-    def __getitem__(self, mask):
-        return mask
-
-
-_SAME = _Same()
-
-
-def _one_world(steps, names, block):
+def _one_world(goal, block=0, names=None):
     """The first valuation of block ``block`` of the one-world frame that
-    falsifies the last of the compiled ``steps``, as a model and its world
-    0, or None.  Block b holds the valuations 2^m * b to 2^m * (b + 1) - 1,
-    m = min(k, 8), in the order of ``find_countermodel``; the first k - m
-    atoms are constant on it."""
-    k = len(names)
-    m = min(k, _BLOCK)
-    full = (1 << (1 << m)) - 1
-    vals = _LOW[m]
-    if k > m:
-        vals = tuple(full if block >> r & 1 else 0
-                     for r in reversed(range(k - m))) + vals
-    false = full & ~_evaluate(steps, full, _SAME, vals)
-    if not false:
-        return None
-    u = block << m | (false & -false).bit_length() - 1
-    valuation = tuple((name, u >> (k - 1 - i) & 1)
-                      for i, name in enumerate(names))
-    return KripkeModel(1, (1,), valuation), 0
+    falsifies the sequent ``goal``, as a model and its world 0, or None.
+    In the oracle's order the first of the k atoms ``names``, sorted, is
+    the most significant bit of a valuation's index, and block b holds
+    the valuations 256 * b to 256 * (b + 1) - 1: the first k - 8 atoms
+    are constant on it, each 0 or all ones by its bit of b, and the last
+    8 take the masks of ``_LOW``.  Without ``names``, block 0 is walked,
+    each atom met taking the next mask of ``_LOW``; a 9th atom starts the
+    walk again with the goal's atom names.
 
-
-# What ``_classical`` returns on a goal of more than 8 atoms.
-_WIDE = object()
-
-
-def _classical(goal):
-    """The first valuation, in the oracle's order, that falsifies ``goal``
-    on the one-world frame, as a model and its world 0; None if none
-    does; ``_WIDE`` if the goal has more than 8 atoms.  One walk over the
-    goal's formulas, with an explicit stack: each distinct subformula gets
-    the int whose bit u is its truth under valuation u of the atoms, each
-    atom met taking the next mask of ``_LOW[8]``, and  []A  is  A.
-    Implications are  ~a | b, not masked to the 256 valuations until the
-    end.  As the atoms are met in no set order, the first falsifying
+    One walk over the goal's formulas, with an explicit stack: each
+    distinct subformula gets its truth mask.  Implications are  ~a | b,
+    not masked to the 256 valuations until the end.  The first falsifying
     valuation in sorted name order is then read off one atom at a time:
     false wherever some falsifying valuation allows."""
-    masks = {}          # formula -> its truth mask
     atoms = {}          # name -> its truth mask
+    if names is not None:
+        for r, name in enumerate(reversed(names)):
+            atoms[name] = (_LOW[r] if r < _BLOCK else
+                           _ALL if block >> r - _BLOCK & 1 else 0)
+    masks = {}          # formula -> its truth mask
     for f in goal.formulas():
         if f in masks:
             continue
@@ -424,8 +389,10 @@ def _classical(goal):
                 m = atoms.get(g.name)
                 if m is None:
                     if len(atoms) == _BLOCK:
-                        return _WIDE
-                    m = atoms[g.name] = _LOW[_BLOCK][len(atoms)]
+                        return _one_world(goal, block, sorted(
+                            {h.name for h in subformulas(*goal.formulas())
+                             if type(h) is Atom}))
+                    m = atoms[g.name] = _LOW[len(atoms)]
             else:
                 m = 0
             stack.pop()
@@ -449,18 +416,25 @@ def _classical(goal):
     return KripkeModel(1, (1,), tuple(valuation)), 0
 
 
-def _first_countermodel(steps, names, max_size, block=0):
-    """The oracle: the first model of up to ``max_size`` worlds, and its
-    first world, that falsifies the last of the compiled ``steps``, or
-    None.  The one-world frame comes first, from block ``block`` on (see
-    ``_one_world``); then each larger frame of ``_frames``, every
-    valuation of the atoms ``names`` in ``itertools.product`` order."""
-    if max_size < 1:
-        return None
-    for b in range(block, 1 << max(len(names) - _BLOCK, 0)):
-        found = _one_world(steps, names, b)
-        if found is not None:
-            return found
+def find_countermodel(goal, max_size=4):
+    """Search finite reflexive posets of up to ``max_size`` worlds for a
+    world falsifying the formula reading of ``goal``.  Frames are
+    enumerated up to isomorphism (exhaustive for validity checking, since
+    satisfaction is isomorphism-invariant), smallest first; on each,
+    every valuation of the goal's atoms, in sorted name order.  The
+    one-world frame is walked a block of 256 valuations at a time (see
+    ``_one_world``).  The formula is compiled once, and each candidate on
+    a larger frame is one run of ``_evaluate``.  Only the model returned
+    is built as a ``KripkeModel``, with the first world that falsifies
+    the formula."""
+    if not isinstance(goal, Sequent):
+        goal = Sequent(EMPTY, mset(goal))
+    steps, names = _compile(sequent_to_formula(goal))
+    if max_size >= 1:
+        for block in range(1 << max(len(names) - _BLOCK, 0)):
+            found = _one_world(goal, block, names)
+            if found is not None:
+                return found
     for n in range(2, max_size + 1):
         full = (1 << n) - 1
         for order, boxes in _frames(n):
@@ -470,22 +444,6 @@ def _first_countermodel(steps, names, max_size, block=0):
                     world = (~mask & (mask + 1)).bit_length() - 1
                     return KripkeModel(n, order, tuple(zip(names, vals))), world
     return None
-
-
-def find_countermodel(goal, max_size=4):
-    """Search finite reflexive posets of up to ``max_size`` worlds for a
-    world falsifying the formula reading of ``goal``.  Frames are
-    enumerated up to isomorphism (exhaustive for validity checking, since
-    satisfaction is isomorphism-invariant), smallest first; on each,
-    every valuation of the goal's atoms, in sorted name order.  The
-    formula is compiled once; the one world's valuations are checked up
-    to 256 at once, as the bits of one int (see ``_one_world``), and each
-    candidate on a larger frame is one run of ``_evaluate``.  Only the
-    model returned is built as a ``KripkeModel``, with the first world
-    that falsifies the formula."""
-    if not isinstance(goal, Sequent):
-        goal = Sequent(EMPTY, mset(goal))
-    return _first_countermodel(*_compile(sequent_to_formula(goal)), max_size)
 
 
 # ---------------------------------------------------------------------------
@@ -697,14 +655,14 @@ def decide(goal, max_crossings=64, max_model_size=4):
     """Decide a sequent: a cut-free cyclic proof, or a countermodel.
 
     One reflexive world is a Grz frame, so before searching, ``decide``
-    checks the first 256 valuations of the goal's atoms on the one-world
-    frame, all at once, and returns the first that falsifies the goal:
-    the model ``find_countermodel`` returns.  So a goal that one world
-    refutes is never searched, and neither the crossing bound nor its
-    depth can stop it.  Otherwise the goal is searched, and if search
-    fails the oracle goes on from the next valuation, with the goal
-    compiled once.  The one-world check, like the oracle, runs only if
-    ``max_model_size`` is at least 1.
+    walks the first block of 256 valuations of the goal's atoms on the
+    one-world frame, all at once, and returns the first that falsifies
+    the goal: the model ``find_countermodel`` returns.  So a goal that one
+    world refutes is never searched, and neither the crossing bound nor
+    its depth can stop it.  Otherwise the goal is searched, and only if
+    search fails is ``find_countermodel`` run, from the first valuation.
+    The one-world walk, like the oracle, runs only if ``max_model_size``
+    is at least 1.
 
     Raises ``SearchLimitError`` if search passes ``max_crossings``, and
     ``ProverError`` if search fails and the oracle finds no countermodel
@@ -712,22 +670,15 @@ def decide(goal, max_crossings=64, max_model_size=4):
     """
     if not isinstance(goal, Sequent):
         goal = Sequent(EMPTY, mset(goal))
-    program = None
     if max_model_size >= 1:
-        found = _classical(goal)
-        if found is _WIDE:
-            program = _compile(sequent_to_formula(goal))
-            found = _one_world(*program, 0)
+        found = _one_world(goal)
         if found is not None:
             return Verdict(countermodel=found)
     # The table and the rest of the search state live for this call only.
     sn = _search(goal, frozenset(), (), _Search(max_crossings))
     if sn is not None:
         return Verdict(proof=_to_cyclic(sn))
-    if program is None:
-        program = _compile(sequent_to_formula(goal))
-    # With at most 8 atoms, the first block holds every valuation.
-    cm = _first_countermodel(*program, max_model_size, 1)
+    cm = find_countermodel(goal, max_model_size)
     if cm is None:
         raise ProverError('search failed on %s but the oracle found no '
                           'countermodel up to size %d'

@@ -173,6 +173,20 @@ def search_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """A one-element list counting the calls of ``prover._compile``."""
+    calls = [0]
+    compile_ = prover._compile
+
+    def counting(*args):
+        calls[0] += 1
+        return compile_(*args)
+
+    monkeypatch.setattr(prover, '_compile', counting)
+    return calls
+
+
 class TestCountermodels:
     def test_none_for_theorems(self):
         assert find_countermodel(goal('[]p -> p')) is None
@@ -537,10 +551,19 @@ class TestOneWorld:
         # The first valuation in ``itertools.product`` order under which
         # the reading is false on one world, by the reference evaluator;
         # the blocks of 256 valuations of goals over 9 and 10 atoms too.
+        # Over 11 and 12 atoms, the first falsifier of each goal written
+        # out lies in block 5, 10, 12 or 14, with two or three of the
+        # atoms that are constant on a block true.
         rng = random.Random(7)
         goals = [parse_sequent(text) for text in [
             '=>', 'p =>', '=> p', 'p, p => q, q', 'p, []q => q, p, []p',
             'p -> q, q => []p, p, q -> false']]
+        goals += [parse_sequent(' => ' + ', '.join(
+            ('~q%02d' if i in true else 'q%02d') % i
+            for i in range(1, k + 1)))
+            for k, true in [(11, {1, 3}), (12, {1, 2}), (12, {1, 2, 3, 12})]]
+        goals.append(parse_sequent('q01, []q03 => ' + ', '.join(
+            'q%02d' % i for i in [2] + list(range(4, 13)))))
         goals += [random_sequent(rng) for _ in range(300)]
         for g in goals:
             reading = sequent_to_formula(g)
@@ -560,6 +583,21 @@ class TestOneWorld:
         prover._frames.cache_clear()
         assert decide(goal('p -> q')).countermodel[0].size == 1
         assert prover._frames.cache_info().currsize == 0
+
+    def test_decide_compiles_a_goal_only_after_search_fails(self,
+                                                             compile_calls):
+        # One world refutes p -> q before search, and search proves the
+        # wide theorem after one block of 256 valuations; neither compiles
+        # the goal.  The 5-world goal fails search and the oracle.
+        assert decide(goal('p -> q')).countermodel[0].size == 1
+        assert compile_calls[0] == 0
+        wide = ', '.join('q%d' % i for i in range(1, 41))
+        assert decide(parse_sequent(wide + ' => q1')).is_proof
+        assert compile_calls[0] == 0
+        with pytest.raises(ProverError, match='up to size 4$'):
+            decide(parse_sequent(
+                'p, <>(~p & <>(p & <>(~p & <>p))) => false'))
+        assert compile_calls[0] == 1
 
 
 def search_result(g):
